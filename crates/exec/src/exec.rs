@@ -1,30 +1,43 @@
 //! Plan execution.
 //!
-//! The executor works over *borrowed* scans: [`execute_plan_cow`]
-//! returns `Cow<'_, [Row]>`, so a `Scan` hands back the table's own row
-//! slice without copying, a `Select` over a borrowed input clones only
-//! the rows that survive the filter, and materialization happens only
-//! at operators that genuinely build new rows (projection, join output,
-//! aggregation, duplicate elimination). For a selective single-table
-//! query this turns the dominant cost from O(|table|) row clones into
-//! O(|result|). The [`rows_cloned`] counter observes exactly the clones
-//! caused by materializing borrowed data, so tests and benches can
-//! assert the reduction.
+//! The executor is a push pipeline over borrowed rows. [`stream`] walks
+//! the plan and hands every row an operator produces to a sink as
+//! `Cow<'_, Row>`: a `Scan` offers the table's own rows
+//! (`Cow::Borrowed`), `Select` evaluates its conjuncts in place and
+//! forwards the survivors untouched, and `Project`, `Aggregate`,
+//! `Distinct` and the hash-join build and probe all read their input by
+//! reference. Only an operator that computes new rows (projection, join
+//! output, aggregation) emits `Cow::Owned`. A table row is therefore
+//! cloned in exactly one place — the collector at the top, when the row
+//! itself is the answer (`select *`) — and a value is cloned only into
+//! a row that is being built: predicates run through the one borrowing
+//! evaluator ([`crate::eval`]) and allocate nothing for column/literal
+//! comparisons. The [`rows_cloned`] counter observes the collector's
+//! clones, so tests and benches can hold the executor to "0 for a
+//! projection or aggregate, `|result|` for `select *`".
+//!
+//! Evaluation is row-at-a-time through the whole pipeline: when several
+//! rows would fail, the error reported is that of the first failing row
+//! in scan order, not of the lowest failing operator.
 
-use crate::eval::{eval, eval_predicate};
-use fgac_algebra::{AggExpr, AggFunc, BoundQuery, CmpOp, OrderKey, ParamScope, Plan, ScalarExpr};
+use crate::eval::{eval_predicate, eval_ref};
+use fgac_algebra::{
+    is_identity_projection, AggExpr, AggFunc, BoundQuery, CmpOp, OrderKey, ParamScope, Plan,
+    ScalarExpr,
+};
 use fgac_storage::Database;
 use fgac_types::{Error, Ident, Result, Row, Value};
 use std::borrow::Cow;
 use std::cell::Cell;
+use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 thread_local! {
-    /// Rows cloned out of borrowed storage by this thread's executor
-    /// runs: survivor clones in `Select`/`Distinct` over borrowed
-    /// inputs plus whole-slice materializations of borrowed results.
-    /// Thread-local so concurrent queries (and parallel tests) don't
-    /// observe each other.
+    /// Table rows cloned by this thread's executor runs. A stored row
+    /// is cloned only when it is itself a result row. Thread-local so
+    /// concurrent queries (and parallel tests) don't observe each other.
     static ROWS_CLONED: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -100,217 +113,312 @@ pub fn run_query_sql(db: &Database, sql: &str, params: &ParamScope) -> Result<Qu
 /// their keys instead of materializing cross products.
 pub fn execute_bound(db: &Database, bound: &BoundQuery) -> Result<Vec<Row>> {
     let plan = crate::pushdown::push_selections(&bound.plan);
-    let rows = execute_plan_cow(db, &plan)?;
-    let mut rows = match rows {
-        Cow::Owned(rows) => rows,
-        Cow::Borrowed(rows) => {
-            // The caller owns the result, so borrowed rows materialize
-            // here — but an unordered LIMIT needs only the prefix.
-            let take = match bound.limit {
-                Some(l) if bound.order_by.is_empty() => (l as usize).min(rows.len()),
-                _ => rows.len(),
-            };
-            count_cloned(take);
-            rows[..take].to_vec()
-        }
+    // An unordered LIMIT is answered by the first rows produced, so
+    // nothing past them is cloned.
+    let keep = match bound.limit {
+        Some(limit) if bound.order_by.is_empty() => clamp_limit(limit),
+        _ => usize::MAX,
     };
+    let mut rows = into_owned_rows(run(db, &plan, keep)?);
     if !bound.order_by.is_empty() {
         sort_rows(&mut rows, &bound.order_by);
     }
     if let Some(limit) = bound.limit {
-        rows.truncate(limit as usize);
+        rows.truncate(clamp_limit(limit));
     }
     Ok(rows)
+}
+
+fn clamp_limit(limit: u64) -> usize {
+    usize::try_from(limit).unwrap_or(usize::MAX)
 }
 
 /// Executes a logical plan, materializing the result multiset. Prefer
 /// [`execute_plan_cow`] when the caller can work with borrowed rows
 /// (e.g. emptiness probes) — this wrapper clones a borrowed result.
 pub fn execute_plan(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
-    Ok(match execute_plan_cow(db, plan)? {
+    execute_plan_cow(db, plan).map(into_owned_rows)
+}
+
+/// Executes a logical plan over borrowed storage. A plan that yields a
+/// table unchanged returns that table's row slice without copying; any
+/// other plan streams through the operator pipeline and collects its
+/// output, cloning a table row only when it is itself an output row.
+pub fn execute_plan_cow<'a>(db: &'a Database, plan: &Plan) -> Result<Cow<'a, [Row]>> {
+    run(db, plan, usize::MAX)
+}
+
+fn into_owned_rows(rows: Cow<'_, [Row]>) -> Vec<Row> {
+    match rows {
         Cow::Owned(rows) => rows,
         Cow::Borrowed(rows) => {
             count_cloned(rows.len());
             rows.to_vec()
         }
-    })
+    }
 }
 
-/// Executes a logical plan over borrowed storage. `Scan` returns the
-/// table's row slice without copying; operators clone rows only when
-/// they must produce owned data (filter survivors, projections, join
-/// outputs, aggregates).
-pub fn execute_plan_cow<'a>(db: &'a Database, plan: &Plan) -> Result<Cow<'a, [Row]>> {
-    match plan {
-        Plan::Scan { table, .. } => Ok(Cow::Borrowed(db.table_required(table)?.rows())),
-        Plan::Select { input, conjuncts } => match execute_plan_cow(db, input)? {
-            // Borrowed input: filter by reference, clone only survivors.
-            Cow::Borrowed(rows) => {
-                let mut out = Vec::new();
-                'borrowed: for r in rows {
-                    for c in conjuncts {
-                        if !eval_predicate(c, r)? {
-                            continue 'borrowed;
-                        }
-                    }
-                    out.push(r.clone());
+/// The first `keep` rows `plan` produces.
+fn run<'a>(db: &'a Database, plan: &Plan, keep: usize) -> Result<Cow<'a, [Row]>> {
+    if let Some(rows) = table_slice(db, plan)? {
+        return Ok(Cow::Borrowed(&rows[..keep.min(rows.len())]));
+    }
+    let mut out = Vec::new();
+    let mut cloned = 0;
+    stream(db, plan, &mut |row| {
+        if out.len() < keep {
+            out.push(match row {
+                Cow::Owned(row) => row,
+                Cow::Borrowed(row) => {
+                    cloned += 1;
+                    row.clone()
                 }
-                count_cloned(out.len());
-                Ok(Cow::Owned(out))
-            }
-            // Owned input: move survivors, no clones at all.
-            Cow::Owned(rows) => Ok(Cow::Owned(filter_rows(rows, conjuncts)?)),
-        },
-        Plan::Project { input, exprs } => {
-            let rows = execute_plan_cow(db, input)?;
-            let projected = rows
-                .iter()
-                .map(|r| {
-                    exprs
-                        .iter()
-                        .map(|e| eval(e, r))
-                        .collect::<Result<Vec<Value>>>()
-                        .map(Row)
-                })
-                .collect::<Result<Vec<Row>>>()?;
-            Ok(Cow::Owned(projected))
+            });
         }
-        Plan::Distinct { input } => match execute_plan_cow(db, input)? {
-            Cow::Borrowed(rows) => {
-                let mut seen = HashSet::with_capacity(rows.len());
-                let mut out = Vec::new();
-                for r in rows {
-                    if seen.insert(r) {
-                        out.push(r.clone());
-                    }
+        Ok(())
+    })?;
+    count_cloned(cloned);
+    Ok(Cow::Owned(out))
+}
+
+/// The stored rows of the table `plan` returns unchanged, if it is a
+/// scan under nothing but identity projections (the binder's shape for
+/// `select * from t`).
+fn table_slice<'a>(db: &'a Database, plan: &Plan) -> Result<Option<&'a [Row]>> {
+    match plan {
+        Plan::Scan { table, .. } => Ok(Some(db.table_required(table)?.rows())),
+        Plan::Project { input, exprs } if is_identity_projection(exprs, input.arity()) => {
+            table_slice(db, input)
+        }
+        _ => Ok(None),
+    }
+}
+
+/// Where an operator sends its output rows: borrowed from table storage
+/// (valid for the database borrow `'a`) or freshly built.
+type Sink<'s, 'a> = &'s mut dyn FnMut(Cow<'a, Row>) -> Result<()>;
+
+/// Pushes every row `plan` produces into `sink`, in order.
+fn stream<'a>(db: &'a Database, plan: &Plan, sink: Sink<'_, 'a>) -> Result<()> {
+    match plan {
+        Plan::Scan { table, .. } => db
+            .table_required(table)?
+            .rows()
+            .iter()
+            .try_for_each(|row| sink(Cow::Borrowed(row))),
+        Plan::Select { input, conjuncts } => {
+            let conjuncts = flatten_ands(conjuncts);
+            let mut keep = |row: Cow<'a, Row>| {
+                if passes(&conjuncts, &row)? {
+                    sink(row)?;
                 }
-                count_cloned(out.len());
-                Ok(Cow::Owned(out))
+                Ok(())
+            };
+            // Fused with a scan below it, the filter runs in the scan
+            // loop itself and only survivors reach the sink.
+            match table_slice(db, input)? {
+                Some(rows) => rows.iter().try_for_each(|row| keep(Cow::Borrowed(row))),
+                None => stream(db, input, &mut keep),
             }
-            Cow::Owned(rows) => {
-                let mut seen = HashSet::with_capacity(rows.len());
-                Ok(Cow::Owned(
-                    rows.into_iter().filter(|r| seen.insert(r.clone())).collect(),
-                ))
-            }
-        },
+        }
+        // The binder wraps `select *` in an identity projection; the
+        // input rows already are the output rows.
+        Plan::Project { input, exprs } if is_identity_projection(exprs, input.arity()) => {
+            stream(db, input, sink)
+        }
+        Plan::Project { input, exprs } => stream(db, input, &mut |row| {
+            let projected = exprs
+                .iter()
+                .map(|e| eval_ref(e, &row).map(Cow::into_owned))
+                .collect::<Result<Vec<Value>>>()?;
+            sink(Cow::Owned(Row(projected)))
+        }),
+        Plan::Distinct { input } => {
+            // Each first occurrence is kept as it arrived (borrowed or
+            // owned) and duplicates are found by index, so nothing is
+            // cloned here.
+            let mut firsts: Vec<Cow<'a, Row>> = Vec::new();
+            let mut index = HashIndex::default();
+            stream(db, input, &mut |row| {
+                let hash = index.hash(row.values());
+                if !index.candidates(hash).iter().any(|&i| firsts[i] == row) {
+                    index.insert(hash, firsts.len());
+                    firsts.push(row);
+                }
+                Ok(())
+            })?;
+            firsts.into_iter().try_for_each(sink)
+        }
         Plan::Join {
             left,
             right,
             conjuncts,
         } => {
-            let lrows = execute_plan_cow(db, left)?;
-            let rrows = execute_plan_cow(db, right)?;
-            Ok(Cow::Owned(join_rows(
-                &lrows,
-                &rrows,
-                left.arity(),
-                conjuncts,
-            )?))
+            let mut build: Vec<Cow<'a, Row>> = Vec::new();
+            stream(db, right, &mut |row| {
+                build.push(row);
+                Ok(())
+            })?;
+            join_rows(db, left, &build, conjuncts, sink)
         }
         Plan::Aggregate {
             input,
             group_by,
             aggs,
         } => {
-            let rows = execute_plan_cow(db, input)?;
-            Ok(Cow::Owned(aggregate_rows(&rows, group_by, aggs)?))
+            let mut groups = Groups::new(group_by, aggs);
+            stream(db, input, &mut |row| groups.add(&row))?;
+            groups.finish().try_for_each(|row| sink(Cow::Owned(row)))
         }
     }
 }
 
-fn filter_rows(rows: Vec<Row>, conjuncts: &[ScalarExpr]) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
-    'rows: for r in rows {
+/// The conjunct list with nested `AND`s spliced in. The binder emits
+/// `where a and b` as one `AND` conjunct and plans are not normalized
+/// before they run; as a list, the scan of a row stops at the first
+/// member that is not TRUE.
+fn flatten_ands(conjuncts: &[ScalarExpr]) -> Vec<&ScalarExpr> {
+    fn splice<'e>(conjuncts: &'e [ScalarExpr], flat: &mut Vec<&'e ScalarExpr>) {
         for c in conjuncts {
-            if !eval_predicate(c, &r)? {
-                continue 'rows;
+            match c {
+                ScalarExpr::And(members) => splice(members, flat),
+                _ => flat.push(c),
             }
         }
-        out.push(r);
     }
-    Ok(out)
+    let mut flat = Vec::with_capacity(conjuncts.len());
+    splice(conjuncts, &mut flat);
+    flat
 }
 
-/// Joins with a hash join on equi-conjuncts spanning the boundary when
-/// possible, nested loops otherwise. Residual conjuncts are applied to
-/// the concatenated row.
-fn join_rows(
-    lrows: &[Row],
-    rrows: &[Row],
-    left_arity: usize,
-    conjuncts: &[ScalarExpr],
-) -> Result<Vec<Row>> {
-    // Split conjuncts into hashable equi-join keys and residuals.
-    let mut lkeys = Vec::new();
-    let mut rkeys = Vec::new();
-    let mut residual = Vec::new();
+/// Whether every conjunct is TRUE on `row`.
+fn passes(conjuncts: &[&ScalarExpr], row: &Row) -> Result<bool> {
     for c in conjuncts {
-        match c {
-            ScalarExpr::Cmp {
-                op: CmpOp::Eq,
-                left,
-                right,
-            } => match (&**left, &**right) {
-                (ScalarExpr::Col(a), ScalarExpr::Col(b)) if *a < left_arity && *b >= left_arity => {
-                    lkeys.push(*a);
-                    rkeys.push(*b - left_arity);
-                }
-                (ScalarExpr::Col(a), ScalarExpr::Col(b)) if *b < left_arity && *a >= left_arity => {
-                    lkeys.push(*b);
-                    rkeys.push(*a - left_arity);
-                }
-                _ => residual.push(c.clone()),
-            },
-            _ => residual.push(c.clone()),
+        if !eval_predicate(c, row)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// Finds entries of a caller-owned `Vec` by the hash of a key that is
+/// only ever read by reference: [`HashIndex::candidates`] narrows a
+/// lookup to the indexes stored under the key's hash, and the caller
+/// confirms the match against its own entries. `Distinct`, `Aggregate`
+/// and the hash join share it, so a lookup that hits never clones a key.
+///
+/// Numerically equal `Int` and `Double` values hash alike, which the
+/// join's SQL key equality needs; for the operators that compare with
+/// `==` it only means such values share a bucket.
+#[derive(Default)]
+struct HashIndex {
+    state: RandomState,
+    buckets: HashMap<u64, Vec<usize>>,
+}
+
+impl HashIndex {
+    fn hash<'v>(&self, key: impl IntoIterator<Item = &'v Value>) -> u64 {
+        let mut hasher = self.state.build_hasher();
+        for value in key {
+            match value.as_f64() {
+                Some(number) => number.to_bits().hash(&mut hasher),
+                None => value.hash(&mut hasher),
+            }
+        }
+        hasher.finish()
+    }
+
+    fn candidates(&self, hash: u64) -> &[usize] {
+        self.buckets.get(&hash).map_or(&[], Vec::as_slice)
+    }
+
+    fn insert(&mut self, hash: u64, index: usize) {
+        self.buckets.entry(hash).or_default().push(index);
+    }
+}
+
+/// Streams the left input against the collected right (`build`) rows:
+/// a hash join on the conjuncts that equate a left column with a right
+/// column, every other conjunct applied to the concatenated row.
+/// Without such a conjunct the key is empty, every pair is a candidate,
+/// and this is a nested-loop join.
+///
+/// Key equality is SQL equality (`sql_cmp`), so `INTEGER 1` joins
+/// `DOUBLE 1.0` exactly as the filter `a.i = b.d` accepts the pair, and
+/// a NULL key matches nothing.
+fn join_rows<'a>(
+    db: &'a Database,
+    left: &Plan,
+    build: &[Cow<'a, Row>],
+    conjuncts: &[ScalarExpr],
+    sink: Sink<'_, 'a>,
+) -> Result<()> {
+    let left_arity = left.arity();
+    let (mut lkeys, mut rkeys, mut residual) = (Vec::new(), Vec::new(), Vec::new());
+    for c in flatten_ands(conjuncts) {
+        match equi_key(c, left_arity) {
+            Some((l, r)) => {
+                lkeys.push(l);
+                rkeys.push(r);
+            }
+            None => residual.push(c),
         }
     }
 
-    let mut out = Vec::new();
-    if lkeys.is_empty() {
-        // Nested loops.
-        for l in lrows {
-            'inner: for r in rrows {
-                let joined = l.concat(r);
-                for c in conjuncts {
-                    if !eval_predicate(c, &joined)? {
-                        continue 'inner;
-                    }
-                }
-                out.push(joined);
+    let mut index = HashIndex::default();
+    for (i, r) in build.iter().enumerate() {
+        if let Some(key) = join_key(r, &rkeys) {
+            index.insert(index.hash(key), i);
+        }
+    }
+    stream(db, left, &mut |l| {
+        let Some(key) = join_key(&l, &lkeys) else {
+            return Ok(());
+        };
+        for &i in index.candidates(index.hash(key)) {
+            let r = &build[i];
+            let same_key = lkeys
+                .iter()
+                .zip(&rkeys)
+                .all(|(&lk, &rk)| l.get(lk).sql_cmp(r.get(rk)) == Some(Ordering::Equal));
+            if !same_key {
+                continue;
+            }
+            let joined = l.concat(r);
+            if passes(&residual, &joined)? {
+                sink(Cow::Owned(joined))?;
             }
         }
-        return Ok(out);
-    }
+        Ok(())
+    })
+}
 
-    // Hash join: build on the smaller side conceptually; build on right.
-    let mut table: HashMap<Vec<Value>, Vec<&Row>> = HashMap::with_capacity(rrows.len());
-    for r in rrows {
-        let key: Vec<Value> = rkeys.iter().map(|&i| r.get(i).clone()).collect();
-        // SQL equi-join: NULL keys never match.
-        if key.iter().any(|v| v.is_null()) {
-            continue;
+/// `left column = right column` as (left offset, right offset), for a
+/// conjunct over the concatenated row.
+fn equi_key(conjunct: &ScalarExpr, left_arity: usize) -> Option<(usize, usize)> {
+    let ScalarExpr::Cmp {
+        op: CmpOp::Eq,
+        left,
+        right,
+    } = conjunct
+    else {
+        return None;
+    };
+    match (&**left, &**right) {
+        (ScalarExpr::Col(a), ScalarExpr::Col(b)) if *a < left_arity && *b >= left_arity => {
+            Some((*a, *b - left_arity))
         }
-        table.entry(key).or_default().push(r);
+        (ScalarExpr::Col(a), ScalarExpr::Col(b)) if *b < left_arity && *a >= left_arity => {
+            Some((*b, *a - left_arity))
+        }
+        _ => None,
     }
-    'left: for l in lrows {
-        let key: Vec<Value> = lkeys.iter().map(|&i| l.get(i).clone()).collect();
-        if key.iter().any(|v| v.is_null()) {
-            continue 'left;
-        }
-        if let Some(matches) = table.get(&key) {
-            'pair: for r in matches {
-                let joined = l.concat(r);
-                for c in &residual {
-                    if !eval_predicate(c, &joined)? {
-                        continue 'pair;
-                    }
-                }
-                out.push(joined);
-            }
-        }
-    }
-    Ok(out)
+}
+
+/// The row's values at `cols`, or `None` when one of them is NULL.
+fn join_key<'r>(row: &'r Row, cols: &'r [usize]) -> Option<impl Iterator<Item = &'r Value>> {
+    let key = || cols.iter().map(|&i| row.get(i));
+    (!key().any(Value::is_null)).then(key)
 }
 
 /// One accumulator per (group, aggregate).
@@ -427,63 +535,101 @@ impl Acc {
     }
 }
 
-fn aggregate_rows(rows: &[Row], group_by: &[ScalarExpr], aggs: &[AggExpr]) -> Result<Vec<Row>> {
-    struct Group {
-        key: Row,
-        accs: Vec<Acc>,
-        distinct_seen: Vec<HashSet<Value>>,
-    }
+/// One group of an `Aggregate`: its key and its running state.
+struct Group {
+    key: Vec<Value>,
+    accs: Vec<Acc>,
+    distinct_seen: Vec<HashSet<Value>>,
+}
 
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: HashMap<Vec<Value>, Group> = HashMap::new();
+/// Hash aggregation. Groups sit in a `Vec` in first-seen order (the
+/// output order) and are found through a [`HashIndex`], so only the
+/// first row of a group turns its key into owned values.
+struct Groups<'p> {
+    group_by: &'p [ScalarExpr],
+    aggs: &'p [AggExpr],
+    index: HashIndex,
+    groups: Vec<Group>,
+}
 
-    for row in rows {
-        let key: Vec<Value> = group_by
-            .iter()
-            .map(|g| eval(g, row))
-            .collect::<Result<_>>()?;
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key.clone());
-            Group {
-                key: Row(key.clone()),
-                accs: aggs.iter().map(|a| Acc::new(a.func, true)).collect(),
-                distinct_seen: aggs.iter().map(|_| HashSet::new()).collect(),
-            }
-        });
-        for (i, agg) in aggs.iter().enumerate() {
-            match agg.func {
-                AggFunc::CountStar => entry.accs[i].update(&Value::Bool(true))?,
-                _ => {
-                    let arg = agg.arg.as_ref().ok_or_else(|| {
-                        Error::Internal("aggregate missing argument".into())
-                    })?;
-                    let v = eval(arg, row)?;
-                    if v.is_null() {
-                        continue; // aggregates skip NULLs
-                    }
-                    if agg.distinct && !entry.distinct_seen[i].insert(v.clone()) {
-                        continue;
-                    }
-                    entry.accs[i].update(&v)?;
-                }
-            }
+impl<'p> Groups<'p> {
+    fn new(group_by: &'p [ScalarExpr], aggs: &'p [AggExpr]) -> Self {
+        Groups {
+            group_by,
+            aggs,
+            index: HashIndex::default(),
+            groups: Vec::new(),
         }
     }
 
-    // A global aggregate over an empty input still yields one row.
-    if group_by.is_empty() && groups.is_empty() {
-        let accs: Vec<Acc> = aggs.iter().map(|a| Acc::new(a.func, true)).collect();
-        return Ok(vec![Row(accs.iter().map(|a| a.finish()).collect())]);
+    fn open(&mut self, key: Vec<Value>) -> usize {
+        self.groups.push(Group {
+            key,
+            accs: self.aggs.iter().map(|a| Acc::new(a.func, true)).collect(),
+            distinct_seen: self.aggs.iter().map(|_| HashSet::new()).collect(),
+        });
+        self.groups.len() - 1
     }
 
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let g = &groups[&key];
-        let mut vals = g.key.0.clone();
-        vals.extend(g.accs.iter().map(|a| a.finish()));
-        out.push(Row(vals));
+    fn add(&mut self, row: &Row) -> Result<()> {
+        let key = self
+            .group_by
+            .iter()
+            .map(|g| eval_ref(g, row))
+            .collect::<Result<Vec<_>>>()?;
+        let hash = self.index.hash(key.iter().map(|v| &**v));
+        let found = self
+            .index
+            .candidates(hash)
+            .iter()
+            .copied()
+            .find(|&i| self.groups[i].key.iter().eq(key.iter().map(|v| &**v)));
+        let at = match found {
+            Some(at) => at,
+            None => {
+                let at = self.open(key.into_iter().map(Cow::into_owned).collect());
+                self.index.insert(hash, at);
+                at
+            }
+        };
+        let group = &mut self.groups[at];
+        for (i, agg) in self.aggs.iter().enumerate() {
+            if agg.func == AggFunc::CountStar {
+                group.accs[i].update(&Value::Bool(true))?;
+                continue;
+            }
+            let arg = agg
+                .arg
+                .as_ref()
+                .ok_or_else(|| Error::Internal("aggregate missing argument".into()))?;
+            let value = eval_ref(arg, row)?;
+            if value.is_null() {
+                continue; // aggregates skip NULLs
+            }
+            if agg.distinct {
+                let seen = &mut group.distinct_seen[i];
+                if seen.contains(&*value) {
+                    continue;
+                }
+                seen.insert(value.as_ref().clone());
+            }
+            group.accs[i].update(&value)?;
+        }
+        Ok(())
     }
-    Ok(out)
+
+    /// One output row per group: the key, then the aggregate values.
+    fn finish(mut self) -> impl Iterator<Item = Row> {
+        // A global aggregate over an empty input still yields one row.
+        if self.group_by.is_empty() && self.groups.is_empty() {
+            self.open(Vec::new());
+        }
+        self.groups.into_iter().map(|g| {
+            let mut values = g.key;
+            values.extend(g.accs.iter().map(Acc::finish));
+            Row(values)
+        })
+    }
 }
 
 fn sort_rows(rows: &mut [Row], keys: &[OrderKey]) {
@@ -785,20 +931,128 @@ mod tests {
         assert_eq!(lines[1].len(), 8);
     }
 
-    #[test]
-    fn selective_query_clones_only_survivors() {
+    /// `rows_cloned` after running `sql` on the university data.
+    fn cloned_by(sql: &str) -> (QueryResult, u64) {
         let d = db();
         reset_rows_cloned();
-        let r = run_query_sql(
-            &d,
+        let r = run_query_sql(&d, sql, &ParamScope::new()).unwrap();
+        (r, rows_cloned())
+    }
+
+    #[test]
+    fn select_star_with_filter_clones_exactly_the_result() {
+        // grades has 4 rows; the 2 survivors are the answer, so exactly
+        // they are cloned — written as `*` or as the full column list.
+        for sql in [
+            "select * from grades where student_id = '11'",
             "select student_id, course_id, grade from grades where student_id = '11'",
-            &ParamScope::new(),
+        ] {
+            let (r, cloned) = cloned_by(sql);
+            assert_eq!(r.rows.len(), 2, "{sql}");
+            assert_eq!(cloned, 2, "{sql}");
+        }
+    }
+
+    #[test]
+    fn projection_or_aggregate_over_filtered_scan_clones_nothing() {
+        // The filter, the projection, the aggregate, the join build and
+        // probe and DISTINCT over a projection all read table rows in
+        // place; every output row is built, none is a cloned table row.
+        for (sql, rows) in [
+            ("select grade from grades where student_id = '11'", 2),
+            (
+                "select avg(grade), count(*) from grades where student_id = '11'",
+                1,
+            ),
+            (
+                "select course_id, count(*) from grades where grade >= 70 group by course_id",
+                2,
+            ),
+            ("select distinct course_id from grades where grade >= 70", 2),
+            (
+                "select s.name, g.grade from students s, grades g \
+                 where s.student_id = g.student_id and g.course_id = 'cs101'",
+                2,
+            ),
+        ] {
+            let (r, cloned) = cloned_by(sql);
+            assert_eq!(r.rows.len(), rows, "{sql}");
+            assert_eq!(cloned, 0, "{sql}");
+        }
+    }
+
+    #[test]
+    fn filtered_unordered_limit_clones_only_the_prefix() {
+        let (r, cloned) = cloned_by("select * from grades where grade >= 70 limit 1");
+        assert_eq!(r.rows.len(), 1);
+        assert_eq!(cloned, 1);
+    }
+
+    #[test]
+    fn distinct_keeps_first_occurrences_in_order() {
+        let (r, cloned) = cloned_by("select distinct * from registered");
+        // All 4 registered rows are distinct and are the answer.
+        assert_eq!((r.rows.len(), cloned), (4, 4));
+        let r = run("select distinct course_id from grades");
+        assert_eq!(
+            r.rows,
+            vec![Row(vec!["cs101".into()]), Row(vec!["cs202".into()])]
+        );
+    }
+
+    /// Tables `a(i INTEGER)` = {1, 2, NULL} and `b(d DOUBLE)` =
+    /// {1.0, 2.5, NULL}.
+    fn int_double_db() -> Database {
+        let mut d = Database::new();
+        d.create_table(
+            "a",
+            Schema::new(vec![Column::new("i", DataType::Int).nullable()]),
+            None,
         )
         .unwrap();
-        assert_eq!(r.rows.len(), 2);
-        // grades has 4 rows; only the 2 survivors are cloned out of the
-        // borrowed scan (projection then builds fresh rows, no clones).
-        assert_eq!(rows_cloned(), 2);
+        d.create_table(
+            "b",
+            Schema::new(vec![Column::new("d", DataType::Double).nullable()]),
+            None,
+        )
+        .unwrap();
+        for v in [Value::Int(1), Value::Int(2), Value::Null] {
+            d.insert(&Ident::new("a"), Row(vec![v])).unwrap();
+        }
+        for v in [Value::Double(1.0), Value::Double(2.5), Value::Null] {
+            d.insert(&Ident::new("b"), Row(vec![v])).unwrap();
+        }
+        d
+    }
+
+    #[test]
+    fn hash_join_matches_numerically_equal_keys_of_different_types() {
+        // Regression: INTEGER 1 and DOUBLE 1.0 are neither `==` nor (by
+        // `Value`'s own hash) hash-equal, so the hash join on
+        // `a.i = b.d` used to return nothing while the nested-loop form
+        // of the same predicate returned the pair.
+        let d = int_double_db();
+        let params = ParamScope::new();
+        let hashed = run_query_sql(&d, "select * from a, b where a.i = b.d", &params).unwrap();
+        let looped = run_query_sql(
+            &d,
+            "select * from a, b where a.i <= b.d and a.i >= b.d",
+            &params,
+        )
+        .unwrap();
+        assert_eq!(
+            hashed.rows,
+            vec![Row(vec![Value::Int(1), Value::Double(1.0)])]
+        );
+        assert_eq!(hashed.rows, looped.rows);
+        // The same key with a residual conjunct on the pair.
+        let none = run_query_sql(
+            &d,
+            "select * from a, b where a.i = b.d and a.i + b.d > 2",
+            &params,
+        )
+        .unwrap();
+        assert!(none.rows.is_empty());
     }
 
     #[test]

@@ -11,12 +11,19 @@
 //!
 //! Operators: filter, duplicate-preserving project, distinct, hash /
 //! nested-loop join (picked per predicate shape), hash aggregate, sort +
-//! limit for presentation. Scans are *borrowed* ([`execute_plan_cow`]):
-//! the leaf returns the table's own row slice and operators clone rows
-//! only when they must produce owned data, so a selective query pays
-//! O(|result|) clones rather than O(|table|). The [`rows_cloned`]
-//! counter makes that cost observable to tests and benches.
+//! limit for presentation. They form a push pipeline over borrowed rows
+//! (`exec.rs`): a scan offers the table's own rows, the filter, the
+//! projection, the aggregate, duplicate elimination and the join's
+//! build and probe all read them in place, and a table row is cloned
+//! only when it is itself a result row (`select *`) — a value only into
+//! a row that is being built. Predicates run through the one borrowing
+//! evaluator (`eval.rs`), which allocates nothing for a column/literal
+//! comparison. The [`rows_cloned`] counter makes the row copies
+//! observable to tests and benches: 0 for a projection or an aggregate
+//! over a filtered scan, `|result|` for `select * … where`.
 
+#[cfg(test)]
+mod differential;
 mod dml;
 mod eval;
 mod exec;

@@ -8,13 +8,35 @@
 //! deterministic, semantics-preserving rewrite (the same partition rule
 //! the optimizer's `select_push_into_join` uses), applied before every
 //! execution; full cost-based optimization remains the optimizer's job.
+//!
+//! Only a join gives a selection somewhere to go, so a plan without one
+//! — every single-table query — is handed back borrowed: no
+//! normalization and no copy of the plan (string literals included) on
+//! the per-request path. The executor does not depend on the normal
+//! form; it passes identity projections through by itself.
 
 use fgac_algebra::{normalize, normalize_conjuncts, Plan};
+use std::borrow::Cow;
 
-/// Pushes selections down through joins, recursively.
-pub fn push_selections(plan: &Plan) -> Plan {
-    let plan = normalize(plan);
-    push(&plan)
+/// Pushes selections down through joins, recursively. Returns the plan
+/// itself when it has no join.
+pub fn push_selections(plan: &Plan) -> Cow<'_, Plan> {
+    if has_join(plan) {
+        Cow::Owned(push(&normalize(plan)))
+    } else {
+        Cow::Borrowed(plan)
+    }
+}
+
+fn has_join(plan: &Plan) -> bool {
+    match plan {
+        Plan::Scan { .. } => false,
+        Plan::Join { .. } => true,
+        Plan::Select { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Distinct { input }
+        | Plan::Aggregate { input, .. } => has_join(input),
+    }
 }
 
 fn push(plan: &Plan) -> Plan {
@@ -126,7 +148,7 @@ mod tests {
             left,
             right,
             conjuncts,
-        } = &pushed
+        } = &*pushed
         else {
             panic!("expected join at top, got {pushed}");
         };
@@ -157,5 +179,18 @@ mod tests {
             }
         });
         assert!(ok, "selection left above a join:\n{pushed}");
+    }
+
+    #[test]
+    fn joinless_plan_is_borrowed() {
+        let p = scan("a")
+            .select(vec![ScalarExpr::eq(
+                ScalarExpr::col(0),
+                ScalarExpr::lit("x"),
+            )])
+            .project(vec![ScalarExpr::col(1)]);
+        assert!(matches!(push_selections(&p), Cow::Borrowed(_)));
+        let joined = scan("a").join(scan("b"), vec![]);
+        assert!(matches!(push_selections(&joined), Cow::Owned(_)));
     }
 }

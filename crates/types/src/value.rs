@@ -94,6 +94,7 @@ impl Value {
     /// the types are incomparable.
     ///
     /// Ints and doubles compare numerically across types.
+    #[inline]
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
