@@ -1,330 +1,43 @@
-//! Hand-rolled JSON wire form for [`Certificate`]s.
+//! JSON wire form for [`Certificate`]s: the mapping between the
+//! certificate types and the workspace codec ([`fgac_types::json`]).
 //!
-//! Like the diagnostic wire form in [`crate::diag`], this is a parser
-//! for *our own* output — strict, recursive-descent, zero dependencies —
-//! so `fgac-analyze --certify` output and the CI certification corpus
-//! provably round-trip. Unlike the diag cursor (strings only), the
-//! certificate form needs the full JSON value shape: nested arrays for
-//! expressions, numbers for column indices and epochs, objects for
-//! steps.
+//! `fgac-analyze --certify` output and the CI certification corpus must
+//! provably round-trip, so the decoder is stricter than general JSON:
+//! every object is held to its key list with [`Json::check_keys`]. A
+//! corrupted key would otherwise silently revert its field to the
+//! default — exactly the failure mode a checker wire format must
+//! refuse.
 //!
-//! Numbers: signed integers are wired as `i64`; the unsigned fields
-//! (`policy_epoch`, `probe_rows`) get a dedicated `u64` form so the
-//! full range survives the trip. Doubles keep Rust's `{:?}` rendering,
-//! which also emits the non-finite tokens `NaN`, `inf`, and `-inf` —
-//! the parser accepts those three as an extension so every in-memory
-//! [`Value::Double`] survives the trip.
-//!
-//! The decoder is deliberately stricter than general JSON: objects may
-//! not carry unknown or duplicate keys. A corrupted key would otherwise
-//! silently revert its field to the default — exactly the failure mode
-//! a checker wire format must refuse.
+//! Expressions, values and schemas are tagged arrays (`["cmp", "=", l,
+//! r]`); blocks, obligations, steps and the certificate are objects in a
+//! fixed key order. The unsigned fields (`policy_epoch`, `probe_rows`)
+//! use the codec's full-range `u64` form.
 
 use crate::cert::{CertVerdict, Certificate, Obligation, RuleId, Step};
 use fgac_algebra::{ArithOp, CmpOp, ScalarExpr, SpjBlock};
 use fgac_types::{Column, DataType, Error, Ident, Result, Schema, Value};
-use std::fmt::Write as _;
 
-/// A parsed JSON value. Object keys keep insertion order (the printer
-/// emits fixed key orders, and order is irrelevant to the reader).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Int(i64),
-    /// Non-negative integer above `i64::MAX` — only `policy_epoch` and
-    /// `probe_rows` can produce one, but losing the high bit there
-    /// would let a stale epoch alias a live one.
-    UInt(u64),
-    Double(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    fn usize(n: usize) -> Json {
-        Json::Int(i64::try_from(n).unwrap_or(i64::MAX))
-    }
-
-    fn u64(n: u64) -> Json {
-        match i64::try_from(n) {
-            Ok(i) => Json::Int(i),
-            Err(_) => Json::UInt(n),
-        }
-    }
-
-    /// Compact rendering, keys in stored order.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Json::Double(d) => {
-                let _ = write!(out, "{d:?}");
-            }
-            Json::Str(s) => write_json_str(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_json_str(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// Strict parse: exactly one value, nothing but whitespace after it.
-    pub fn parse(input: &str) -> Result<Json> {
-        let mut p = Parser {
-            chars: input.chars().peekable(),
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.chars.peek().is_some() {
-            return Err(parse_err("trailing content after JSON value"));
-        }
-        Ok(v)
-    }
-
-    fn field<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-fn write_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+pub use fgac_types::Json;
 
 fn parse_err(msg: impl Into<String>) -> Error {
     Error::Parse(format!("certificate JSON: {}", msg.into()))
 }
 
-struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
+/// A tagged array: `[tag, rest...]`.
+fn tagged<const N: usize>(tag: &str, rest: [Json; N]) -> Json {
+    let mut items = Vec::with_capacity(N + 1);
+    items.push(Json::str(tag));
+    items.extend(rest);
+    Json::Arr(items)
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(self.chars.peek(), Some(c) if c.is_whitespace()) {
-            self.chars.next();
-        }
-    }
+fn arr<T>(items: &[T], f: impl Fn(&T) -> Json) -> Json {
+    Json::Arr(items.iter().map(f).collect())
+}
 
-    fn eat(&mut self, want: char) -> Result<()> {
-        match self.chars.next() {
-            Some(c) if c == want => Ok(()),
-            other => Err(parse_err(format!("expected '{want}', found {other:?}"))),
-        }
-    }
-
-    fn keyword(&mut self, rest: &str, out: Json) -> Result<Json> {
-        for want in rest.chars() {
-            self.eat(want)?;
-        }
-        Ok(out)
-    }
-
-    fn value(&mut self) -> Result<Json> {
-        self.skip_ws();
-        match self.chars.peek().copied() {
-            Some('n') => {
-                self.chars.next();
-                self.keyword("ull", Json::Null)
-            }
-            Some('t') => {
-                self.chars.next();
-                self.keyword("rue", Json::Bool(true))
-            }
-            Some('f') => {
-                self.chars.next();
-                self.keyword("alse", Json::Bool(false))
-            }
-            Some('N') => {
-                self.chars.next();
-                self.keyword("aN", Json::Double(f64::NAN))
-            }
-            Some('i') => {
-                self.chars.next();
-                self.keyword("nf", Json::Double(f64::INFINITY))
-            }
-            Some('"') => Ok(Json::Str(self.string()?)),
-            Some('[') => {
-                self.chars.next();
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.chars.peek() == Some(&']') {
-                    self.chars.next();
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.chars.next() {
-                        Some(',') => continue,
-                        Some(']') => return Ok(Json::Arr(items)),
-                        other => {
-                            return Err(parse_err(format!(
-                                "expected ',' or ']' in array, found {other:?}"
-                            )))
-                        }
-                    }
-                }
-            }
-            Some('{') => {
-                self.chars.next();
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.chars.peek() == Some(&'}') {
-                    self.chars.next();
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.eat(':')?;
-                    let val = self.value()?;
-                    fields.push((key, val));
-                    self.skip_ws();
-                    match self.chars.next() {
-                        Some(',') => continue,
-                        Some('}') => return Ok(Json::Obj(fields)),
-                        other => {
-                            return Err(parse_err(format!(
-                                "expected ',' or '}}' in object, found {other:?}"
-                            )))
-                        }
-                    }
-                }
-            }
-            Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            other => Err(parse_err(format!("unexpected input {other:?}"))),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json> {
-        let mut text = String::new();
-        let negative = self.chars.peek() == Some(&'-');
-        if negative {
-            text.push('-');
-            self.chars.next();
-            // `-inf` is the `{:?}` rendering of negative infinity.
-            if self.chars.peek() == Some(&'i') {
-                self.chars.next();
-                return self.keyword("nf", Json::Double(f64::NEG_INFINITY));
-            }
-        }
-        let mut is_double = false;
-        while let Some(&c) = self.chars.peek() {
-            match c {
-                '0'..='9' => text.push(c),
-                '.' | 'e' | 'E' | '+' | '-' => {
-                    is_double = true;
-                    text.push(c);
-                }
-                _ => break,
-            }
-            self.chars.next();
-        }
-        if is_double {
-            text.parse::<f64>()
-                .map(Json::Double)
-                .map_err(|_| parse_err(format!("bad number {text:?}")))
-        } else if let Ok(i) = text.parse::<i64>() {
-            Ok(Json::Int(i))
-        } else if !negative {
-            // i64 overflowed; the unsigned wire fields reach up here.
-            text.parse::<u64>()
-                .map(Json::UInt)
-                .map_err(|_| parse_err(format!("integer out of range: {text:?}")))
-        } else {
-            Err(parse_err(format!("integer out of range: {text:?}")))
-        }
-    }
-
-    fn string(&mut self) -> Result<String> {
-        self.eat('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next() {
-                Some('"') => return Ok(out),
-                Some('\\') => match self.chars.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('b') => out.push('\u{0008}'),
-                    Some('f') => out.push('\u{000c}'),
-                    Some('u') => {
-                        let mut v = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .chars
-                                .next()
-                                .and_then(|c| c.to_digit(16))
-                                .ok_or_else(|| parse_err("bad \\u escape"))?;
-                            v = v * 16 + d;
-                        }
-                        out.push(char::from_u32(v).ok_or_else(|| parse_err("bad \\u escape"))?);
-                    }
-                    other => return Err(parse_err(format!("bad escape {other:?}"))),
-                },
-                Some(c) => out.push(c),
-                None => return Err(parse_err("unterminated string")),
-            }
-        }
-    }
+/// An object of the fields that are present, in the given order.
+fn present<const N: usize>(fields: [(&str, Option<Json>); N]) -> Json {
+    Json::obj(fields.into_iter().filter_map(|(k, v)| Some((k, v?))))
 }
 
 // ---------------------------------------------------------------------
@@ -333,11 +46,11 @@ impl<'a> Parser<'a> {
 
 fn value_to_json(v: &Value) -> Json {
     match v {
-        Value::Null => Json::Arr(vec![Json::str("null")]),
-        Value::Bool(b) => Json::Arr(vec![Json::str("bool"), Json::Bool(*b)]),
-        Value::Int(i) => Json::Arr(vec![Json::str("int"), Json::Int(*i)]),
-        Value::Double(d) => Json::Arr(vec![Json::str("double"), Json::Double(*d)]),
-        Value::Str(s) => Json::Arr(vec![Json::str("str"), Json::str(s.clone())]),
+        Value::Null => tagged("null", []),
+        Value::Bool(b) => tagged("bool", [Json::Bool(*b)]),
+        Value::Int(i) => tagged("int", [Json::Int(*i)]),
+        Value::Double(d) => tagged("double", [Json::Double(*d)]),
+        Value::Str(s) => tagged("str", [Json::str(s.clone())]),
     }
 }
 
@@ -362,41 +75,6 @@ fn arith_op_str(op: ArithOp) -> &'static str {
     }
 }
 
-fn expr_to_json(e: &ScalarExpr) -> Json {
-    match e {
-        ScalarExpr::Col(i) => Json::Arr(vec![Json::str("col"), Json::usize(*i)]),
-        ScalarExpr::Lit(v) => Json::Arr(vec![Json::str("lit"), value_to_json(v)]),
-        ScalarExpr::AccessParam(p) => Json::Arr(vec![Json::str("ap"), Json::str(p.clone())]),
-        ScalarExpr::Cmp { op, left, right } => Json::Arr(vec![
-            Json::str("cmp"),
-            Json::str(cmp_op_str(*op)),
-            expr_to_json(left),
-            expr_to_json(right),
-        ]),
-        ScalarExpr::And(es) => Json::Arr(vec![
-            Json::str("and"),
-            Json::Arr(es.iter().map(expr_to_json).collect()),
-        ]),
-        ScalarExpr::Or(es) => Json::Arr(vec![
-            Json::str("or"),
-            Json::Arr(es.iter().map(expr_to_json).collect()),
-        ]),
-        ScalarExpr::Not(e) => Json::Arr(vec![Json::str("not"), expr_to_json(e)]),
-        ScalarExpr::IsNull { expr, negated } => Json::Arr(vec![
-            Json::str("isnull"),
-            expr_to_json(expr),
-            Json::Bool(*negated),
-        ]),
-        ScalarExpr::Arith { op, left, right } => Json::Arr(vec![
-            Json::str("arith"),
-            Json::str(arith_op_str(*op)),
-            expr_to_json(left),
-            expr_to_json(right),
-        ]),
-        ScalarExpr::Neg(e) => Json::Arr(vec![Json::str("neg"), expr_to_json(e)]),
-    }
-}
-
 fn type_str(t: DataType) -> &'static str {
     match t {
         DataType::Bool => "bool",
@@ -406,370 +84,270 @@ fn type_str(t: DataType) -> &'static str {
     }
 }
 
+const CMP_OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::NotEq,
+    CmpOp::Lt,
+    CmpOp::LtEq,
+    CmpOp::Gt,
+    CmpOp::GtEq,
+];
+const ARITH_OPS: [ArithOp; 5] = [
+    ArithOp::Add,
+    ArithOp::Sub,
+    ArithOp::Mul,
+    ArithOp::Div,
+    ArithOp::Mod,
+];
+const TYPES: [DataType; 4] = [
+    DataType::Bool,
+    DataType::Int,
+    DataType::Double,
+    DataType::Str,
+];
+
+/// Decodes a spelling by searching `all` for the variant that encodes
+/// to it, so each spelling is written down once, in an exhaustive match.
+fn unspelled<T: Copy>(all: &[T], spell: fn(T) -> &'static str, j: &Json, what: &str) -> Result<T> {
+    let s = j.as_str(what)?;
+    all.iter()
+        .copied()
+        .find(|t| spell(*t) == s)
+        .ok_or_else(|| parse_err(format!("unknown {what} {s:?}")))
+}
+
+fn expr_to_json(e: &ScalarExpr) -> Json {
+    match e {
+        ScalarExpr::Col(i) => tagged("col", [Json::usize(*i)]),
+        ScalarExpr::Lit(v) => tagged("lit", [value_to_json(v)]),
+        ScalarExpr::AccessParam(p) => tagged("ap", [Json::str(p.clone())]),
+        ScalarExpr::Cmp { op, left, right } => tagged(
+            "cmp",
+            [
+                Json::str(cmp_op_str(*op)),
+                expr_to_json(left),
+                expr_to_json(right),
+            ],
+        ),
+        ScalarExpr::And(es) => tagged("and", [arr(es, expr_to_json)]),
+        ScalarExpr::Or(es) => tagged("or", [arr(es, expr_to_json)]),
+        ScalarExpr::Not(e) => tagged("not", [expr_to_json(e)]),
+        ScalarExpr::IsNull { expr, negated } => {
+            tagged("isnull", [expr_to_json(expr), Json::Bool(*negated)])
+        }
+        ScalarExpr::Arith { op, left, right } => tagged(
+            "arith",
+            [
+                Json::str(arith_op_str(*op)),
+                expr_to_json(left),
+                expr_to_json(right),
+            ],
+        ),
+        ScalarExpr::Neg(e) => tagged("neg", [expr_to_json(e)]),
+    }
+}
+
 fn schema_to_json(s: &Schema) -> Json {
-    Json::Arr(
-        s.columns()
-            .iter()
-            .map(|c| {
-                Json::Arr(vec![
-                    Json::str(c.name.as_str()),
-                    Json::str(type_str(c.ty)),
-                    Json::Bool(c.nullable),
-                ])
-            })
-            .collect(),
-    )
+    arr(s.columns(), |c| {
+        Json::Arr(vec![
+            Json::str(c.name.as_str()),
+            Json::str(type_str(c.ty)),
+            Json::Bool(c.nullable),
+        ])
+    })
 }
 
 fn block_to_json(b: &SpjBlock) -> Json {
-    Json::Obj(vec![
+    Json::obj([
         (
-            "scans".into(),
-            Json::Arr(
-                b.scans
-                    .iter()
-                    .map(|(t, s)| Json::Arr(vec![Json::str(t.as_str()), schema_to_json(s)]))
-                    .collect(),
-            ),
+            "scans",
+            arr(&b.scans, |(t, s)| {
+                Json::Arr(vec![Json::str(t.as_str()), schema_to_json(s)])
+            }),
         ),
-        (
-            "conjuncts".into(),
-            Json::Arr(b.conjuncts.iter().map(expr_to_json).collect()),
-        ),
-        (
-            "projection".into(),
-            Json::Arr(b.projection.iter().map(expr_to_json).collect()),
-        ),
-        ("distinct".into(), Json::Bool(b.distinct)),
+        ("conjuncts", arr(&b.conjuncts, expr_to_json)),
+        ("projection", arr(&b.projection, expr_to_json)),
+        ("distinct", Json::Bool(b.distinct)),
     ])
 }
 
+fn pairs_to_json(pairs: &[(String, Value)]) -> Json {
+    arr(pairs, |(k, v)| {
+        Json::Arr(vec![Json::str(k.clone()), value_to_json(v)])
+    })
+}
+
 fn obligation_to_json(ob: &Obligation) -> Json {
-    Json::Obj(vec![
-        (
-            "premise".into(),
-            Json::Arr(ob.premise.iter().map(expr_to_json).collect()),
-        ),
-        (
-            "conclusion".into(),
-            Json::Arr(ob.conclusion.iter().map(expr_to_json).collect()),
-        ),
-        ("arity".into(), Json::usize(ob.arity)),
+    Json::obj([
+        ("premise", arr(&ob.premise, expr_to_json)),
+        ("conclusion", arr(&ob.conclusion, expr_to_json)),
+        ("arity", Json::usize(ob.arity)),
     ])
 }
 
 fn step_to_json(s: &Step) -> Json {
-    let mut fields = vec![("rule".into(), Json::str(s.rule.as_str()))];
-    if let Some(b) = &s.block {
-        fields.push(("block".into(), block_to_json(b)));
-    }
-    fields.push((
-        "premises".into(),
-        Json::Arr(s.premises.iter().map(|&p| Json::usize(p)).collect()),
-    ));
-    if let Some(v) = &s.view {
-        fields.push(("view".into(), Json::str(v.as_str())));
-    }
-    if let Some(c) = &s.constraint {
-        fields.push(("constraint".into(), Json::str(c.as_str())));
-    }
-    fields.push((
-        "substitution".into(),
-        Json::Arr(s.substitution.iter().map(|&i| Json::usize(i)).collect()),
-    ));
-    fields.push((
-        "pins".into(),
-        Json::Arr(
-            s.pins
-                .iter()
-                .map(|(k, v)| Json::Arr(vec![Json::str(k.clone()), value_to_json(v)]))
-                .collect(),
+    present([
+        ("rule", Some(Json::str(s.rule.as_str()))),
+        ("block", s.block.as_ref().map(block_to_json)),
+        ("premises", Some(arr(&s.premises, |&p| Json::usize(p)))),
+        ("view", s.view.as_ref().map(|v| Json::str(v.as_str()))),
+        (
+            "constraint",
+            s.constraint.as_ref().map(|c| Json::str(c.as_str())),
         ),
-    ));
-    fields.push((
-        "obligations".into(),
-        Json::Arr(s.obligations.iter().map(obligation_to_json).collect()),
-    ));
-    if let Some(n) = s.probe_rows {
-        fields.push(("probe_rows".into(), Json::u64(n)));
-    }
-    fields.push(("note".into(), Json::str(s.note.clone())));
-    Json::Obj(fields)
+        (
+            "substitution",
+            Some(arr(&s.substitution, |&i| Json::usize(i))),
+        ),
+        ("pins", Some(pairs_to_json(&s.pins))),
+        ("obligations", Some(arr(&s.obligations, obligation_to_json))),
+        ("probe_rows", s.probe_rows.map(Json::u64)),
+        ("note", Some(Json::str(s.note.clone()))),
+    ])
 }
 
 /// Renders a certificate as compact JSON.
 pub fn certificate_to_json(cert: &Certificate) -> String {
-    let mut fields = vec![
-        ("principal".into(), Json::str(cert.principal.clone())),
-        ("policy_epoch".into(), Json::u64(cert.policy_epoch)),
-        ("verdict".into(), Json::str(cert.verdict.as_str())),
+    present([
+        ("principal", Some(Json::str(cert.principal.clone()))),
+        ("policy_epoch", Some(Json::u64(cert.policy_epoch))),
+        ("verdict", Some(Json::str(cert.verdict.as_str()))),
+        ("params", Some(pairs_to_json(&cert.params))),
         (
-            "params".into(),
-            Json::Arr(
-                cert.params
-                    .iter()
-                    .map(|(k, v)| Json::Arr(vec![Json::str(k.clone()), value_to_json(v)]))
-                    .collect(),
-            ),
+            "query_tables",
+            Some(arr(&cert.query_tables, |t| Json::str(t.as_str()))),
         ),
-        (
-            "query_tables".into(),
-            Json::Arr(
-                cert.query_tables
-                    .iter()
-                    .map(|t| Json::str(t.as_str()))
-                    .collect(),
-            ),
-        ),
-    ];
-    if let Some(q) = &cert.query {
-        fields.push(("query".into(), block_to_json(q)));
-    }
-    fields.push((
-        "steps".into(),
-        Json::Arr(cert.steps.iter().map(step_to_json).collect()),
-    ));
-    Json::Obj(fields).render()
+        ("query", cert.query.as_ref().map(block_to_json)),
+        ("steps", Some(arr(&cert.steps, step_to_json))),
+    ])
+    .render()
 }
 
 // ---------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------
 
-fn as_str(j: &Json, what: &str) -> Result<String> {
-    match j {
-        Json::Str(s) => Ok(s.clone()),
-        _ => Err(parse_err(format!("{what}: expected string"))),
-    }
-}
-
-fn as_bool(j: &Json, what: &str) -> Result<bool> {
-    match j {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(parse_err(format!("{what}: expected bool"))),
-    }
-}
-
-fn as_usize(j: &Json, what: &str) -> Result<usize> {
-    match j {
-        Json::Int(i) => {
-            usize::try_from(*i).map_err(|_| parse_err(format!("{what}: negative index")))
-        }
-        _ => Err(parse_err(format!("{what}: expected integer"))),
-    }
-}
-
-fn as_u64(j: &Json, what: &str) -> Result<u64> {
-    match j {
-        Json::Int(i) => u64::try_from(*i).map_err(|_| parse_err(format!("{what}: negative"))),
-        Json::UInt(u) => Ok(*u),
-        _ => Err(parse_err(format!("{what}: expected integer"))),
-    }
-}
-
-/// Rejects objects carrying keys outside `allowed`, or the same key
-/// twice. Unknown keys must be fatal: a one-byte corruption of a key
-/// name would otherwise silently reset that field to its default and
-/// still verify.
-fn check_keys(j: &Json, what: &str, allowed: &[&str]) -> Result<()> {
-    let Json::Obj(fields) = j else {
-        return Err(parse_err(format!("{what}: expected object")));
-    };
-    for (i, (k, _)) in fields.iter().enumerate() {
-        if !allowed.contains(&k.as_str()) {
-            return Err(parse_err(format!("{what}: unknown key {k:?}")));
-        }
-        if fields[..i].iter().any(|(prev, _)| prev == k) {
-            return Err(parse_err(format!("{what}: duplicate key {k:?}")));
-        }
-    }
-    Ok(())
-}
-
-fn as_arr<'a>(j: &'a Json, what: &str) -> Result<&'a [Json]> {
-    match j {
-        Json::Arr(items) => Ok(items),
-        _ => Err(parse_err(format!("{what}: expected array"))),
-    }
-}
-
 fn value_from_json(j: &Json) -> Result<Value> {
-    let items = as_arr(j, "value")?;
-    let tag = items.first().map(|t| as_str(t, "value tag")).transpose()?;
-    match (tag.as_deref(), items) {
+    let items = j.as_arr("value")?;
+    let tag = items.first().map(|t| t.as_str("value tag")).transpose()?;
+    match (tag, items) {
         (Some("null"), [_]) => Ok(Value::Null),
-        (Some("bool"), [_, b]) => Ok(Value::Bool(as_bool(b, "bool value")?)),
+        (Some("bool"), [_, b]) => Ok(Value::Bool(b.as_bool("bool value")?)),
         (Some("int"), [_, Json::Int(i)]) => Ok(Value::Int(*i)),
         (Some("double"), [_, Json::Double(d)]) => Ok(Value::Double(*d)),
         (Some("double"), [_, Json::Int(i)]) => Ok(Value::Double(*i as f64)),
-        (Some("str"), [_, s]) => Ok(Value::Str(as_str(s, "str value")?)),
+        (Some("str"), [_, s]) => Ok(Value::Str(s.as_str("str value")?.into())),
         _ => Err(parse_err("malformed value encoding")),
     }
 }
 
-fn cmp_op_from(s: &str) -> Result<CmpOp> {
-    Ok(match s {
-        "=" => CmpOp::Eq,
-        "<>" => CmpOp::NotEq,
-        "<" => CmpOp::Lt,
-        "<=" => CmpOp::LtEq,
-        ">" => CmpOp::Gt,
-        ">=" => CmpOp::GtEq,
-        _ => return Err(parse_err(format!("unknown comparison operator {s:?}"))),
-    })
-}
-
-fn arith_op_from(s: &str) -> Result<ArithOp> {
-    Ok(match s {
-        "+" => ArithOp::Add,
-        "-" => ArithOp::Sub,
-        "*" => ArithOp::Mul,
-        "/" => ArithOp::Div,
-        "%" => ArithOp::Mod,
-        _ => return Err(parse_err(format!("unknown arithmetic operator {s:?}"))),
-    })
+fn exprs_from_json(j: &Json, what: &str) -> Result<Vec<ScalarExpr>> {
+    j.as_arr(what)?.iter().map(expr_from_json).collect()
 }
 
 fn expr_from_json(j: &Json) -> Result<ScalarExpr> {
-    let items = as_arr(j, "expr")?;
-    let tag = items.first().map(|t| as_str(t, "expr tag")).transpose()?;
-    match (tag.as_deref(), items) {
-        (Some("col"), [_, i]) => Ok(ScalarExpr::Col(as_usize(i, "col")?)),
+    let items = j.as_arr("expr")?;
+    let tag = items.first().map(|t| t.as_str("expr tag")).transpose()?;
+    let boxed = |e: &Json| expr_from_json(e).map(Box::new);
+    match (tag, items) {
+        (Some("col"), [_, i]) => Ok(ScalarExpr::Col(i.as_usize("col")?)),
         (Some("lit"), [_, v]) => Ok(ScalarExpr::Lit(value_from_json(v)?)),
-        (Some("ap"), [_, p]) => Ok(ScalarExpr::AccessParam(as_str(p, "ap")?)),
+        (Some("ap"), [_, p]) => Ok(ScalarExpr::AccessParam(p.as_str("ap")?.into())),
         (Some("cmp"), [_, op, l, r]) => Ok(ScalarExpr::Cmp {
-            op: cmp_op_from(&as_str(op, "cmp op")?)?,
-            left: Box::new(expr_from_json(l)?),
-            right: Box::new(expr_from_json(r)?),
+            op: unspelled(&CMP_OPS, cmp_op_str, op, "comparison operator")?,
+            left: boxed(l)?,
+            right: boxed(r)?,
         }),
-        (Some("and"), [_, es]) => Ok(ScalarExpr::And(
-            as_arr(es, "and")?.iter().map(expr_from_json).collect::<Result<_>>()?,
-        )),
-        (Some("or"), [_, es]) => Ok(ScalarExpr::Or(
-            as_arr(es, "or")?.iter().map(expr_from_json).collect::<Result<_>>()?,
-        )),
-        (Some("not"), [_, e]) => Ok(ScalarExpr::Not(Box::new(expr_from_json(e)?))),
+        (Some("and"), [_, es]) => Ok(ScalarExpr::And(exprs_from_json(es, "and")?)),
+        (Some("or"), [_, es]) => Ok(ScalarExpr::Or(exprs_from_json(es, "or")?)),
+        (Some("not"), [_, e]) => Ok(ScalarExpr::Not(boxed(e)?)),
         (Some("isnull"), [_, e, neg]) => Ok(ScalarExpr::IsNull {
-            expr: Box::new(expr_from_json(e)?),
-            negated: as_bool(neg, "isnull")?,
+            expr: boxed(e)?,
+            negated: neg.as_bool("isnull")?,
         }),
         (Some("arith"), [_, op, l, r]) => Ok(ScalarExpr::Arith {
-            op: arith_op_from(&as_str(op, "arith op")?)?,
-            left: Box::new(expr_from_json(l)?),
-            right: Box::new(expr_from_json(r)?),
+            op: unspelled(&ARITH_OPS, arith_op_str, op, "arithmetic operator")?,
+            left: boxed(l)?,
+            right: boxed(r)?,
         }),
-        (Some("neg"), [_, e]) => Ok(ScalarExpr::Neg(Box::new(expr_from_json(e)?))),
+        (Some("neg"), [_, e]) => Ok(ScalarExpr::Neg(boxed(e)?)),
         _ => Err(parse_err("malformed expression encoding")),
     }
 }
 
-fn type_from(s: &str) -> Result<DataType> {
-    Ok(match s {
-        "bool" => DataType::Bool,
-        "int" => DataType::Int,
-        "double" => DataType::Double,
-        "str" => DataType::Str,
-        _ => return Err(parse_err(format!("unknown data type {s:?}"))),
-    })
-}
-
 fn schema_from_json(j: &Json) -> Result<Schema> {
-    let cols = as_arr(j, "schema")?
+    let cols = j
+        .as_arr("schema")?
         .iter()
         .map(|c| {
-            let [name, ty, nullable] = as_arr(c, "column")? else {
+            let [name, ty, nullable] = c.as_arr("column")? else {
                 return Err(parse_err("column must be [name, type, nullable]"));
             };
-            let mut col = Column::new(
-                Ident::new(as_str(name, "column name")?),
-                type_from(&as_str(ty, "column type")?)?,
+            let col = Column::new(
+                Ident::new(name.as_str("column name")?),
+                unspelled(&TYPES, type_str, ty, "data type")?,
             );
-            if as_bool(nullable, "column nullable")? {
-                col = col.nullable();
-            }
-            Ok(col)
+            Ok(if nullable.as_bool("column nullable")? {
+                col.nullable()
+            } else {
+                col
+            })
         })
         .collect::<Result<Vec<_>>>()?;
     Ok(Schema::new(cols))
 }
 
 fn block_from_json(j: &Json) -> Result<SpjBlock> {
-    check_keys(j, "block", &["scans", "conjuncts", "projection", "distinct"])?;
-    let scans = as_arr(
-        j.field("scans").ok_or_else(|| parse_err("block missing scans"))?,
-        "scans",
-    )?
-    .iter()
-    .map(|s| {
-        let [table, schema] = as_arr(s, "scan")? else {
-            return Err(parse_err("scan must be [table, schema]"));
-        };
-        Ok((
-            Ident::new(as_str(table, "scan table")?),
-            schema_from_json(schema)?,
-        ))
-    })
-    .collect::<Result<Vec<_>>>()?;
-    let exprs = |key: &str| -> Result<Vec<ScalarExpr>> {
-        as_arr(
-            j.field(key)
-                .ok_or_else(|| parse_err(format!("block missing {key}")))?,
-            key,
-        )?
+    j.check_keys("block", &["scans", "conjuncts", "projection", "distinct"])?;
+    let scans = j
+        .required("block", "scans")?
+        .as_arr("scans")?
         .iter()
-        .map(expr_from_json)
-        .collect()
-    };
+        .map(|s| {
+            let [table, schema] = s.as_arr("scan")? else {
+                return Err(parse_err("scan must be [table, schema]"));
+            };
+            Ok((
+                Ident::new(table.as_str("scan table")?),
+                schema_from_json(schema)?,
+            ))
+        })
+        .collect::<Result<Vec<_>>>()?;
     Ok(SpjBlock {
         scans,
-        conjuncts: exprs("conjuncts")?,
-        projection: exprs("projection")?,
-        distinct: as_bool(
-            j.field("distinct")
-                .ok_or_else(|| parse_err("block missing distinct"))?,
-            "distinct",
-        )?,
+        conjuncts: exprs_from_json(j.required("block", "conjuncts")?, "conjuncts")?,
+        projection: exprs_from_json(j.required("block", "projection")?, "projection")?,
+        distinct: j.required("block", "distinct")?.as_bool("distinct")?,
     })
 }
 
 fn pairs_from_json(j: &Json, what: &str) -> Result<Vec<(String, Value)>> {
-    as_arr(j, what)?
+    j.as_arr(what)?
         .iter()
         .map(|p| {
-            let [k, v] = as_arr(p, what)? else {
+            let [k, v] = p.as_arr(what)? else {
                 return Err(parse_err(format!("{what}: expected [name, value]")));
             };
-            Ok((as_str(k, what)?, value_from_json(v)?))
+            Ok((k.as_str(what)?.into(), value_from_json(v)?))
         })
         .collect()
 }
 
+fn indices_from_json(j: &Json, what: &str) -> Result<Vec<usize>> {
+    j.as_arr(what)?.iter().map(|i| i.as_usize(what)).collect()
+}
+
 fn obligation_from_json(j: &Json) -> Result<Obligation> {
-    check_keys(j, "obligation", &["premise", "conclusion", "arity"])?;
-    let exprs = |key: &str| -> Result<Vec<ScalarExpr>> {
-        as_arr(
-            j.field(key)
-                .ok_or_else(|| parse_err(format!("obligation missing {key}")))?,
-            key,
-        )?
-        .iter()
-        .map(expr_from_json)
-        .collect()
-    };
+    j.check_keys("obligation", &["premise", "conclusion", "arity"])?;
     Ok(Obligation {
-        premise: exprs("premise")?,
-        conclusion: exprs("conclusion")?,
-        arity: as_usize(
-            j.field("arity")
-                .ok_or_else(|| parse_err("obligation missing arity"))?,
-            "arity",
-        )?,
+        premise: exprs_from_json(j.required("obligation", "premise")?, "premise")?,
+        conclusion: exprs_from_json(j.required("obligation", "conclusion")?, "conclusion")?,
+        arity: j.required("obligation", "arity")?.as_usize("arity")?,
     })
 }
 
 fn step_from_json(j: &Json) -> Result<Step> {
-    check_keys(
-        j,
+    j.check_keys(
         "step",
         &[
             "rule",
@@ -784,48 +362,38 @@ fn step_from_json(j: &Json) -> Result<Step> {
             "note",
         ],
     )?;
-    let rule_str = as_str(
-        j.field("rule").ok_or_else(|| parse_err("step missing rule"))?,
-        "rule",
-    )?;
-    let rule = RuleId::from_str_id(&rule_str)
+    let rule_str = j.required("step", "rule")?.as_str("rule")?;
+    let rule = RuleId::from_str_id(rule_str)
         .ok_or_else(|| parse_err(format!("unknown rule id {rule_str:?}")))?;
     let mut step = Step::new(rule);
-    if let Some(b) = j.field("block") {
-        step.block = Some(block_from_json(b)?);
-    }
+    step.block = j.field("block").map(block_from_json).transpose()?;
     if let Some(p) = j.field("premises") {
-        step.premises = as_arr(p, "premises")?
-            .iter()
-            .map(|i| as_usize(i, "premise"))
-            .collect::<Result<_>>()?;
+        step.premises = indices_from_json(p, "premises")?;
     }
     if let Some(v) = j.field("view") {
-        step.view = Some(Ident::new(as_str(v, "view")?));
+        step.view = Some(Ident::new(v.as_str("view")?));
     }
     if let Some(c) = j.field("constraint") {
-        step.constraint = Some(Ident::new(as_str(c, "constraint")?));
+        step.constraint = Some(Ident::new(c.as_str("constraint")?));
     }
     if let Some(s) = j.field("substitution") {
-        step.substitution = as_arr(s, "substitution")?
-            .iter()
-            .map(|i| as_usize(i, "substitution"))
-            .collect::<Result<_>>()?;
+        step.substitution = indices_from_json(s, "substitution")?;
     }
     if let Some(p) = j.field("pins") {
         step.pins = pairs_from_json(p, "pins")?;
     }
     if let Some(o) = j.field("obligations") {
-        step.obligations = as_arr(o, "obligations")?
+        step.obligations = o
+            .as_arr("obligations")?
             .iter()
             .map(obligation_from_json)
             .collect::<Result<_>>()?;
     }
     if let Some(n) = j.field("probe_rows") {
-        step.probe_rows = Some(as_u64(n, "probe_rows")?);
+        step.probe_rows = Some(n.as_u64("probe_rows")?);
     }
     if let Some(n) = j.field("note") {
-        step.note = as_str(n, "note")?;
+        step.note = n.as_str("note")?.into();
     }
     Ok(step)
 }
@@ -833,8 +401,7 @@ fn step_from_json(j: &Json) -> Result<Step> {
 /// Parses a certificate previously produced by [`certificate_to_json`].
 pub fn certificate_from_json(input: &str) -> Result<Certificate> {
     let j = Json::parse(input)?;
-    check_keys(
-        &j,
+    j.check_keys(
         "certificate",
         &[
             "principal",
@@ -846,27 +413,23 @@ pub fn certificate_from_json(input: &str) -> Result<Certificate> {
             "steps",
         ],
     )?;
-    let field = |key: &str| -> Result<&Json> {
-        j.field(key)
-            .ok_or_else(|| parse_err(format!("certificate missing {key}")))
-    };
-    let verdict_str = as_str(field("verdict")?, "verdict")?;
-    let verdict = CertVerdict::from_str_verdict(&verdict_str)
+    let field = |key: &str| j.required("certificate", key);
+    let verdict_str = field("verdict")?.as_str("verdict")?;
+    let verdict = CertVerdict::from_str_verdict(verdict_str)
         .ok_or_else(|| parse_err(format!("unknown verdict {verdict_str:?}")))?;
     Ok(Certificate {
-        principal: as_str(field("principal")?, "principal")?,
-        policy_epoch: as_u64(field("policy_epoch")?, "policy_epoch")?,
+        principal: field("principal")?.as_str("principal")?.into(),
+        policy_epoch: field("policy_epoch")?.as_u64("policy_epoch")?,
         verdict,
         params: pairs_from_json(field("params")?, "params")?,
-        query_tables: as_arr(field("query_tables")?, "query_tables")?
+        query_tables: field("query_tables")?
+            .as_arr("query_tables")?
             .iter()
-            .map(|t| Ok(Ident::new(as_str(t, "query table")?)))
+            .map(|t| Ok(Ident::new(t.as_str("query table")?)))
             .collect::<Result<_>>()?,
-        query: match j.field("query") {
-            Some(q) => Some(block_from_json(q)?),
-            None => None,
-        },
-        steps: as_arr(field("steps")?, "steps")?
+        query: j.field("query").map(block_from_json).transpose()?,
+        steps: field("steps")?
+            .as_arr("steps")?
             .iter()
             .map(step_from_json)
             .collect::<Result<_>>()?,

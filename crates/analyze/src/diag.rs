@@ -1,6 +1,7 @@
 //! Diagnostic model: stable codes, severities, and the JSON wire form
 //! consumed by CI (`fgac-analyze --json`).
 
+use fgac_types::Json;
 use std::fmt;
 
 /// Stable diagnostic codes. Codes are append-only: a code, once
@@ -256,15 +257,15 @@ impl Diagnostic {
 
     /// One JSON object, keys in fixed order.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"code\":{},\"name\":{},\"severity\":{},\"principal\":{},\"object\":{},\"message\":{}}}",
-            json_str(self.code.as_str()),
-            json_str(self.code.name()),
-            json_str(self.severity.as_str()),
-            json_str(&self.principal),
-            json_str(&self.object),
-            json_str(&self.message),
-        )
+        Json::obj([
+            ("code", Json::str(self.code.as_str())),
+            ("name", Json::str(self.code.name())),
+            ("severity", Json::str(self.severity.as_str())),
+            ("principal", Json::str(self.principal.clone())),
+            ("object", Json::str(self.object.clone())),
+            ("message", Json::str(self.message.clone())),
+        ])
+        .render()
     }
 }
 
@@ -291,155 +292,40 @@ pub fn diagnostics_to_json(diags: &[Diagnostic]) -> String {
 }
 
 /// Parses a diagnostic array previously produced by
-/// [`diagnostics_to_json`]. This is deliberately a parser for *our own
-/// wire form* (string values only, no nesting) rather than a general
-/// JSON library — it exists so the CI gate and tests can prove the
-/// machine output round-trips.
+/// [`diagnostics_to_json`]. Structure is strict (an array of objects,
+/// every required key present with a string value); evolution is
+/// additive, so `name` (derivable from the code) and keys this build
+/// does not know are ignored.
 pub fn diagnostics_from_json(input: &str) -> Option<Vec<Diagnostic>> {
-    let mut p = JsonCursor::new(input);
-    p.skip_ws();
-    p.eat('[')?;
-    let mut out = Vec::new();
-    p.skip_ws();
-    if p.eat(']').is_some() {
-        return Some(out);
-    }
-    loop {
-        out.push(parse_object(&mut p)?);
-        p.skip_ws();
-        if p.eat(',').is_some() {
-            continue;
-        }
-        p.eat(']')?;
-        return Some(out);
-    }
+    let doc = Json::parse(input).ok()?;
+    doc.as_arr("diagnostics")
+        .ok()?
+        .iter()
+        .map(diagnostic_from_json)
+        .collect()
 }
 
-fn parse_object(p: &mut JsonCursor) -> Option<Diagnostic> {
-    p.skip_ws();
-    p.eat('{')?;
-    let mut code = None;
-    let mut severity = None;
-    let mut principal = None;
-    let mut object = None;
-    let mut message = None;
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.eat(':')?;
-        p.skip_ws();
-        let val = p.string()?;
-        match key.as_str() {
-            // Forward compatibility: a code this build does not know
-            // (a newer analyzer's finding) parses as
-            // [`Code::UnrecognizedFinding`] instead of rejecting the
-            // whole document. Structural strictness is unchanged — the
-            // key must still be present with a string value.
-            "code" => {
-                code = Some(Code::from_str_code(&val).unwrap_or(Code::UnrecognizedFinding));
-            }
-            "severity" => severity = Severity::from_str_sev(&val),
-            "principal" => principal = Some(val),
-            "object" => object = Some(val),
-            "message" => message = Some(val),
-            // "name" and any future additive keys are derivable/ignored.
-            _ => {}
-        }
-        p.skip_ws();
-        if p.eat(',').is_some() {
-            continue;
-        }
-        p.eat('}')?;
-        break;
-    }
-    let code = code?;
+fn diagnostic_from_json(j: &Json) -> Option<Diagnostic> {
+    let text = |key: &str| j.field(key)?.as_str(key).ok();
+    // Forward compatibility: a code this build does not know (a newer
+    // analyzer's finding) parses as [`Code::UnrecognizedFinding`]
+    // instead of rejecting the whole document.
+    let code = Code::from_str_code(text("code")?).unwrap_or(Code::UnrecognizedFinding);
     // An unrecognized finding is neither clean nor an error: whatever
     // severity the (newer) writer attached, this build cannot act on
     // it, so it degrades to the fail-open level.
     let severity = if code == Code::UnrecognizedFinding {
         Severity::Unknown
     } else {
-        severity?
+        Severity::from_str_sev(text("severity")?)?
     };
     Some(Diagnostic {
         code,
         severity,
-        principal: principal?,
-        object: object?,
-        message: message?,
+        principal: text("principal")?.into(),
+        object: text("object")?.into(),
+        message: text("message")?.into(),
     })
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-struct JsonCursor<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-}
-
-impl<'a> JsonCursor<'a> {
-    fn new(s: &'a str) -> Self {
-        JsonCursor {
-            chars: s.chars().peekable(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.chars.peek(), Some(c) if c.is_whitespace()) {
-            self.chars.next();
-        }
-    }
-
-    fn eat(&mut self, want: char) -> Option<()> {
-        if self.chars.peek() == Some(&want) {
-            self.chars.next();
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next()? {
-                '"' => return Some(out),
-                '\\' => match self.chars.next()? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        let mut v = 0u32;
-                        for _ in 0..4 {
-                            v = v * 16 + self.chars.next()?.to_digit(16)?;
-                        }
-                        out.push(char::from_u32(v)?);
-                    }
-                    _ => return None,
-                },
-                c => out.push(c),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

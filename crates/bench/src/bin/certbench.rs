@@ -15,56 +15,17 @@
 //! when the ratio exceeds the baseline's `max_overhead_ratio` — the CI
 //! gate that keeps certificate emission within its ≤10% budget.
 
-use fgac_bench::{median_time, pick_triple, university};
+use fgac_bench::{emit_report, median_time, num, pick_triple, university, Cli};
 use fgac_core::{CheckOptions, Session, Validator, Verdict};
+use fgac_types::Json;
 use std::time::Duration;
 
 /// Overhead allowed when no baseline overrides it.
 const DEFAULT_MAX_OVERHEAD: f64 = 1.10;
 
-struct Args {
-    students: usize,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        students: 100,
-        out: "BENCH_certify.json".to_string(),
-        check: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match a.as_str() {
-            "--students" => args.students = value("--students").parse().expect("--students: usize"),
-            "--out" => args.out = value("--out"),
-            "--check" => args.check = Some(value("--check")),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    args
-}
-
-/// Pulls `"key": <number>` out of a flat JSON document — enough to read
-/// our own baseline files without a JSON dependency.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
-    let args = parse_args();
-    let uni = university(args.students);
+    let (cli, [students]) = Cli::parse("BENCH_certify.json", [("--students", 100)]);
+    let uni = university(students);
     let (student, reg, _unreg) = pick_triple(&uni);
     let session = Session::new(student.clone());
 
@@ -123,27 +84,28 @@ fn main() {
         total_steps += report.certificate.as_ref().map_or(0, |c| c.steps.len());
     }
 
-    let max_overhead = args.check.as_deref().map_or(DEFAULT_MAX_OVERHEAD, |path| {
-        let doc = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        json_number(&doc, "max_overhead_ratio")
-            .unwrap_or_else(|| panic!("baseline {path} lacks max_overhead_ratio"))
-    });
+    let max_overhead = cli.gate("max_overhead_ratio", DEFAULT_MAX_OVERHEAD);
     let pass = ratio <= max_overhead;
 
-    let json = format!(
-        "{{\n  \"schema\": \"fgac-certify-v1\",\n  \"students\": {},\n  \"queries\": {},\n  \"emit_off_us\": {:.1},\n  \"emit_on_us\": {:.1},\n  \"overhead_ratio\": {:.3},\n  \"certified_steps\": {},\n  \"gates\": {{ \"max_overhead_ratio\": {:.2}, \"pass\": {} }}\n}}\n",
-        args.students,
-        queries.len(),
-        off_us,
-        on_us,
-        ratio,
-        total_steps,
-        max_overhead,
-        pass,
+    emit_report(
+        &cli.out,
+        &Json::obj([
+            ("schema", Json::str("fgac-certify-v1")),
+            ("students", Json::usize(students)),
+            ("queries", Json::usize(queries.len())),
+            ("emit_off_us", num(off_us, 1)),
+            ("emit_on_us", num(on_us, 1)),
+            ("overhead_ratio", num(ratio, 3)),
+            ("certified_steps", Json::usize(total_steps)),
+            (
+                "gates",
+                Json::obj([
+                    ("max_overhead_ratio", num(max_overhead, 2)),
+                    ("pass", Json::Bool(pass)),
+                ]),
+            ),
+        ]),
     );
-    std::fs::write(&args.out, &json).expect("write report");
-    print!("{json}");
     eprintln!(
         "admission mix: {off_us:.1}µs without emission -> {on_us:.1}µs with \
          ({ratio:.3}x, budget {max_overhead:.2}x)"

@@ -18,7 +18,9 @@
 //! p99, or when the revalidation hit rate (warm re-admissions over all
 //! stale-entry resolutions) falls below `min_revalidation_rate`.
 
+use fgac_bench::{emit_report, num, percentile, Cli};
 use fgac_core::{Engine, Session, SharedEngine};
+use fgac_types::Json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,53 +30,6 @@ const PRINCIPALS: usize = 4;
 /// Distinct query texts per principal (so the sweep has a population of
 /// entries to restamp or stale, not a single one).
 const QUERIES_PER_PRINCIPAL: usize = 8;
-
-struct Args {
-    iters: usize,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        iters: 3_000,
-        out: "BENCH_churn.json".to_string(),
-        check: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match a.as_str() {
-            "--iters" => args.iters = value("--iters").parse().expect("--iters: usize"),
-            "--out" => args.out = value("--out"),
-            "--check" => args.check = Some(value("--check")),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    args
-}
-
-/// p99 of already-collected microsecond samples.
-fn p99(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let rank = ((samples.len() as f64) * 0.99).ceil() as usize;
-    samples[rank.saturating_sub(1).min(samples.len() - 1)]
-}
-
-/// Pulls `"key": <number>` out of a flat JSON document — enough to read
-/// our own baseline files without a JSON dependency.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 fn build() -> SharedEngine {
     let mut ddl = String::from(
@@ -116,10 +71,10 @@ fn measure_round(shared: &SharedEngine, sessions: &[Session], samples: &mut Vec<
 }
 
 fn main() {
-    let args = parse_args();
+    let (cli, [iters]) = Cli::parse("BENCH_churn.json", [("--iters", 3_000)]);
     let shared = build();
     let sessions: Vec<Session> = (0..PRINCIPALS).map(|p| Session::new(format!("u{p}"))).collect();
-    let rounds = args.iters.div_ceil(PRINCIPALS * QUERIES_PER_PRINCIPAL).max(1);
+    let rounds = iters.div_ceil(PRINCIPALS * QUERIES_PER_PRINCIPAL).max(1);
 
     // --- Phase 1: churn-free. Warm everything, then measure.
     let mut warm = Vec::new();
@@ -128,7 +83,7 @@ fn main() {
     for _ in 0..rounds {
         measure_round(&shared, &sessions, &mut quiet);
     }
-    let p99_quiet = p99(&mut quiet);
+    let p99_quiet = percentile(&mut quiet, 0.99);
 
     // --- Phase 2: identical measurement under continuous policy churn.
     // The writer flips v_pad for every principal: each flip affects all
@@ -183,7 +138,7 @@ fn main() {
     }
     stop.store(true, Ordering::Release);
     writer.join().expect("writer thread");
-    let p99_churn = p99(&mut churn);
+    let p99_churn = percentile(&mut churn, 0.99);
     let total_flips = flips.load(Ordering::Relaxed);
 
     let (reval_hits1, reval_misses1) = shared.with_read(|e| e.cache().revalidation_stats());
@@ -204,39 +159,37 @@ fn main() {
     );
 
     // --- Gates.
-    let (max_factor, min_reval) = match args.check.as_deref() {
-        Some(path) => {
-            let doc = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-            (
-                json_number(&doc, "max_p99_churn_factor")
-                    .unwrap_or_else(|| panic!("baseline {path} lacks max_p99_churn_factor")),
-                json_number(&doc, "min_revalidation_rate")
-                    .unwrap_or_else(|| panic!("baseline {path} lacks min_revalidation_rate")),
-            )
-        }
-        None => (f64::INFINITY, 0.0),
-    };
+    let max_factor = cli.gate("max_p99_churn_factor", f64::INFINITY);
+    let min_reval = cli.gate("min_revalidation_rate", 0.0);
     let factor_ok = factor <= max_factor;
-    let reval_ok = reval_rate >= min_reval || args.check.is_none();
+    let reval_ok = reval_rate >= min_reval;
     let pass = factor_ok && reval_ok;
 
-    let json = format!(
-        "{{\n  \"schema\": \"fgac-churn-v1\",\n  \"iters\": {},\n  \"p99_quiet_us\": {:.1},\n  \"p99_churn_us\": {:.1},\n  \"churn_factor\": {:.2},\n  \"flips\": {},\n  \"revalidation_hits\": {},\n  \"revalidation_misses\": {},\n  \"revalidation_rate\": {:.4},\n  \"gates\": {{ \"max_p99_churn_factor\": {}, \"min_revalidation_rate\": {:.2}, \"pass\": {} }}\n}}\n",
-        rounds * PRINCIPALS * QUERIES_PER_PRINCIPAL,
-        p99_quiet,
-        p99_churn,
-        factor,
-        total_flips,
-        reval_hits,
-        reval_misses,
-        reval_rate,
-        if max_factor.is_finite() { format!("{max_factor:.1}") } else { "null".into() },
-        min_reval,
-        pass,
+    emit_report(
+        &cli.out,
+        &Json::obj([
+            ("schema", Json::str("fgac-churn-v1")),
+            (
+                "iters",
+                Json::usize(rounds * PRINCIPALS * QUERIES_PER_PRINCIPAL),
+            ),
+            ("p99_quiet_us", num(p99_quiet, 1)),
+            ("p99_churn_us", num(p99_churn, 1)),
+            ("churn_factor", num(factor, 2)),
+            ("flips", Json::u64(total_flips)),
+            ("revalidation_hits", Json::u64(reval_hits)),
+            ("revalidation_misses", Json::u64(reval_misses)),
+            ("revalidation_rate", num(reval_rate, 4)),
+            (
+                "gates",
+                Json::obj([
+                    ("max_p99_churn_factor", num(max_factor, 1)),
+                    ("min_revalidation_rate", num(min_reval, 2)),
+                    ("pass", Json::Bool(pass)),
+                ]),
+            ),
+        ]),
     );
-    std::fs::write(&args.out, &json).expect("write report");
-    print!("{json}");
 
     if !factor_ok {
         eprintln!(

@@ -25,7 +25,9 @@
 //! `max_incremental_ratio` (the ≤ 0.10x gate) or the largest full
 //! analysis exceeds `max_full_ms`.
 
+use fgac_bench::{emit_report, num, Cli};
 use fgac_core::Engine;
+use fgac_types::Json;
 use std::time::Instant;
 
 /// Granted-view counts swept, smallest to largest.
@@ -34,45 +36,6 @@ const SIZES: [usize; 5] = [10, 100, 1_000, 10_000, 50_000];
 const RELATIONS: usize = 16;
 /// Principals the grants are spread over.
 const PRINCIPALS: usize = 16;
-
-struct Args {
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        out: "BENCH_flow.json".to_string(),
-        check: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match a.as_str() {
-            "--out" => args.out = value("--out"),
-            "--check" => args.check = Some(value("--check")),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    args
-}
-
-/// Pulls `"key": <number>` out of a flat JSON document — enough to read
-/// our own baseline files without a JSON dependency.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 /// Engine with `total` full-projection views granted round-robin to
 /// [`PRINCIPALS`] principals, plus one pre-created ungranted view the
@@ -102,7 +65,7 @@ fn build(total: usize) -> Engine {
 }
 
 fn main() {
-    let args = parse_args();
+    let (cli, []) = Cli::parse("BENCH_flow.json", []);
     let mut rows: Vec<(usize, f64, f64, f64)> = Vec::new();
 
     for n in SIZES {
@@ -133,48 +96,31 @@ fn main() {
     let (_, full_large, _, ratio_large) = rows[rows.len() - 1];
 
     // --- Gates.
-    let (max_ratio, max_full_ms) = match args.check.as_deref() {
-        Some(path) => {
-            let doc = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-            (
-                json_number(&doc, "max_incremental_ratio")
-                    .unwrap_or_else(|| panic!("baseline {path} lacks max_incremental_ratio")),
-                json_number(&doc, "max_full_ms")
-                    .unwrap_or_else(|| panic!("baseline {path} lacks max_full_ms")),
-            )
-        }
-        None => (f64::INFINITY, f64::INFINITY),
-    };
+    let max_ratio = cli.gate("max_incremental_ratio", f64::INFINITY);
+    let max_full_ms = cli.gate("max_full_ms", f64::INFINITY);
     let ratio_ok = ratio_large <= max_ratio;
     let full_ok = full_large <= max_full_ms;
     let pass = ratio_ok && full_ok;
 
-    let per_size: Vec<String> = rows
-        .iter()
-        .map(|(n, full, incr, ratio)| {
-            format!(
-                "  \"full_ms_{n}\": {full:.2},\n  \"incremental_ms_{n}\": {incr:.2},\n  \"ratio_{n}\": {ratio:.3}"
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"schema\": \"fgac-flow-v1\",\n  \"relations\": {RELATIONS},\n  \"principals\": {PRINCIPALS},\n{},\n  \"gates\": {{ \"max_incremental_ratio\": {}, \"max_full_ms\": {}, \"pass\": {} }}\n}}\n",
-        per_size.join(",\n"),
-        if max_ratio.is_finite() {
-            format!("{max_ratio:.2}")
-        } else {
-            "null".into()
-        },
-        if max_full_ms.is_finite() {
-            format!("{max_full_ms:.0}")
-        } else {
-            "null".into()
-        },
-        pass,
-    );
-    std::fs::write(&args.out, &json).expect("write report");
-    print!("{json}");
+    let mut report = vec![
+        ("schema".to_string(), Json::str("fgac-flow-v1")),
+        ("relations".to_string(), Json::usize(RELATIONS)),
+        ("principals".to_string(), Json::usize(PRINCIPALS)),
+    ];
+    for (n, full, incr, ratio) in &rows {
+        report.push((format!("full_ms_{n}"), num(*full, 2)));
+        report.push((format!("incremental_ms_{n}"), num(*incr, 2)));
+        report.push((format!("ratio_{n}"), num(*ratio, 3)));
+    }
+    report.push((
+        "gates".to_string(),
+        Json::obj([
+            ("max_incremental_ratio", num(max_ratio, 2)),
+            ("max_full_ms", num(max_full_ms, 0)),
+            ("pass", Json::Bool(pass)),
+        ]),
+    ));
+    emit_report(&cli.out, &Json::Obj(report));
 
     if !ratio_ok {
         eprintln!(

@@ -13,8 +13,9 @@
 //! warm-over-cold speedup drops under the 5x floor — the CI regression
 //! gate for the admission-to-execution hot path.
 
-use fgac_bench::{pick_triple, university};
+use fgac_bench::{emit_report, num, percentile, pick_triple, university, Cli};
 use fgac_core::Session;
+use fgac_types::Json;
 use std::time::Instant;
 
 /// Minimum acceptable warm-over-cold speedup.
@@ -22,55 +23,9 @@ const MIN_WARM_OVER_COLD: f64 = 5.0;
 /// Fraction of the baseline throughput that still passes.
 const QPS_TOLERANCE: f64 = 0.75;
 
-struct Args {
-    students: usize,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        students: 100,
-        out: "BENCH_hotpath.json".to_string(),
-        check: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match a.as_str() {
-            "--students" => args.students = value("--students").parse().expect("--students: usize"),
-            "--out" => args.out = value("--out"),
-            "--check" => args.check = Some(value("--check")),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    args
-}
-
-/// Median of already-collected microsecond samples.
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// Pulls `"key": <number>` out of a flat JSON document — enough to read
-/// our own baseline files without a JSON dependency.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
-    let args = parse_args();
-    let mut uni = university(args.students);
+    let (cli, [students]) = Cli::parse("BENCH_hotpath.json", [("--students", 100)]);
+    let mut uni = university(students);
     let (student, _reg, _unreg) = pick_triple(&uni);
     let session = Session::new(student.clone());
 
@@ -88,7 +43,7 @@ fn main() {
         std::hint::black_box(uni.engine.execute(&session, sql).expect("valid query"));
         cold.push(t.elapsed().as_secs_f64() * 1e6);
     }
-    let cold_us = median(&mut cold);
+    let cold_us = percentile(&mut cold, 0.5);
 
     // --- Warm: plan cache + validity cache both hit.
     uni.engine.plan_cache().clear();
@@ -101,7 +56,7 @@ fn main() {
         std::hint::black_box(uni.engine.execute(&session, sql).expect("valid query"));
         warm.push(t.elapsed().as_secs_f64() * 1e6);
     }
-    let warm_us = median(&mut warm);
+    let warm_us = percentile(&mut warm, 0.5);
     let warm_over_cold = cold_us / warm_us.max(1e-9);
 
     // --- Warm throughput over a fixed window.
@@ -143,38 +98,49 @@ fn main() {
 
     // --- Gates.
     let speedup_ok = warm_over_cold >= MIN_WARM_OVER_COLD;
-    let baseline_qps = args.check.as_deref().map(|path| {
-        let doc = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        json_number(&doc, "warm_qps").unwrap_or_else(|| panic!("baseline {path} lacks warm_qps"))
-    });
+    let baseline_qps = cli.baseline.as_ref().map(|b| b.number("warm_qps"));
     let qps_ok = baseline_qps.is_none_or(|b| warm_qps >= QPS_TOLERANCE * b);
     let pass = speedup_ok && qps_ok;
 
-    let json = format!(
-        "{{\n  \"schema\": \"fgac-hotpath-v1\",\n  \"students\": {},\n  \"table_rows\": {},\n  \"cold_check_us\": {:.1},\n  \"warm_check_us\": {:.1},\n  \"warm_over_cold\": {:.1},\n  \"warm_qps\": {:.0},\n  \"plan_cache\": {{ \"hits\": {}, \"misses\": {}, \"entries\": {} }},\n  \"validity_cache\": {{ \"hits\": {}, \"misses\": {}, \"entries\": {} }},\n  \"rows_cloned_full_scan\": {},\n  \"rows_cloned_selective\": {},\n  \"selective_result_rows\": {},\n  \"gates\": {{ \"min_warm_over_cold\": {:.1}, \"qps_tolerance\": {:.2}, \"baseline_warm_qps\": {}, \"pass\": {} }}\n}}\n",
-        args.students,
-        table_rows,
-        cold_us,
-        warm_us,
-        warm_over_cold,
-        warm_qps,
-        plan.hits,
-        plan.misses,
-        plan.entries,
-        validity.hits,
-        validity.misses,
-        validity.entries,
-        rows_cloned_full,
-        rows_cloned_selective,
-        selective.rows.len(),
-        MIN_WARM_OVER_COLD,
-        QPS_TOLERANCE,
-        baseline_qps.map_or("null".to_string(), |b| format!("{b:.0}")),
-        pass,
+    let cache_stats = |hits: u64, misses: u64, entries: usize| {
+        Json::obj([
+            ("hits", Json::u64(hits)),
+            ("misses", Json::u64(misses)),
+            ("entries", Json::usize(entries)),
+        ])
+    };
+    emit_report(
+        &cli.out,
+        &Json::obj([
+            ("schema", Json::str("fgac-hotpath-v1")),
+            ("students", Json::usize(students)),
+            ("table_rows", Json::u64(table_rows)),
+            ("cold_check_us", num(cold_us, 1)),
+            ("warm_check_us", num(warm_us, 1)),
+            ("warm_over_cold", num(warm_over_cold, 1)),
+            ("warm_qps", num(warm_qps, 0)),
+            ("plan_cache", cache_stats(plan.hits, plan.misses, plan.entries)),
+            (
+                "validity_cache",
+                cache_stats(validity.hits, validity.misses, validity.entries),
+            ),
+            ("rows_cloned_full_scan", Json::u64(rows_cloned_full)),
+            ("rows_cloned_selective", Json::u64(rows_cloned_selective)),
+            ("selective_result_rows", Json::usize(selective.rows.len())),
+            (
+                "gates",
+                Json::obj([
+                    ("min_warm_over_cold", num(MIN_WARM_OVER_COLD, 1)),
+                    ("qps_tolerance", num(QPS_TOLERANCE, 2)),
+                    (
+                        "baseline_warm_qps",
+                        baseline_qps.map_or(Json::Null, |b| num(b, 0)),
+                    ),
+                    ("pass", Json::Bool(pass)),
+                ]),
+            ),
+        ]),
     );
-    std::fs::write(&args.out, &json).expect("write report");
-    print!("{json}");
     assert_eq!(full.rows.len() as u64, table_rows, "full scan sees every row");
     eprintln!(
         "cold {cold_us:.1}µs -> warm {warm_us:.1}µs ({warm_over_cold:.1}x), \

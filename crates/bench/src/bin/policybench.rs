@@ -19,7 +19,9 @@
 //! the fast-path hit rate over the measured workload falls below
 //! `min_hit_rate`.
 
+use fgac_bench::{emit_report, num, percentile, Cli};
 use fgac_core::{Engine, Session};
+use fgac_types::Json;
 use std::time::Instant;
 
 /// Granted-view counts swept, smallest to largest.
@@ -27,53 +29,6 @@ const SIZES: [usize; 5] = [10, 100, 1_000, 10_000, 50_000];
 /// Base relations; every size covers `min(N, RELATIONS)` of them
 /// full-width.
 const RELATIONS: usize = 16;
-
-struct Args {
-    queries: usize,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        queries: 125,
-        out: "BENCH_policy.json".to_string(),
-        check: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match a.as_str() {
-            "--queries" => args.queries = value("--queries").parse().expect("--queries: usize"),
-            "--out" => args.out = value("--out"),
-            "--check" => args.check = Some(value("--check")),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    args
-}
-
-/// p99 of already-collected microsecond samples.
-fn p99(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let rank = ((samples.len() as f64) * 0.99).ceil() as usize;
-    samples[rank.saturating_sub(1).min(samples.len() - 1)]
-}
-
-/// Pulls `"key": <number>` out of a flat JSON document — enough to read
-/// our own baseline files without a JSON dependency.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 /// Engine with `covered` full-width views plus pad views up to `total`
 /// grants for principal `u`.
@@ -111,7 +66,7 @@ fn build(total: usize) -> (Engine, usize) {
 }
 
 fn main() {
-    let args = parse_args();
+    let (cli, [queries]) = Cli::parse("BENCH_policy.json", [("--queries", 125)]);
     let session = Session::new("u");
     let mut p99s: Vec<(usize, f64)> = Vec::new();
     let mut hit_rate_min = f64::INFINITY;
@@ -129,8 +84,8 @@ fn main() {
 
         let hits0 = fgac_core::compiled::fastpath_hit_count();
         let probes0 = hits0 + fgac_core::compiled::fastpath_miss_count();
-        let mut samples = Vec::with_capacity(args.queries);
-        for q in 0..args.queries {
+        let mut samples = Vec::with_capacity(queries);
+        for q in 0..queries {
             // Distinct texts over the covered relations: plan-cache and
             // validity-cache misses every time, U1/U2-unconditional by
             // construction (full-width coverage of the scanned relation).
@@ -149,7 +104,7 @@ fn main() {
                 - probes0;
         let rate = if probes == 0 { 0.0 } else { hits as f64 / probes as f64 };
         hit_rate_min = hit_rate_min.min(rate);
-        let p = p99(&mut samples);
+        let p = percentile(&mut samples, 0.99);
         eprintln!(
             "n={n}: p99 {p:.1}µs, fast-path {hits}/{probes} ({:.1}%), \
              compile+first-check {compile_us:.0}µs",
@@ -163,40 +118,36 @@ fn main() {
     let growth = p_large / p_small.max(1e-9);
 
     // --- Gates.
-    let (max_growth, min_rate) = match args.check.as_deref() {
-        Some(path) => {
-            let doc = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-            (
-                json_number(&doc, "max_p99_growth")
-                    .unwrap_or_else(|| panic!("baseline {path} lacks max_p99_growth")),
-                json_number(&doc, "min_hit_rate")
-                    .unwrap_or_else(|| panic!("baseline {path} lacks min_hit_rate")),
-            )
-        }
-        None => (f64::INFINITY, 0.0),
-    };
+    let max_growth = cli.gate("max_p99_growth", f64::INFINITY);
+    let min_rate = cli.gate("min_hit_rate", 0.0);
     let growth_ok = growth <= max_growth;
     let rate_ok = hit_rate_min >= min_rate;
     let pass = growth_ok && rate_ok;
 
-    let per_size: Vec<String> = p99s
-        .iter()
-        .map(|(n, p)| format!("  \"p99_us_{n}\": {p:.1}"))
-        .collect();
-    let json = format!(
-        "{{\n  \"schema\": \"fgac-policy-v1\",\n  \"queries_per_size\": {},\n{},\n  \"growth_p99\": {:.2},\n  \"hit_rate\": {:.4},\n  \"compile_first_check_us_max\": {:.0},\n  \"gates\": {{ \"max_p99_growth\": {}, \"min_hit_rate\": {:.2}, \"pass\": {} }}\n}}\n",
-        args.queries,
-        per_size.join(",\n"),
-        growth,
-        hit_rate_min,
-        compile_us_max,
-        if max_growth.is_finite() { format!("{max_growth:.1}") } else { "null".into() },
-        min_rate,
-        pass,
-    );
-    std::fs::write(&args.out, &json).expect("write report");
-    print!("{json}");
+    let mut report = vec![
+        ("schema".to_string(), Json::str("fgac-policy-v1")),
+        ("queries_per_size".to_string(), Json::usize(queries)),
+    ];
+    for (n, p) in &p99s {
+        report.push((format!("p99_us_{n}"), num(*p, 1)));
+    }
+    report.extend([
+        ("growth_p99".to_string(), num(growth, 2)),
+        ("hit_rate".to_string(), num(hit_rate_min, 4)),
+        (
+            "compile_first_check_us_max".to_string(),
+            num(compile_us_max, 0),
+        ),
+        (
+            "gates".to_string(),
+            Json::obj([
+                ("max_p99_growth", num(max_growth, 1)),
+                ("min_hit_rate", num(min_rate, 2)),
+                ("pass", Json::Bool(pass)),
+            ]),
+        ),
+    ]);
+    emit_report(&cli.out, &Json::Obj(report));
 
     if !growth_ok {
         eprintln!(

@@ -21,52 +21,12 @@
 //!    under load would be an authorization lie), and every request
 //!    completes within the retry budget.
 
+use fgac_bench::{emit_report, num, percentile, Cli};
 use fgac_core::{Engine, SharedEngine};
 use fgac_server::{Client, Response, Server, ServerConfig};
+use fgac_types::Json;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
-
-struct Args {
-    clients: usize,
-    requests: usize,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        clients: 8,
-        requests: 250,
-        out: "BENCH_server.json".to_string(),
-        check: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match a.as_str() {
-            "--clients" => args.clients = value("--clients").parse().expect("--clients: usize"),
-            "--requests" => args.requests = value("--requests").parse().expect("--requests: usize"),
-            "--out" => args.out = value("--out"),
-            "--check" => args.check = Some(value("--check")),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    args
-}
-
-/// Pulls `"key": <number>` out of a flat JSON document.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 /// One engine with the standard grades fixture, ready to serve.
 fn fixture_engine() -> SharedEngine {
@@ -158,19 +118,18 @@ fn run_phase(addr: std::net::SocketAddr, clients: usize, requests: usize) -> Pha
         sheds += s;
     }
     let elapsed = start.elapsed().as_secs_f64();
-    latencies.sort_unstable();
-    let idx = ((latencies.len() * 99) / 100).min(latencies.len() - 1);
-    let p99 = latencies[idx].as_secs_f64() * 1e3;
+    let mut latencies_ms: Vec<f64> = latencies.iter().map(|d| d.as_secs_f64() * 1e3).collect();
     PhaseOutcome {
         qps: latencies.len() as f64 / elapsed,
-        p99_ms: p99,
+        p99_ms: percentile(&mut latencies_ms, 0.99),
         total_requests: latencies.len() as u64,
         sheds,
     }
 }
 
 fn main() {
-    let args = parse_args();
+    let (cli, [clients, requests]) =
+        Cli::parse("BENCH_server.json", [("--clients", 8), ("--requests", 250)]);
 
     // --- Phase 1: throughput on a generously provisioned server.
     let server = Server::start(
@@ -178,12 +137,12 @@ fn main() {
         ServerConfig {
             workers: 4,
             queue_capacity: 256,
-            max_connections: args.clients + 8,
+            max_connections: clients + 8,
             ..ServerConfig::default()
         },
     )
     .expect("start throughput server");
-    let throughput = run_phase(server.local_addr(), args.clients, args.requests);
+    let throughput = run_phase(server.local_addr(), clients, requests);
     let report = server.finish().expect("drain throughput server");
     assert!(report.drained_cleanly, "throughput phase left work behind");
 
@@ -194,13 +153,13 @@ fn main() {
         ServerConfig {
             workers: 1,
             queue_capacity: 1,
-            max_connections: args.clients + 8,
+            max_connections: clients + 8,
             ..ServerConfig::default()
         },
     )
     .expect("start overload server");
-    let overload_requests = (args.requests / 5).max(20);
-    let overload = run_phase(server.local_addr(), args.clients, overload_requests);
+    let overload_requests = (requests / 5).max(20);
+    let overload = run_phase(server.local_addr(), clients, overload_requests);
     let report = server.finish().expect("drain overload server");
     let shed_counter = report
         .metrics
@@ -218,35 +177,39 @@ fn main() {
     );
 
     // --- Gates.
-    let (min_qps, max_p99_ms) = args.check.as_deref().map_or((500.0, 250.0), |path| {
-        let doc = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        (
-            json_number(&doc, "min_qps").unwrap_or_else(|| panic!("baseline {path} lacks min_qps")),
-            json_number(&doc, "max_p99_ms")
-                .unwrap_or_else(|| panic!("baseline {path} lacks max_p99_ms")),
-        )
-    });
+    let min_qps = cli.gate("min_qps", 500.0);
+    let max_p99_ms = cli.gate("max_p99_ms", 250.0);
     let pass = throughput.qps >= min_qps && throughput.p99_ms <= max_p99_ms;
 
-    let json = format!(
-        "{{\n  \"schema\": \"fgac-server-v1\",\n  \"clients\": {},\n  \"requests_per_client\": {},\n  \"qps\": {:.0},\n  \"p99_ms\": {:.3},\n  \"requests\": {},\n  \"overload\": {{ \"requests\": {}, \"sheds_observed_by_clients\": {}, \"resp_shed\": {}, \"resp_denied\": {}, \"qps\": {:.0} }},\n  \"gates\": {{ \"min_qps\": {:.0}, \"max_p99_ms\": {:.1}, \"pass\": {} }}\n}}\n",
-        args.clients,
-        args.requests,
-        throughput.qps,
-        throughput.p99_ms,
-        throughput.total_requests,
-        overload.total_requests,
-        overload.sheds,
-        shed_counter,
-        denied_counter,
-        overload.qps,
-        min_qps,
-        max_p99_ms,
-        pass,
+    emit_report(
+        &cli.out,
+        &Json::obj([
+            ("schema", Json::str("fgac-server-v1")),
+            ("clients", Json::usize(clients)),
+            ("requests_per_client", Json::usize(requests)),
+            ("qps", num(throughput.qps, 0)),
+            ("p99_ms", num(throughput.p99_ms, 3)),
+            ("requests", Json::u64(throughput.total_requests)),
+            (
+                "overload",
+                Json::obj([
+                    ("requests", Json::u64(overload.total_requests)),
+                    ("sheds_observed_by_clients", Json::u64(overload.sheds)),
+                    ("resp_shed", Json::u64(shed_counter)),
+                    ("resp_denied", Json::u64(denied_counter)),
+                    ("qps", num(overload.qps, 0)),
+                ]),
+            ),
+            (
+                "gates",
+                Json::obj([
+                    ("min_qps", num(min_qps, 0)),
+                    ("max_p99_ms", num(max_p99_ms, 1)),
+                    ("pass", Json::Bool(pass)),
+                ]),
+            ),
+        ]),
     );
-    std::fs::write(&args.out, &json).expect("write report");
-    print!("{json}");
     eprintln!(
         "throughput {:.0} q/s p99 {:.2}ms over {} requests; overload: {} client-visible sheds, {} SHED frames, 0 DENIED",
         throughput.qps, throughput.p99_ms, throughput.total_requests, overload.sheds, shed_counter

@@ -18,52 +18,14 @@
 //! is timed at several log lengths so regressions in replay show up as
 //! a curve, not a single noisy point.
 
+use fgac_bench::{emit_report, num, Cli};
 use fgac_core::{DurabilityOptions, Engine, Session};
+use fgac_types::Json;
 use std::path::PathBuf;
 use std::time::Instant;
 
 /// Default ceiling on `inmem_qps / durable_qps` for the no-fsync level.
 const MAX_OVERHEAD_RATIO: f64 = 2.0;
-
-struct Args {
-    ops: usize,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        ops: 2_000,
-        out: "BENCH_wal.json".to_string(),
-        check: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match a.as_str() {
-            "--ops" => args.ops = value("--ops").parse().expect("--ops: usize"),
-            "--out" => args.out = value("--out"),
-            "--check" => args.check = Some(value("--check")),
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    args
-}
-
-/// Pulls `"key": <number>` out of a flat JSON document — enough to read
-/// our own baseline files without a JSON dependency.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("fgac-walbench-{tag}-{}", std::process::id()));
@@ -95,7 +57,7 @@ fn insert_qps(e: &mut Engine, ops: usize) -> f64 {
 }
 
 fn main() {
-    let args = parse_args();
+    let (cli, [ops]) = Cli::parse("BENCH_wal.json", [("--ops", 2_000)]);
     // Snapshots off in every durable mode: this measures the log itself,
     // and recovery timing below wants the whole history in the log.
     let no_sync = DurabilityOptions {
@@ -110,18 +72,18 @@ fn main() {
     // --- In-memory reference.
     let mut inmem = Engine::new();
     populate(&mut inmem);
-    let inmem_qps = insert_qps(&mut inmem, args.ops);
+    let inmem_qps = insert_qps(&mut inmem, ops);
 
     // --- Durable, default level (buffered write per commit).
     let durable_dir = tmp_dir("durable");
     let (mut durable, _) = Engine::open_with(&durable_dir, no_sync.clone()).expect("open durable");
     populate(&mut durable);
-    let durable_qps = insert_qps(&mut durable, args.ops);
+    let durable_qps = insert_qps(&mut durable, ops);
     drop(durable); // dirty: recovery below starts from a crash
 
     // --- Durable with fsync per commit. Far fewer ops: each one waits
     // on the disk, and the point is the per-commit price, not volume.
-    let fsync_ops = (args.ops / 20).max(20);
+    let fsync_ops = (ops / 20).max(20);
     let fsync_dir = tmp_dir("fsync");
     let (mut synced, _) = Engine::open_with(&fsync_dir, fsync).expect("open fsync");
     populate(&mut synced);
@@ -133,7 +95,7 @@ fn main() {
     // durable run's directory; shorter points get their own logs.
     let mut recovery = Vec::new();
     for frac in [4usize, 2, 1] {
-        let records = args.ops / frac;
+        let records = ops / frac;
         let (dir, cleanup) = if frac == 1 {
             (durable_dir.clone(), true)
         } else {
@@ -156,34 +118,34 @@ fn main() {
     }
 
     // --- Gate.
-    let max_ratio = args.check.as_deref().map_or(MAX_OVERHEAD_RATIO, |path| {
-        let doc = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        json_number(&doc, "max_overhead_ratio")
-            .unwrap_or_else(|| panic!("baseline {path} lacks max_overhead_ratio"))
-    });
+    let max_ratio = cli.gate("max_overhead_ratio", MAX_OVERHEAD_RATIO);
     let overhead_ratio = inmem_qps / durable_qps.max(1e-9);
     let pass = overhead_ratio <= max_ratio;
 
     let recovery_json = recovery
         .iter()
-        .map(|(records, ms)| format!("{{ \"records\": {records}, \"ms\": {ms:.2} }}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"schema\": \"fgac-wal-v1\",\n  \"ops\": {},\n  \"inmem_qps\": {:.0},\n  \"durable_qps\": {:.0},\n  \"fsync_ops\": {},\n  \"fsync_qps\": {:.0},\n  \"overhead_ratio\": {:.3},\n  \"recovery\": [{}],\n  \"gates\": {{ \"max_overhead_ratio\": {:.2}, \"pass\": {} }}\n}}\n",
-        args.ops,
-        inmem_qps,
-        durable_qps,
-        fsync_ops,
-        fsync_qps,
-        overhead_ratio,
-        recovery_json,
-        max_ratio,
-        pass,
+        .map(|(records, ms)| Json::obj([("records", Json::usize(*records)), ("ms", num(*ms, 2))]))
+        .collect();
+    emit_report(
+        &cli.out,
+        &Json::obj([
+            ("schema", Json::str("fgac-wal-v1")),
+            ("ops", Json::usize(ops)),
+            ("inmem_qps", num(inmem_qps, 0)),
+            ("durable_qps", num(durable_qps, 0)),
+            ("fsync_ops", Json::usize(fsync_ops)),
+            ("fsync_qps", num(fsync_qps, 0)),
+            ("overhead_ratio", num(overhead_ratio, 3)),
+            ("recovery", Json::Arr(recovery_json)),
+            (
+                "gates",
+                Json::obj([
+                    ("max_overhead_ratio", num(max_ratio, 2)),
+                    ("pass", Json::Bool(pass)),
+                ]),
+            ),
+        ]),
     );
-    std::fs::write(&args.out, &json).expect("write report");
-    print!("{json}");
     eprintln!(
         "inmem {inmem_qps:.0} q/s, durable {durable_qps:.0} q/s ({overhead_ratio:.2}x), \
          fsync {fsync_qps:.0} q/s; recovery {:?}",

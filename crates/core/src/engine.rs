@@ -1016,21 +1016,7 @@ impl Engine {
             .cache
             .lookup(session.user(), fp, self.data_version, self.policy_epoch)
         {
-            CacheOutcome::Hit(verdict) => {
-                return Ok(ValidityReport {
-                    verdict,
-                    rules: vec!["validity cache hit".into()],
-                    reason: if verdict == Verdict::Invalid {
-                        Some("query rejected (cached verdict)".into())
-                    } else {
-                        None
-                    },
-                    dag_stats: Default::default(),
-                    views_considered: 0,
-                    exhausted: None,
-                    certificate: None,
-                });
-            }
+            CacheOutcome::Hit(verdict) => return Ok(ValidityReport::cache_hit(verdict)),
             // Computed under an older grant state but the accept carries
             // its derivation: re-verify the certificate against the
             // *current* grants (same independent checker, epoch pin
@@ -1048,18 +1034,7 @@ impl Engine {
                 );
                 if diags.is_empty() {
                     self.cache.revalidated(session.user(), fp, self.policy_epoch);
-                    return Ok(ValidityReport {
-                        verdict,
-                        rules: vec![
-                            "validity cache hit (certificate revalidated against current grants)"
-                                .into(),
-                        ],
-                        reason: None,
-                        dag_stats: Default::default(),
-                        views_considered: 0,
-                        exhausted: None,
-                        certificate: None,
-                    });
+                    return Ok(ValidityReport::revalidated(verdict));
                 }
                 self.cache.evict_stale(session.user(), fp);
                 // Fall through to the cold check below.
@@ -1112,18 +1087,7 @@ impl Engine {
                 // Fail closed: an interrupted check denies. The verdict is
                 // NOT cached — a retry under a larger budget (or a calmer
                 // system) may legitimately accept the same query.
-                return Ok(ValidityReport {
-                    verdict: Verdict::Invalid,
-                    rules: vec![format!("check aborted: budget exhausted in {phase}")],
-                    reason: Some(format!(
-                        "validity check exhausted its resource budget ({phase}); \
-                         denied fail-closed"
-                    )),
-                    dag_stats: Default::default(),
-                    views_considered: 0,
-                    exhausted: Some(phase),
-                    certificate: None,
-                });
+                return Ok(ValidityReport::exhausted(phase));
             }
             Err(e) => return Err(e),
         };

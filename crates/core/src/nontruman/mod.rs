@@ -102,6 +102,53 @@ impl ValidityReport {
     pub fn is_valid(&self) -> bool {
         self.verdict != Verdict::Invalid
     }
+
+    /// `verdict` with its rule trace; every other field at its default
+    /// (no reason, empty DAG stats, no views, not exhausted, no
+    /// certificate).
+    fn new(verdict: Verdict, rules: Vec<String>) -> ValidityReport {
+        ValidityReport {
+            verdict,
+            rules,
+            reason: None,
+            dag_stats: DagStats::default(),
+            views_considered: 0,
+            exhausted: None,
+            certificate: None,
+        }
+    }
+
+    /// A verdict served from the validity cache.
+    pub fn cache_hit(verdict: Verdict) -> ValidityReport {
+        ValidityReport {
+            reason: (verdict == Verdict::Invalid)
+                .then(|| "query rejected (cached verdict)".to_string()),
+            ..ValidityReport::new(verdict, vec!["validity cache hit".into()])
+        }
+    }
+
+    /// A stale cached accept whose certificate re-verified against the
+    /// current grants.
+    pub fn revalidated(verdict: Verdict) -> ValidityReport {
+        ValidityReport::new(
+            verdict,
+            vec!["validity cache hit (certificate revalidated against current grants)".into()],
+        )
+    }
+
+    /// The fail-closed denial of a check whose budget ran out in `phase`.
+    pub fn exhausted(phase: String) -> ValidityReport {
+        let rules = vec![format!("check aborted: budget exhausted in {phase}")];
+        let reason = format!(
+            "validity check exhausted its resource budget ({phase}); \
+             denied fail-closed"
+        );
+        ValidityReport {
+            reason: Some(reason),
+            exhausted: Some(phase),
+            ..ValidityReport::new(Verdict::Invalid, rules)
+        }
+    }
 }
 
 /// Tunables for the checker; the defaults implement the full rule set.
@@ -1031,13 +1078,10 @@ impl<'a> Validator<'a> {
         certificate: Option<Certificate>,
     ) -> ValidityReport {
         ValidityReport {
-            verdict,
-            rules,
-            reason: None,
             dag_stats,
             views_considered,
-            exhausted: None,
             certificate,
+            ..ValidityReport::new(verdict, rules)
         }
     }
 }

@@ -1,13 +1,14 @@
 //! Lint findings and the JSON report wire form.
 //!
 //! The wire shape follows `crates/analyze/src/diag.rs`: objects with
-//! string values in a fixed key order, a strict hand-rolled parser for
-//! *our own* output (so CI and tests can prove round-trips), and
-//! forward compatibility at the code level — a pass code this build
-//! does not know parses to [`PassCode::Unrecognized`] with
-//! [`Severity::Unknown`] instead of rejecting the document, so an older
-//! reader still loads a newer linter's report.
+//! string values in a fixed key order, written and read through the
+//! workspace codec ([`fgac_types::json`]) so CI and tests can prove
+//! round-trips, and forward compatibility at the code level — a pass
+//! code this build does not know parses to [`PassCode::Unrecognized`]
+//! with [`Severity::Unknown`] instead of rejecting the document, so an
+//! older reader still loads a newer linter's report.
 
+use fgac_types::Json;
 use std::fmt;
 
 /// Stable pass codes. Append-only: a code, once published, never
@@ -85,15 +86,7 @@ impl PassCode {
     }
 
     pub fn from_str_code(s: &str) -> Option<PassCode> {
-        Some(match s {
-            "L001" => PassCode::MutationOutsideWriter,
-            "L002" => PassCode::RelaxedSyncDecision,
-            "L003" => PassCode::LockOrderInversion,
-            "L004" => PassCode::ErrorPathMustDeny,
-            "L005" => PassCode::UncheckedWireArithmetic,
-            "L006" => PassCode::PanicSite,
-            _ => return None,
-        })
+        ALL_CODES.iter().copied().find(|c| c.as_str() == s)
     }
 }
 
@@ -161,18 +154,18 @@ impl Finding {
     }
 
     /// One JSON object, keys in fixed order, string values only (the
-    /// line number is carried as a decimal string, like the epoch
-    /// fields in `certjson.rs`).
+    /// line number is carried as a decimal string, like the header
+    /// counts).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"code\":{},\"name\":{},\"severity\":{},\"file\":{},\"line\":{},\"message\":{}}}",
-            json_str(self.code.as_str()),
-            json_str(self.code.name()),
-            json_str(self.severity.as_str()),
-            json_str(&self.file),
-            json_str(&self.line.to_string()),
-            json_str(&self.message),
-        )
+        Json::obj([
+            ("code", Json::str(self.code.as_str())),
+            ("name", Json::str(self.code.name())),
+            ("severity", Json::str(self.severity.as_str())),
+            ("file", Json::str(self.file.clone())),
+            ("line", Json::str(self.line.to_string())),
+            ("message", Json::str(self.message.clone())),
+        ])
+        .render()
     }
 }
 
@@ -215,44 +208,46 @@ impl Report {
         self.findings.is_empty()
     }
 
-    /// The machine form CI consumes and archives (`lint-report.json`).
+    /// The machine form CI consumes and archives (`lint-report.json`):
+    /// one header field per line, one finding per line, every value a
+    /// compact codec rendering.
     pub fn to_json(&self) -> String {
+        let passes = Json::Arr(
+            self.passes
+                .iter()
+                .map(|p| {
+                    Json::obj([
+                        ("code", Json::str(p.code.clone())),
+                        ("name", Json::str(p.name.clone())),
+                        ("findings", Json::str(p.findings.to_string())),
+                        ("ms", Json::str(p.ms.to_string())),
+                    ])
+                })
+                .collect(),
+        );
+        let header = [
+            ("tool", Json::str("fgac-lint")),
+            ("schema", Json::str("1")),
+            ("elapsed_ms", Json::str(self.elapsed_ms.to_string())),
+            ("files_scanned", Json::str(self.files_scanned.to_string())),
+            ("passes", passes),
+            (
+                "unused_allows",
+                Json::Arr(self.unused_allows.iter().map(Json::str).collect()),
+            ),
+        ];
         let mut out = String::from("{\n");
-        out.push_str("  \"tool\":\"fgac-lint\",\n  \"schema\":\"1\",\n");
-        out.push_str(&format!(
-            "  \"elapsed_ms\":{},\n  \"files_scanned\":{},\n",
-            json_str(&self.elapsed_ms.to_string()),
-            json_str(&self.files_scanned.to_string()),
-        ));
-        out.push_str("  \"passes\":[");
-        let passes: Vec<String> = self
-            .passes
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"code\":{},\"name\":{},\"findings\":{},\"ms\":{}}}",
-                    json_str(&p.code),
-                    json_str(&p.name),
-                    json_str(&p.findings.to_string()),
-                    json_str(&p.ms.to_string()),
-                )
-            })
-            .collect();
-        out.push_str(&passes.join(","));
-        out.push_str("],\n");
-        out.push_str("  \"unused_allows\":[");
-        let allows: Vec<String> = self.unused_allows.iter().map(|a| json_str(a)).collect();
-        out.push_str(&allows.join(","));
-        out.push_str("],\n");
+        for (key, value) in header {
+            out.push_str(&format!("  \"{key}\":{},\n", value.render()));
+        }
         out.push_str("  \"findings\":[");
         if !self.findings.is_empty() {
-            out.push('\n');
             let body: Vec<String> = self
                 .findings
                 .iter()
-                .map(|d| format!("    {}", d.to_json()))
+                .map(|d| format!("\n    {}", d.to_json()))
                 .collect();
-            out.push_str(&body.join(",\n"));
+            out.push_str(&body.join(","));
             out.push_str("\n  ");
         }
         out.push_str("]\n}");
@@ -261,234 +256,68 @@ impl Report {
 }
 
 /// Parses a report previously produced by [`Report::to_json`]. Strict
-/// on structure, lenient on unknown keys (additive evolution) and
-/// unknown pass codes (forward compatibility).
+/// on structure (`findings` must be present; every key this build reads
+/// must hold the shape it wrote), lenient on unknown keys (additive
+/// evolution) and unknown pass codes (forward compatibility).
 pub fn report_from_json(input: &str) -> Option<Report> {
-    let mut p = JsonCursor::new(input);
-    p.skip_ws();
-    p.eat('{')?;
+    let doc = Json::parse(input).ok()?;
     let mut report = Report::default();
-    let mut saw_findings = false;
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.eat(':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "elapsed_ms" => report.elapsed_ms = p.string()?.parse().ok()?,
-            "files_scanned" => report.files_scanned = p.string()?.parse().ok()?,
-            "passes" => {
-                for obj in p.object_array()? {
-                    report.passes.push(PassSummary {
-                        code: obj.get("code")?.clone(),
-                        name: obj.get("name")?.clone(),
-                        findings: obj.get("findings")?.parse().ok()?,
-                        ms: obj.get("ms")?.parse().ok()?,
-                    });
-                }
-            }
-            "unused_allows" => report.unused_allows = p.string_array()?,
-            "findings" => {
-                saw_findings = true;
-                for obj in p.object_array()? {
-                    report.findings.push(parse_finding(&obj)?);
-                }
-            }
-            // "tool", "schema", "name" and future additive keys.
-            _ => {
-                p.skip_value()?;
-            }
-        }
-        p.skip_ws();
-        if p.eat(',').is_some() {
-            continue;
-        }
-        p.eat('}')?;
-        break;
+    if let Some(v) = doc.field("elapsed_ms") {
+        report.elapsed_ms = count(v)?;
     }
-    if saw_findings {
-        Some(report)
-    } else {
-        None
+    if let Some(v) = doc.field("files_scanned") {
+        report.files_scanned = count(v)?;
     }
+    for p in array(doc.field("passes"))? {
+        report.passes.push(PassSummary {
+            code: text(p, "code")?.into(),
+            name: text(p, "name")?.into(),
+            findings: count(p.field("findings")?)?,
+            ms: count(p.field("ms")?)?,
+        });
+    }
+    for a in array(doc.field("unused_allows"))? {
+        report
+            .unused_allows
+            .push(a.as_str("unused_allows").ok()?.into());
+    }
+    for f in doc.field("findings")?.as_arr("findings").ok()? {
+        report.findings.push(finding_from_json(f)?);
+    }
+    Some(report)
 }
 
-/// Parses a single finding object's key/value map.
-fn parse_finding(obj: &KvMap) -> Option<Finding> {
-    let code_s = obj.get("code")?;
-    let code = PassCode::from_str_code(code_s).unwrap_or(PassCode::Unrecognized);
+/// The elements of an optional array field: empty when absent, `None`
+/// when present but not an array.
+fn array(field: Option<&Json>) -> Option<&[Json]> {
+    field.map_or(Some(&[]), |v| v.as_arr("array").ok())
+}
+
+fn text<'a>(obj: &'a Json, key: &str) -> Option<&'a str> {
+    obj.field(key)?.as_str(key).ok()
+}
+
+/// A count carried as a decimal string.
+fn count<T: std::str::FromStr>(v: &Json) -> Option<T> {
+    v.as_str("count").ok()?.parse().ok()
+}
+
+fn finding_from_json(obj: &Json) -> Option<Finding> {
+    let code = PassCode::from_str_code(text(obj, "code")?).unwrap_or(PassCode::Unrecognized);
     // An unrecognized finding is neither clean nor an error: whatever
     // severity the (newer) writer attached, this build cannot act on it.
     let severity = if code == PassCode::Unrecognized {
         Severity::Unknown
     } else {
-        Severity::from_str_sev(obj.get("severity")?)?
+        Severity::from_str_sev(text(obj, "severity")?)?
     };
     Some(Finding {
         code,
         severity,
-        file: obj.get("file")?.clone(),
-        line: obj.get("line")?.parse().ok()?,
-        message: obj.get("message")?.clone(),
+        file: text(obj, "file")?.into(),
+        line: count(obj.field("line")?)?,
+        message: text(obj, "message")?.into(),
     })
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Ordered string→string map for one parsed JSON object.
-struct KvMap(Vec<(String, String)>);
-
-impl KvMap {
-    fn get(&self, key: &str) -> Option<&String> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-}
-
-struct JsonCursor<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-}
-
-impl<'a> JsonCursor<'a> {
-    fn new(s: &'a str) -> Self {
-        JsonCursor {
-            chars: s.chars().peekable(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.chars.peek(), Some(c) if c.is_whitespace()) {
-            self.chars.next();
-        }
-    }
-
-    fn eat(&mut self, want: char) -> Option<()> {
-        if self.chars.peek() == Some(&want) {
-            self.chars.next();
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next()? {
-                '"' => return Some(out),
-                '\\' => match self.chars.next()? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        let mut v = 0u32;
-                        for _ in 0..4 {
-                            v = v * 16 + self.chars.next()?.to_digit(16)?;
-                        }
-                        out.push(char::from_u32(v)?);
-                    }
-                    _ => return None,
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    /// An array of flat string-valued objects.
-    fn object_array(&mut self) -> Option<Vec<KvMap>> {
-        self.eat('[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.eat(']').is_some() {
-            return Some(out);
-        }
-        loop {
-            self.skip_ws();
-            self.eat('{')?;
-            let mut kvs = Vec::new();
-            loop {
-                self.skip_ws();
-                let k = self.string()?;
-                self.skip_ws();
-                self.eat(':')?;
-                self.skip_ws();
-                let v = self.string()?;
-                kvs.push((k, v));
-                self.skip_ws();
-                if self.eat(',').is_some() {
-                    continue;
-                }
-                self.eat('}')?;
-                break;
-            }
-            out.push(KvMap(kvs));
-            self.skip_ws();
-            if self.eat(',').is_some() {
-                continue;
-            }
-            self.eat(']')?;
-            return Some(out);
-        }
-    }
-
-    fn string_array(&mut self) -> Option<Vec<String>> {
-        self.eat('[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.eat(']').is_some() {
-            return Some(out);
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.string()?);
-            self.skip_ws();
-            if self.eat(',').is_some() {
-                continue;
-            }
-            self.eat(']')?;
-            return Some(out);
-        }
-    }
-
-    /// Skips one value of any supported shape (string, array of strings
-    /// or flat objects) — used for unknown additive keys.
-    fn skip_value(&mut self) -> Option<()> {
-        self.skip_ws();
-        match self.chars.peek()? {
-            '"' => self.string().map(|_| ()),
-            '[' => {
-                // Try objects first, then strings; an empty array parses
-                // either way.
-                let rest: String = self.chars.clone().collect();
-                let mut probe = JsonCursor::new(&rest);
-                if probe.object_array().is_some() {
-                    self.object_array().map(|_| ())
-                } else {
-                    self.string_array().map(|_| ())
-                }
-            }
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

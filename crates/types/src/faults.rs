@@ -125,8 +125,17 @@ pub fn hit(site: &str) -> Result<()> {
 mod tests {
     use super::*;
 
+    /// Every test here calls [`disarm_all`], which clears the
+    /// process-global registry; run in parallel, one test's cleanup
+    /// disarms the site another just armed globally. They take turns.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     #[test]
     fn unarmed_site_is_a_no_op() {
+        let _turn = serial();
         disarm_all();
         assert!(hit("nowhere").is_ok());
         assert_eq!(hits("nowhere"), 0);
@@ -134,6 +143,7 @@ mod tests {
 
     #[test]
     fn error_fires_on_nth_hit_only() {
+        let _turn = serial();
         disarm_all();
         arm("site", Fault::ErrorOnNth(2));
         assert!(hit("site").is_ok());
@@ -147,6 +157,7 @@ mod tests {
 
     #[test]
     fn panic_fires_on_nth_hit() {
+        let _turn = serial();
         disarm_all();
         arm("psite", Fault::PanicOnNth(1));
         let r = std::panic::catch_unwind(|| hit("psite"));
@@ -156,6 +167,7 @@ mod tests {
 
     #[test]
     fn global_arming_fires_on_other_threads() {
+        let _turn = serial();
         disarm_all();
         arm_global("gsite-xthread", Fault::ErrorOnNth(2));
         let handle = std::thread::spawn(|| {
@@ -172,6 +184,7 @@ mod tests {
 
     #[test]
     fn thread_local_arming_shadows_global() {
+        let _turn = serial();
         disarm_all();
         arm_global("shadowed", Fault::ErrorOnNth(1));
         arm("shadowed", Fault::ErrorOnNth(2));

@@ -8,12 +8,18 @@
 //! multiset semantics, so [`Value`] implements `Eq`/`Ord`/`Hash` with a
 //! *total* order (NULLs first, doubles via `total_cmp`) making rows usable
 //! as keys for grouping, duplicate elimination, and multiset comparison.
+//!
+//! It also owns the workspace's one JSON codec ([`json`]): certificates,
+//! analyzer diagnostics, the lint report and the bench baselines/reports
+//! are all mappings over [`Json`], so there is a single parser, a single
+//! string escaper and a single place where nesting depth is bounded.
 
 mod budget;
 mod error;
 #[cfg(feature = "fault-injection")]
 pub mod faults;
 mod ident;
+pub mod json;
 mod row;
 mod schema;
 mod value;
@@ -22,6 +28,7 @@ pub mod wire;
 pub use budget::{Budget, BudgetMeter};
 pub use error::{Error, Result};
 pub use ident::Ident;
+pub use json::Json;
 pub use row::{multiset_eq, Row};
 pub use schema::{Column, Schema};
 pub use value::{DataType, Value};
