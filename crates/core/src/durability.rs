@@ -10,11 +10,11 @@
 //! * **DDL** (tables, views, inclusion dependencies) — apply-then-log
 //!   with structural undo: if the WAL append fails, the catalog change
 //!   is rolled back and the statement fails as a whole.
-//! * **DML** — physical [`fgac_storage::TableDelta`]s recorded by the
-//!   storage layer, logged after the statement succeeds. If the append
-//!   fails, the pre-statement table snapshot is restored. A record is
-//!   written even when zero rows changed, so replay reproduces the data
-//!   version exactly.
+//! * **DML** — the physical [`fgac_storage::TableDelta`]s the statement
+//!   journaled, logged in place after the statement succeeds and before
+//!   the journal is committed. If the append fails, the statement is
+//!   rolled back to its journal mark. A record is written even when zero
+//!   rows changed, so replay reproduces the data version exactly.
 //! * **Policy operations** (grants, revocations, roles, delegation,
 //!   constraint visibility) — log-then-apply: the in-memory application
 //!   is infallible, so nothing needs undoing and the grant tables never
@@ -41,7 +41,7 @@
 use crate::engine::Engine;
 use crate::invalidation::PolicyDelta;
 use fgac_sql::Statement;
-use fgac_storage::TableSnapshot;
+use fgac_storage::Mark;
 use fgac_types::{Error, Ident, Result};
 use fgac_wal::{GrantsState, SnapshotState, TableState, WalRecord, WalStore};
 use std::path::Path;
@@ -169,7 +169,6 @@ impl Engine {
     }
 
     fn attach(&mut self, durability: Durability) {
-        self.db.set_delta_recording(true);
         self.durability = Some(durability);
     }
 
@@ -233,32 +232,22 @@ impl Engine {
         Ok(())
     }
 
-    /// Commits a successful DML statement: logs the recorded deltas and
-    /// bumps the data version. On WAL failure the pre-statement snapshot
-    /// is restored and the statement fails — the database never runs
-    /// ahead of the log.
-    pub(crate) fn commit_dml(&mut self, undo: Option<TableSnapshot>) -> Result<()> {
-        if self.durability.is_some() {
-            let deltas = self.db.take_deltas();
-            if let Err(e) = self.log_commit(WalRecord::Dml { deltas }) {
-                if let Some(snap) = undo {
-                    // The table existed when the snapshot was taken and
-                    // DDL is admin-only, so this cannot fail.
-                    let _ = self.db.restore_table(snap);
-                }
+    /// Commits a successful DML statement: logs the redo journaled since
+    /// `mark` (durable engines), commits the journal and bumps the data
+    /// version. On WAL failure the statement is rolled back to `mark` and
+    /// fails — the database never runs ahead of the log.
+    pub(crate) fn commit_dml(&mut self, mark: Mark) -> Result<()> {
+        if let Some(d) = self.durability.as_mut() {
+            let sync = d.opts.sync_on_commit;
+            if let Err(e) = d.store.append_dml(self.db.pending(mark), sync) {
+                self.db.rollback_to(mark);
                 return Err(e);
             }
         }
+        self.db.commit();
         self.bump();
         self.maybe_snapshot();
         Ok(())
-    }
-
-    /// Drops deltas recorded by a statement that failed or rolled back.
-    pub(crate) fn discard_deltas(&mut self) {
-        if self.durability.is_some() {
-            let _ = self.db.take_deltas();
-        }
     }
 
     /// Installs a snapshot when the log has grown past the configured
@@ -389,9 +378,11 @@ impl Engine {
                 .create_table(t.name.clone(), t.schema.clone(), t.primary_key.clone())?;
         }
         for t in snap.tables {
+            self.db.reserve(&t.name, t.rows.len())?;
             for row in t.rows {
                 self.db.insert_unchecked(&t.name, row)?;
             }
+            self.db.commit();
         }
         for fk in snap.foreign_keys {
             self.db.add_foreign_key(fk)?;
@@ -445,6 +436,7 @@ impl Engine {
                 for delta in deltas {
                     self.db.apply_delta(delta)?;
                 }
+                self.db.commit();
                 self.bump();
                 Ok(())
             }

@@ -220,13 +220,13 @@ impl Engine {
             Statement::CreateTable(_)
             | Statement::CreateView(_)
             | Statement::CreateInclusionDependency(_) => self.apply_ddl_logged(stmt),
-            Statement::Insert(i) => self.admin_dml(&i.table, |db| {
+            Statement::Insert(i) => self.admin_dml(|db| {
                 fgac_exec::execute_insert(db, i, &fgac_algebra::ParamScope::new()).map(|_| ())
             }),
-            Statement::Update(u) => self.admin_dml(&u.table, |db| {
+            Statement::Update(u) => self.admin_dml(|db| {
                 fgac_exec::execute_update(db, u, &fgac_algebra::ParamScope::new()).map(|_| ())
             }),
-            Statement::Delete(d) => self.admin_dml(&d.table, |db| {
+            Statement::Delete(d) => self.admin_dml(|db| {
                 fgac_exec::execute_delete(db, d, &fgac_algebra::ParamScope::new()).map(|_| ())
             }),
             Statement::Authorize(_) => Err(Error::Unsupported(
@@ -340,15 +340,13 @@ impl Engine {
             match stmt {
                 Statement::CreateTable(t) => {
                     let _ = self.db.drop_table(&t.name);
-                    self.db.catalog_mut().truncate_foreign_keys(fks_before);
+                    self.db.truncate_foreign_keys(fks_before);
                 }
                 Statement::CreateView(v) => {
                     let _ = self.db.drop_view(&v.name);
                 }
                 Statement::CreateInclusionDependency(_) => {
-                    self.db
-                        .catalog_mut()
-                        .truncate_inclusion_dependencies(deps_before);
+                    self.db.truncate_inclusion_dependencies(deps_before);
                 }
                 _ => {}
             }
@@ -358,51 +356,36 @@ impl Engine {
         Ok(())
     }
 
-    /// Admin DML commit protocol: execute against the database, then
-    /// commit the recorded deltas ([`Engine::commit_dml`]). On failure
-    /// the target table is restored and the deltas are dropped.
-    fn admin_dml(&mut self, table: &Ident, f: impl FnOnce(&mut Database) -> Result<()>) -> Result<()> {
-        let undo = self.db.snapshot_table(table).ok();
+    /// Admin DML commit protocol: take the statement mark, execute
+    /// against the database, then commit ([`Engine::commit_dml`]). On
+    /// failure everything journaled since the mark is rolled back.
+    fn admin_dml(&mut self, f: impl FnOnce(&mut Database) -> Result<()>) -> Result<()> {
+        let mark = self.db.mark();
         match f(&mut self.db) {
-            Ok(()) => self.commit_dml(undo),
+            Ok(()) => self.commit_dml(mark),
             Err(e) => {
-                self.discard_deltas();
+                self.db.rollback_to(mark);
                 Err(e)
             }
         }
     }
 
-    /// Direct (unchecked) row insertion for loaders/benches.
+    /// Direct (key-checked) row insertion for loaders/benches.
     pub fn admin_insert(&mut self, table: &Ident, row: Row) -> Result<()> {
         self.ensure_open()?;
-        let undo = self.db.snapshot_table(table).ok();
-        let recorded = self.db.insert(table, row);
-        match recorded {
-            Ok(()) => self.commit_dml(undo),
-            Err(e) => {
-                self.discard_deltas();
-                Err(e)
-            }
-        }
+        self.admin_dml(|db| db.insert(table, row))
     }
 
     /// Bulk load without per-row constraint checks. Atomic: a failure
-    /// mid-load restores the table to its pre-load rows.
+    /// mid-load rolls the table back to its pre-load rows.
     pub fn admin_load(&mut self, table: &Ident, rows: Vec<Row>) -> Result<usize> {
         self.ensure_open()?;
-        let undo = self.db.snapshot_table(table).ok();
-        let mut n = 0;
-        for row in rows {
-            if let Err(e) = self.db.insert_unchecked(table, row) {
-                self.discard_deltas();
-                if let Some(snap) = undo {
-                    let _ = self.db.restore_table(snap);
-                }
-                return Err(e);
-            }
-            n += 1;
-        }
-        self.commit_dml(undo)?;
+        let n = rows.len();
+        self.admin_dml(|db| {
+            db.reserve(table, n)?;
+            rows.into_iter()
+                .try_for_each(|row| db.insert_unchecked(table, row))
+        })?;
         Ok(n)
     }
 
@@ -675,8 +658,8 @@ impl Engine {
     }
 
     /// Validity-checks and runs an admitted query. Panic-isolated like
-    /// [`Engine::execute_statement`]; queries never mutate tables, so no
-    /// undo snapshot is needed.
+    /// [`Engine::execute_statement`]; queries never mutate tables, so
+    /// there is nothing to roll back.
     pub(crate) fn execute_cached_query(
         &self,
         session: &Session,
@@ -727,9 +710,10 @@ impl Engine {
     /// path; see [`crate::Prepared`]).
     ///
     /// The user path is panic-isolated: an unwind anywhere below this
-    /// frame becomes [`Error::Internal`], a DML target mutated before
-    /// the panic is rolled back to its pre-statement rows, and the
-    /// engine remains usable for subsequent statements.
+    /// frame becomes [`Error::Internal`], every write journaled since the
+    /// statement mark is rolled back (and the touched tables' key
+    /// indexes rebuilt), and the engine remains usable for subsequent
+    /// statements.
     pub fn execute_statement(
         &mut self,
         session: &Session,
@@ -740,38 +724,26 @@ impl Engine {
             stmt,
             Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_)
         );
-        let undo = match stmt {
-            Statement::Insert(i) => self.db.snapshot_table(&i.table).ok(),
-            Statement::Update(u) => self.db.snapshot_table(&u.table).ok(),
-            Statement::Delete(d) => self.db.snapshot_table(&d.table).ok(),
-            _ => None,
-        };
+        let mark = self.db.mark();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.execute_statement_inner(session, stmt)
         }));
         match outcome {
             Ok(Ok(response)) => {
                 if is_dml {
-                    // Commit point: log the deltas (durable engines) and
+                    // Commit point: log the journal (durable engines) and
                     // bump the data version. A WAL failure rolls the
                     // statement back and fails it.
-                    self.commit_dml(undo)?;
+                    self.commit_dml(mark)?;
                 }
                 Ok(response)
             }
             Ok(Err(e)) => {
-                if is_dml {
-                    self.discard_deltas();
-                }
+                self.db.rollback_to(mark);
                 Err(e)
             }
             Err(payload) => {
-                self.discard_deltas();
-                if let Some(snap) = undo {
-                    // The table existed when the snapshot was taken and
-                    // DDL is admin-only, so this cannot fail.
-                    let _ = self.db.restore_table(snap);
-                }
+                self.db.rollback_after_panic(mark);
                 Err(Error::Internal(format!(
                     "statement execution panicked: {}",
                     panic_message(payload)

@@ -72,34 +72,23 @@ impl<'a> UpdateAuthorizer<'a> {
             .as_ref()
             .map(|f| fgac_algebra::bind_table_expr(db.catalog(), &stmt.table, f, session.params()))
             .transpose()?;
-        // Phase 1: find affected tuples and authorize each.
-        let table = db.table_required(&stmt.table)?;
-        let mut victims = Vec::new();
-        for (i, row) in table.rows().iter().enumerate() {
-            let hit = match &filter {
-                None => true,
-                Some(f) => fgac_exec::eval_predicate(f, row)?,
-            };
-            if !hit {
-                continue;
-            }
+        // One pass authorizes every victim before any row is removed.
+        fgac_exec::delete_matching(db, &stmt.table, filter.as_ref(), |row| {
             // DELETE has no after-image: bare columns (bound to the
             // "new" slots) and OLD() both refer to the deleted tuple.
             let env = Env {
                 old: Some(row),
                 new: Some(row),
             };
-            if !satisfies_any(&conds, &env)? {
-                return Err(Error::Unauthorized(format!(
+            if satisfies_any(&conds, &env)? {
+                Ok(())
+            } else {
+                Err(Error::Unauthorized(format!(
                     "delete from {} of tuple {row} is not authorized",
                     stmt.table
-                )));
+                )))
             }
-            victims.push(i);
-        }
-        // Phase 2: apply by position — exact even for duplicate rows
-        // (bag semantics), and nothing was touched if phase 1 failed.
-        db.delete_at(&stmt.table, &victims)
+        })
     }
 
     /// Authorizes and (if allowed) executes an UPDATE.
@@ -112,38 +101,22 @@ impl<'a> UpdateAuthorizer<'a> {
         let assigned: Vec<Ident> = stmt.assignments.iter().map(|(c, _)| c.clone()).collect();
         let conds = self.conditions(db, session, DmlAction::Update, &stmt.table, &assigned)?;
         let (filter, assignments) = fgac_exec::bind_update(db, stmt, session.params())?;
-
-        // Phase 1: compute old/new images and authorize each.
-        let table = db.table_required(&stmt.table)?;
-        let mut count = 0usize;
-        for row in table.rows() {
-            let hit = match &filter {
-                None => true,
-                Some(f) => fgac_exec::eval_predicate(f, row)?,
-            };
-            if !hit {
-                continue;
-            }
-            let mut new = row.clone();
-            for (idx, e) in &assignments {
-                new.0[*idx] = fgac_exec::eval(e, row)?;
-            }
+        // One pass computes each old/new image pair and authorizes it
+        // before any row is written.
+        fgac_exec::update_matching(db, &stmt.table, filter.as_ref(), &assignments, |old, new| {
             let env = Env {
-                old: Some(row),
-                new: Some(&new),
+                old: Some(old),
+                new: Some(new),
             };
-            if !satisfies_any(&conds, &env)? {
-                return Err(Error::Unauthorized(format!(
-                    "update of {} tuple {row} is not authorized",
+            if satisfies_any(&conds, &env)? {
+                Ok(())
+            } else {
+                Err(Error::Unauthorized(format!(
+                    "update of {} tuple {old} is not authorized",
                     stmt.table
-                )));
+                )))
             }
-            count += 1;
-        }
-        // Phase 2: apply through the engine primitive.
-        let applied = fgac_exec::update_matching(db, &stmt.table, filter.as_ref(), &assignments)?;
-        debug_assert_eq!(applied, count);
-        Ok(applied)
+        })
     }
 
     /// Collects and binds the conditions applicable to (action, table)

@@ -28,17 +28,16 @@ pub fn execute_insert(db: &mut Database, stmt: &sql::Insert, params: &ParamScope
     Ok(DmlOutcome { affected })
 }
 
-/// Inserts every row or none: on any constraint/type failure the table
-/// is restored to its pre-statement state before the error propagates.
+/// Inserts every row or none: on any constraint/type failure the rows
+/// this call inserted are rolled back (to a journal mark taken on entry)
+/// before the error propagates.
 pub fn insert_all_atomic(db: &mut Database, table: &Ident, rows: Vec<Row>) -> Result<usize> {
-    let snap = db.snapshot_table(table)?;
-    match try_insert_all(db, table, rows) {
-        Ok(n) => Ok(n),
-        Err(e) => {
-            db.restore_table(snap)?;
-            Err(e)
-        }
+    let mark = db.mark();
+    let out = try_insert_all(db, table, rows);
+    if out.is_err() {
+        db.rollback_to(mark);
     }
+    out
 }
 
 fn try_insert_all(db: &mut Database, table: &Ident, rows: Vec<Row>) -> Result<usize> {
@@ -137,7 +136,7 @@ pub fn bind_update(
 /// Executes an `UPDATE`.
 pub fn execute_update(db: &mut Database, stmt: &sql::Update, params: &ParamScope) -> Result<DmlOutcome> {
     let (filter, assignments) = bind_update(db, stmt, params)?;
-    let affected = update_matching(db, &stmt.table, filter.as_ref(), &assignments)?;
+    let affected = update_matching(db, &stmt.table, filter.as_ref(), &assignments, |_, _| Ok(()))?;
     Ok(DmlOutcome { affected })
 }
 
@@ -145,16 +144,18 @@ pub fn execute_update(db: &mut Database, stmt: &sql::Update, params: &ParamScope
 /// number of rows updated.
 ///
 /// Evaluate-before-mutate: the filter and every assignment are
-/// evaluated for **all** matching rows before the first row is written,
-/// so an evaluation error on the Nth match leaves the table untouched
-/// rather than half-updated. The write itself goes through
-/// `Database::apply_row_updates`, which type-checks every replacement
-/// row before applying any.
+/// evaluated for **all** matching rows — and each `(old, new)` pair is
+/// handed to `check` (per-tuple update authorization, Section 4.4) —
+/// before the first row is written, so an error on the Nth match leaves
+/// the table untouched rather than half-updated. The write itself goes
+/// through `Database::apply_row_updates`: type and key checks on every
+/// replacement, all or nothing.
 pub fn update_matching(
     db: &mut Database,
     table: &Ident,
     filter: Option<&ScalarExpr>,
     assignments: &[(usize, ScalarExpr)],
+    mut check: impl FnMut(&Row, &Row) -> Result<()>,
 ) -> Result<usize> {
     let t = db.table_required(table)?;
     let mut updates = Vec::new();
@@ -172,6 +173,7 @@ pub fn update_matching(
         for (idx, e) in assignments {
             new.0[*idx] = eval(e, row)?;
         }
+        check(row, &new)?;
         updates.push((i, new));
     }
     db.apply_row_updates(table, updates)
@@ -184,12 +186,26 @@ pub fn execute_delete(db: &mut Database, stmt: &sql::Delete, params: &ParamScope
         .as_ref()
         .map(|f| bind_table_expr(db.catalog(), &stmt.table, f, params))
         .transpose()?;
-    // Evaluate-before-mutate: decide the full victim set first so a
-    // filter evaluation error deletes nothing.
-    let t = db.table_required(&stmt.table)?;
+    let affected = delete_matching(db, &stmt.table, filter.as_ref(), |_| Ok(()))?;
+    Ok(DmlOutcome { affected })
+}
+
+/// Deletes the rows matching the filter; returns how many.
+///
+/// Evaluate-before-mutate: the full victim set is decided — each victim
+/// handed to `check` (per-tuple delete authorization) — before any row
+/// is removed, so a filter or check error deletes nothing. Removal is by
+/// position, exact even for duplicate rows (bag semantics).
+pub fn delete_matching(
+    db: &mut Database,
+    table: &Ident,
+    filter: Option<&ScalarExpr>,
+    mut check: impl FnMut(&Row) -> Result<()>,
+) -> Result<usize> {
+    let t = db.table_required(table)?;
     let mut victims = Vec::new();
     for (i, row) in t.rows().iter().enumerate() {
-        let hit = match &filter {
+        let hit = match filter {
             None => true,
             Some(f) => eval_predicate(f, row)?,
         };
@@ -198,10 +214,10 @@ pub fn execute_delete(db: &mut Database, stmt: &sql::Delete, params: &ParamScope
         }
         #[cfg(feature = "fault-injection")]
         fgac_types::faults::hit("exec::delete_row")?;
+        check(row)?;
         victims.push(i);
     }
-    let affected = db.delete_at(&stmt.table, &victims)?;
-    Ok(DmlOutcome { affected })
+    db.delete_at(table, &victims)
 }
 
 /// Audits a (possibly conditional) inclusion dependency against the

@@ -30,8 +30,8 @@ mod exec;
 mod pushdown;
 
 pub use dml::{
-    audit_inclusion, bind_update, execute_delete, execute_insert, execute_update,
-    insert_all_atomic, insert_rows, update_matching, DmlOutcome,
+    audit_inclusion, bind_update, delete_matching, execute_delete, execute_insert,
+    execute_update, insert_all_atomic, insert_rows, update_matching, DmlOutcome,
 };
 pub use eval::{eval, eval_predicate};
 pub use exec::{

@@ -1,52 +1,86 @@
-//! The database: catalog + table data, with key/foreign-key enforcement.
+//! The database: catalog + table data, key enforcement, and the
+//! statement journal.
+//!
+//! ## The journal
+//!
+//! Every row write goes through one of three positional primitives —
+//! [`Database::insert`] (and its unchecked twin), [`Database::apply_row_updates`]
+//! and [`Database::delete_at`] — and each is journaled with its redo
+//! (the [`TableDelta`]s to log) and its undo image (see [`crate::delta`]).
+//! A statement brackets its writes:
+//!
+//! ```text
+//! let m = db.mark();          // savepoint: O(1)
+//! ... primitives ...          // each journals, then maintains indexes
+//! db.rollback_to(m);          // failure: invert entries after m, newest first
+//! db.pending(m)               // success: the redo, borrowed (what a WAL logs)
+//! db.commit();                // then drop the journal
+//! ```
+//!
+//! Marks nest (a multi-row insert takes an inner one). Within a
+//! primitive the row write is journaled *before* the key indexes are
+//! touched, so a panic can only strike between a journaled row write and
+//! its index write; [`Database::rollback_after_panic`] restores the rows
+//! from the journal and rebuilds those tables' indexes from the rows.
+// Row and index mutation; a panic mid-statement leaves a torn table (see
+// clippy.toml). Bubble a Result instead. Tests exempt.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use crate::catalog::{Catalog, TableMeta, ViewDef};
 use crate::constraint::{ForeignKey, InclusionDependency};
-use crate::delta::TableDelta;
+use crate::delta::{DeltaRef, Entry, Mark, TableDelta};
 use crate::table::Table;
 use fgac_types::{Error, Ident, Result, Row, Schema, Value};
 use std::collections::BTreeMap;
 
 /// An in-memory database: a [`Catalog`] plus the stored rows of every
 /// base table. Primary-key uniqueness and foreign-key existence are
-/// enforced on insert/update/delete; declared inclusion dependencies are
-/// *assumed* (they describe the legal database states the inference rules
-/// reason over) but can be audited with [`Database::unsatisfied_inclusions_on`].
-///
-/// When delta recording is on (durable engines only — see
-/// [`Database::set_delta_recording`]), every successful row mutation also
-/// appends a [`TableDelta`] describing it, which the WAL layer drains per
-/// statement. Recording is off by default and costs nothing when off.
+/// enforced on every checked insert and every update, through one hash
+/// index per declared key; deletes do not cascade and are not checked
+/// (a parent-key update is not either), so dangling references are
+/// possible and can be audited with `fgac_exec::audit_inclusion`.
+/// Declared inclusion dependencies are *assumed* (they describe the
+/// legal database states the inference rules reason over).
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     catalog: Catalog,
     tables: BTreeMap<Ident, Table>,
-    recording: bool,
-    deltas: Vec<TableDelta>,
+    /// The catalog's foreign keys, in declaration order, with column
+    /// positions resolved when they were declared.
+    fks: Vec<FkCheck>,
+    /// Entries since the last commit (see the module docs).
+    journal: Vec<Entry>,
+    /// Journal length at the newest mark: an append never joins an
+    /// entry below it, so a rollback to that mark undoes it whole.
+    seal: usize,
 }
 
-/// Undo record for one table: the rows as they were when the snapshot
-/// was taken. See [`Database::snapshot_table`].
+/// A foreign key with its column positions resolved.
 #[derive(Debug, Clone)]
-pub struct TableSnapshot {
-    table: Ident,
-    rows: Vec<Row>,
+struct FkCheck {
+    name: Ident,
+    child: Ident,
+    child_cols: Box<[usize]>,
+    parent: Ident,
+    parent_cols: Box<[usize]>,
 }
 
-impl TableSnapshot {
-    /// The table this snapshot belongs to.
-    pub fn table(&self) -> &Ident {
-        &self.table
-    }
+fn unknown(table: &Ident) -> Error {
+    Error::Bind(format!("unknown table {table}"))
+}
 
-    /// Number of rows captured.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
+fn positions(schema: &Schema, table: &Ident, cols: &[Ident]) -> Result<Box<[usize]>> {
+    cols.iter()
+        .map(|c| {
+            schema
+                .index_of(c)
+                .ok_or_else(|| Error::Catalog(format!("column {c} not in {table}")))
+        })
+        .collect()
+}
 
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
+fn key_values(row: &Row, cols: &[usize]) -> Vec<Value> {
+    cols.iter().map(|&c| row.get(c).clone()).collect()
 }
 
 impl Database {
@@ -58,10 +92,6 @@ impl Database {
         &self.catalog
     }
 
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// Creates a base table.
     pub fn create_table(
         &mut self,
@@ -70,14 +100,35 @@ impl Database {
         primary_key: Option<Vec<Ident>>,
     ) -> Result<()> {
         let name = name.into();
+        let pk = primary_key
+            .as_deref()
+            .map(|cols| positions(&schema, &name, cols))
+            .transpose()?;
         self.catalog
             .add_table(name.clone(), schema.clone(), primary_key)?;
-        self.tables.insert(name.clone(), Table::new(name, schema));
+        self.tables
+            .insert(name.clone(), Table::new(name, schema, pk));
+        self.refresh_indexes();
         Ok(())
     }
 
     pub fn add_foreign_key(&mut self, fk: ForeignKey) -> Result<()> {
-        self.catalog.add_foreign_key(fk)
+        let schema = |t: &Ident| self.catalog.table_required(t).map(|m| &m.schema);
+        let check = FkCheck {
+            name: fk.name.clone(),
+            child: fk.child_table.clone(),
+            child_cols: positions(schema(&fk.child_table)?, &fk.child_table, &fk.child_columns)?,
+            parent: fk.parent_table.clone(),
+            parent_cols: positions(
+                schema(&fk.parent_table)?,
+                &fk.parent_table,
+                &fk.parent_columns,
+            )?,
+        };
+        self.catalog.add_foreign_key(fk)?;
+        self.fks.push(check);
+        self.refresh_indexes();
+        Ok(())
     }
 
     pub fn add_inclusion_dependency(&mut self, dep: InclusionDependency) -> Result<()> {
@@ -88,240 +139,375 @@ impl Database {
         self.catalog.add_view(view)
     }
 
+    /// Gives every table exactly one index per declared key: its
+    /// primary key and each column list a foreign key references.
+    fn refresh_indexes(&mut self) {
+        for (name, t) in self.tables.iter_mut() {
+            let mut keys: Vec<Box<[usize]>> = t.pk().map(Box::from).into_iter().collect();
+            for fk in self.fks.iter().filter(|fk| &fk.parent == name) {
+                if !keys.contains(&fk.parent_cols) {
+                    keys.push(fk.parent_cols.clone());
+                }
+            }
+            t.set_keys(&keys);
+        }
+    }
+
     pub fn table(&self, name: &Ident) -> Option<&Table> {
         self.tables.get(name)
     }
 
     pub fn table_required(&self, name: &Ident) -> Result<&Table> {
-        self.tables
-            .get(name)
-            .ok_or_else(|| Error::Bind(format!("unknown table {name}")))
+        self.tables.get(name).ok_or_else(|| unknown(name))
     }
 
     pub fn table_meta(&self, name: &Ident) -> Option<&TableMeta> {
         self.catalog.table(name)
     }
 
+    // ---------------- the three positional primitives ----------------
+
     /// Inserts a row, enforcing primary-key uniqueness and foreign-key
-    /// existence.
+    /// existence on its stored (type-widened) form.
     pub fn insert(&mut self, table: &Ident, row: Row) -> Result<()> {
-        #[cfg(feature = "fault-injection")]
-        fgac_types::faults::hit("storage::insert")?;
+        let row = self.table_required(table)?.prepare(row)?;
         self.check_pk_free(table, &row)?;
-        self.check_fk_parents(table, &row)?;
-        let recorded = self.recording.then(|| row.clone());
-        self.tables
-            .get_mut(table)
-            .ok_or_else(|| Error::Bind(format!("unknown table {table}")))?
-            .insert(row)?;
-        if let Some(row) = recorded {
-            self.deltas.push(TableDelta::Insert {
-                table: table.clone(),
-                row,
-            });
-        }
-        Ok(())
+        self.fks
+            .iter()
+            .filter(|fk| &fk.child == table)
+            .try_for_each(|fk| self.check_fk(fk, &row))?;
+        self.append(table, row)
     }
 
-    /// Inserts without constraint checks — bulk loading only.
+    /// Inserts without key checks — bulk loading and replay.
     pub fn insert_unchecked(&mut self, table: &Ident, row: Row) -> Result<()> {
-        let recorded = self.recording.then(|| row.clone());
-        self.tables
-            .get_mut(table)
-            .ok_or_else(|| Error::Bind(format!("unknown table {table}")))?
-            .insert(row)?;
-        if let Some(row) = recorded {
-            self.deltas.push(TableDelta::Insert {
+        let row = self.table_required(table)?.prepare(row)?;
+        self.append(table, row)
+    }
+
+    fn append(&mut self, table: &Ident, row: Row) -> Result<()> {
+        let t = self.tables.get_mut(table).ok_or_else(|| unknown(table))?;
+        t.push(row)?;
+        let pos = t.len() - 1;
+        let open = self.journal.len() > self.seal;
+        match self.journal.last_mut() {
+            Some(Entry::Append {
+                table: last,
+                from,
+                count,
+                copy: None,
+            }) if open && last == table && *from + *count == pos => *count += 1,
+            _ => self.journal.push(Entry::Append {
                 table: table.clone(),
-                row,
-            });
+                from: pos,
+                count: 1,
+                copy: None,
+            }),
         }
+        // Between the (journaled) row write and the index write.
+        #[cfg(feature = "fault-injection")]
+        if let Err(e) = fgac_types::faults::hit("storage::insert") {
+            // Take back just this row; it was never indexed.
+            if let Some(Entry::Append { count, .. }) = self.journal.last_mut() {
+                *count -= 1;
+                if *count == 0 {
+                    self.journal.pop();
+                }
+            }
+            t.undo_append(pos, false);
+            return Err(e);
+        }
+        t.index_last();
         Ok(())
     }
 
-    /// Convenience: insert many rows (checked).
-    pub fn insert_all<I>(&mut self, table: &Ident, rows: I) -> Result<usize>
-    where
-        I: IntoIterator<Item = Row>,
-    {
-        let mut n = 0;
-        for row in rows {
-            self.insert(table, row)?;
-            n += 1;
+    /// Copies out the rows this statement appended to `table` that the
+    /// redo still reads in place: a write is about to change the table.
+    fn pin_appends(&mut self, table: &Ident) {
+        let Some(t) = self.tables.get(table) else {
+            return;
+        };
+        for entry in &mut self.journal {
+            if let Entry::Append {
+                table: at,
+                from,
+                count,
+                copy: copy @ None,
+            } = entry
+            {
+                if at == table {
+                    *copy = Some(t.rows().get(*from..*from + *count).unwrap_or_default().to_vec());
+                }
+            }
         }
-        Ok(n)
     }
 
     fn check_pk_free(&self, table: &Ident, row: &Row) -> Result<()> {
-        let Some(meta) = self.catalog.table(table) else {
-            return Err(Error::Bind(format!("unknown table {table}")));
-        };
-        let Some(pk) = &meta.primary_key else {
+        let t = self.table_required(table)?;
+        match t.pk() {
+            Some(pk) if t.holds_key(pk, row, pk, None)? => Err(Error::Constraint(format!(
+                "duplicate primary key {:?} in {table}",
+                key_values(row, pk)
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    fn check_fk(&self, fk: &FkCheck, row: &Row) -> Result<()> {
+        // NULL foreign keys reference nothing (SQL semantics).
+        if fk.child_cols.iter().any(|&c| row.get(c).is_null()) {
             return Ok(());
-        };
-        let idx: Vec<usize> = pk
-            .iter()
-            .map(|c| meta.schema.index_of(c).expect("validated pk column"))
-            .collect();
-        let key: Vec<Value> = idx.iter().map(|&i| row.get(i).clone()).collect();
-        if self.tables[table].contains_key(&idx, &key) {
-            return Err(Error::Constraint(format!(
-                "duplicate primary key {key:?} in {table}"
-            )));
         }
-        Ok(())
-    }
-
-    fn check_fk_parents(&self, table: &Ident, row: &Row) -> Result<()> {
-        let meta = self.catalog.table_required(table)?;
-        for fk in self.catalog.foreign_keys() {
-            if &fk.child_table != table {
-                continue;
-            }
-            let child_idx: Vec<usize> = fk
-                .child_columns
-                .iter()
-                .map(|c| meta.schema.index_of(c).expect("validated fk column"))
-                .collect();
-            let key: Vec<Value> = child_idx.iter().map(|&i| row.get(i).clone()).collect();
-            // NULL foreign keys reference nothing (SQL semantics).
-            if key.iter().any(|v| v.is_null()) {
-                continue;
-            }
-            let parent_meta = self.catalog.table_required(&fk.parent_table)?;
-            let parent_idx: Vec<usize> = fk
-                .parent_columns
-                .iter()
-                .map(|c| parent_meta.schema.index_of(c).expect("validated fk column"))
-                .collect();
-            if !self.tables[&fk.parent_table].contains_key(&parent_idx, &key) {
-                return Err(Error::Constraint(format!(
-                    "foreign key {}: value {key:?} not present in {}",
-                    fk.name, fk.parent_table
-                )));
-            }
+        let parent = self.table_required(&fk.parent)?;
+        if parent.holds_key(&fk.parent_cols, row, &fk.child_cols, None)? {
+            return Ok(());
         }
-        Ok(())
+        Err(Error::Constraint(format!(
+            "foreign key {}: value {:?} not present in {}",
+            fk.name,
+            key_values(row, &fk.child_cols),
+            fk.parent
+        )))
     }
 
-    /// Deletes rows matching `pred`; returns how many. Does not cascade —
-    /// dangling references surface via [`Database::unsatisfied_inclusions_on`].
-    pub fn delete_where(
-        &mut self,
-        table: &Ident,
-        pred: impl FnMut(&Row) -> bool,
-    ) -> Result<usize> {
-        self.tables
-            .get_mut(table)
-            .ok_or_else(|| Error::Bind(format!("unknown table {table}")))
-            .map(|t| t.delete_where(pred))
-    }
-
-    /// Replaces row `i` of `table` for each `(i, row)` pair; all
-    /// replacements type-check before any is applied.
+    /// Replaces row `i` of `table` for each `(i, row)` pair, all or
+    /// nothing: every replacement type-checks before any is applied, and
+    /// the statement's *final* state must keep the primary key unique
+    /// and every changed foreign key resolvable (so two rows may swap
+    /// keys). Violations report the same errors as [`Database::insert`].
     pub fn apply_row_updates(
         &mut self,
         table: &Ident,
         updates: Vec<(usize, Row)>,
     ) -> Result<usize> {
-        let recorded = self.recording.then(|| updates.clone());
-        let n = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| Error::Bind(format!("unknown table {table}")))?
-            .apply_row_updates(updates)?;
-        if let Some(updates) = recorded {
-            self.deltas.push(TableDelta::Update {
-                table: table.clone(),
-                updates,
-            });
+        let mark = self.mark();
+        let n = self.write_updates(table, updates)?;
+        if let Err(e) = self.check_update(table, mark) {
+            self.rollback_to(mark);
+            return Err(e);
         }
         Ok(n)
     }
 
-    /// Removes the rows of `table` at the given positions; returns how
-    /// many were removed.
-    pub fn delete_at(&mut self, table: &Ident, indexes: &[usize]) -> Result<usize> {
-        let n = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| Error::Bind(format!("unknown table {table}")))
-            .map(|t| t.delete_at(indexes))?;
-        if self.recording {
-            self.deltas.push(TableDelta::Delete {
-                table: table.clone(),
-                indexes: indexes.to_vec(),
-            });
+    fn write_updates(&mut self, table: &Ident, updates: Vec<(usize, Row)>) -> Result<usize> {
+        self.pin_appends(table);
+        let t = self.tables.get_mut(table).ok_or_else(|| unknown(table))?;
+        let mut checked = Vec::with_capacity(updates.len());
+        for (i, new) in updates {
+            if i >= t.len() {
+                return Err(Error::Execution(format!(
+                    "row index {i} out of bounds in {table} ({} rows)",
+                    t.len()
+                )));
+            }
+            checked.push((i, t.prepare(new)?));
         }
-        Ok(n)
-    }
-
-    /// Captures the current rows of `table` for undo. Pair with
-    /// [`Database::restore_table`] to roll a failed multi-row mutation
-    /// back to exactly this state.
-    pub fn snapshot_table(&self, table: &Ident) -> Result<TableSnapshot> {
-        Ok(TableSnapshot {
+        let n = checked.len();
+        let old: Vec<Row> = checked
+            .iter()
+            .map(|(i, new)| t.replace(*i, new.clone()))
+            .collect();
+        self.journal.push(Entry::Update {
             table: table.clone(),
-            rows: self.table_required(table)?.snapshot_rows(),
-        })
+            updates: checked,
+            old,
+        });
+        if let Some(Entry::Update { updates, old, .. }) = self.journal.last() {
+            for ((pos, new), old) in updates.iter().zip(old) {
+                t.reindex(*pos, old, new);
+            }
+        }
+        Ok(n)
     }
 
-    /// Restores a table to a previously captured snapshot, discarding
-    /// every mutation since. The schema cannot have changed in between:
-    /// snapshots live within a single statement and DDL runs on the
-    /// admin path only.
-    pub fn restore_table(&mut self, snap: TableSnapshot) -> Result<()> {
-        self.tables
-            .get_mut(&snap.table)
-            .ok_or_else(|| Error::Bind(format!("unknown table {}", snap.table)))?
-            .restore_rows(snap.rows);
+    /// Key checks for the update journaled at `mark`, against the
+    /// table's final state. Only keys the update changed are checked.
+    fn check_update(&self, table: &Ident, mark: Mark) -> Result<()> {
+        let Some(Entry::Update { updates, old, .. }) = self.journal.get(mark.0) else {
+            return Ok(());
+        };
+        let t = self.table_required(table)?;
+        for ((pos, new), old) in updates.iter().zip(old) {
+            let changed = |cols: &[usize]| cols.iter().any(|&c| old.get(c) != new.get(c));
+            let Some(row) = t.rows().get(*pos) else {
+                continue;
+            };
+            if let Some(pk) = t.pk() {
+                if changed(pk) && t.holds_key(pk, row, pk, Some(*pos))? {
+                    return Err(Error::Constraint(format!(
+                        "duplicate primary key {:?} in {table}",
+                        key_values(row, pk)
+                    )));
+                }
+            }
+            for fk in self.fks.iter().filter(|fk| &fk.child == table) {
+                if changed(&fk.child_cols) {
+                    self.check_fk(fk, row)?;
+                }
+            }
+        }
         Ok(())
     }
 
-    /// Turns physical delta recording on or off. Off by default; durable
-    /// engines enable it so the WAL can capture committed DML. Turning it
-    /// on or off discards any pending deltas.
-    pub fn set_delta_recording(&mut self, on: bool) {
-        self.recording = on;
-        self.deltas.clear();
+    /// Removes the rows of `table` at the given positions (any order;
+    /// duplicates and out-of-range positions ignored); returns how many
+    /// were removed. Unchecked: deletes do not cascade.
+    pub fn delete_at(&mut self, table: &Ident, indexes: &[usize]) -> Result<usize> {
+        self.pin_appends(table);
+        let t = self.tables.get_mut(table).ok_or_else(|| unknown(table))?;
+        let mut victims: Vec<usize> = indexes.iter().copied().filter(|&i| i < t.len()).collect();
+        victims.sort_unstable();
+        victims.dedup();
+        let removed = t.remove_rows(&victims);
+        self.journal.push(Entry::Delete {
+            table: table.clone(),
+            indexes: indexes.to_vec(),
+            removed,
+        });
+        if let Some(Entry::Delete { removed, .. }) = self.journal.last() {
+            t.index_after_delete(removed);
+        }
+        Ok(victims.len())
     }
 
-    pub fn delta_recording(&self) -> bool {
-        self.recording
-    }
-
-    /// Drains the deltas recorded since the last call. The engine calls
-    /// this once per statement: on success the deltas go to the WAL, on
-    /// failure they are dropped along with the rolled-back mutation.
-    pub fn take_deltas(&mut self) -> Vec<TableDelta> {
-        std::mem::take(&mut self.deltas)
-    }
-
-    /// Re-applies a logged delta during recovery. Constraint checks are
-    /// skipped (the delta already committed once); recording is
-    /// suppressed so replay does not re-log.
+    /// Re-applies a logged delta during recovery through the same
+    /// primitives. Key checks are skipped (the delta committed once);
+    /// the write is journaled, so the caller commits per record.
     pub fn apply_delta(&mut self, delta: TableDelta) -> Result<()> {
-        let was_recording = std::mem::replace(&mut self.recording, false);
-        let out = match delta {
+        match delta {
             TableDelta::Insert { table, row } => self.insert_unchecked(&table, row),
             TableDelta::Update { table, updates } => {
-                self.apply_row_updates(&table, updates).map(|_| ())
+                self.write_updates(&table, updates).map(|_| ())
             }
             TableDelta::Delete { table, indexes } => {
                 self.delete_at(&table, &indexes).map(|_| ())
             }
-        };
-        self.recording = was_recording;
-        out
+        }
     }
+
+    // ---------------- savepoints ----------------
+
+    /// A savepoint at the journal's current end.
+    pub fn mark(&mut self) -> Mark {
+        self.seal = self.journal.len();
+        Mark(self.seal)
+    }
+
+    /// Undoes every write journaled after `mark`, newest first, and
+    /// keeps the indexes in step. A mark past the journal's end (one
+    /// taken before a commit) undoes nothing.
+    pub fn rollback_to(&mut self, mark: Mark) {
+        while self.journal.len() > mark.0 {
+            let Some(entry) = self.journal.pop() else {
+                break;
+            };
+            self.undo(entry, true);
+        }
+        self.seal = self.seal.min(mark.0);
+    }
+
+    /// [`Database::rollback_to`] for a statement a panic unwound out of:
+    /// the rows are restored from the journal alone, then every touched
+    /// table's indexes are rebuilt from its rows — the panic may have
+    /// struck between a row write and its index write.
+    pub fn rollback_after_panic(&mut self, mark: Mark) {
+        let mut touched: Vec<Ident> = Vec::new();
+        while self.journal.len() > mark.0 {
+            let Some(entry) = self.journal.pop() else {
+                break;
+            };
+            if !touched.contains(entry.table()) {
+                touched.push(entry.table().clone());
+            }
+            self.undo(entry, false);
+        }
+        self.seal = self.seal.min(mark.0);
+        for name in &touched {
+            if let Some(t) = self.tables.get_mut(name) {
+                t.rebuild_indexes();
+            }
+        }
+    }
+
+    fn undo(&mut self, entry: Entry, reindex: bool) {
+        let Some(t) = self.tables.get_mut(entry.table()) else {
+            return;
+        };
+        match entry {
+            Entry::Append { from, .. } => t.undo_append(from, reindex),
+            Entry::Update { updates, old, .. } => t.undo_update(&updates, old, reindex),
+            Entry::Delete { removed, .. } => t.undo_delete(removed, reindex),
+        }
+    }
+
+    /// The redo of every write journaled after `since`, in order and
+    /// borrowed — what a durable engine logs *before* it commits, so
+    /// that a failed append can still roll the statement back.
+    pub fn pending(&self, since: Mark) -> impl Iterator<Item = DeltaRef<'_>> + '_ {
+        self.journal
+            .get(since.0..)
+            .unwrap_or_default()
+            .iter()
+            .flat_map(move |entry| {
+                let (appended, other) = match entry {
+                    Entry::Append {
+                        copy: Some(rows), ..
+                    } => (&rows[..], None),
+                    // The rows are in place: `pin_appends` copies them
+                    // out before anything could move or change them.
+                    Entry::Append {
+                        table, from, count, ..
+                    } => (
+                        self.tables
+                            .get(table)
+                            .and_then(|t| t.rows().get(*from..*from + *count))
+                            .unwrap_or_default(),
+                        None,
+                    ),
+                    Entry::Update { table, updates, .. } => {
+                        (&[][..], Some(DeltaRef::Update { table, updates }))
+                    }
+                    Entry::Delete { table, indexes, .. } => {
+                        (&[][..], Some(DeltaRef::Delete { table, indexes }))
+                    }
+                };
+                let table = entry.table();
+                appended
+                    .iter()
+                    .map(move |row| DeltaRef::Insert { table, row })
+                    .chain(other)
+            })
+    }
+
+    /// Ends the statement: drops the journal, undo images included.
+    /// Every outstanding mark becomes a no-op.
+    pub fn commit(&mut self) {
+        self.journal.clear();
+        self.seal = 0;
+    }
+
+    // ---------------- bulk paths ----------------
+
+    /// Room for `extra` more rows in `table` and each of its indexes,
+    /// ahead of a bulk insert.
+    pub fn reserve(&mut self, table: &Ident, extra: usize) -> Result<()> {
+        self.tables
+            .get_mut(table)
+            .ok_or_else(|| unknown(table))?
+            .reserve(extra);
+        Ok(())
+    }
+
+    // ---------------- DDL undo ----------------
 
     /// Removes a base table (data and catalog entry). Used to undo a
     /// `CREATE TABLE` whose WAL append failed — not exposed as SQL.
     pub fn drop_table(&mut self, name: &Ident) -> Result<()> {
         if self.tables.remove(name).is_none() {
-            return Err(Error::Bind(format!("unknown table {name}")));
+            return Err(unknown(name));
         }
         self.catalog.remove_table(name);
+        self.refresh_indexes();
         Ok(())
     }
 
@@ -333,60 +519,34 @@ impl Database {
         Ok(())
     }
 
-    /// Updates rows matching `pred` via `f`; returns how many.
-    pub fn update_where(
-        &mut self,
-        table: &Ident,
-        pred: impl FnMut(&Row) -> bool,
-        f: impl FnMut(&Row) -> Row,
-    ) -> Result<usize> {
-        self.tables
-            .get_mut(table)
-            .ok_or_else(|| Error::Bind(format!("unknown table {table}")))?
-            .update_where(pred, f)
+    /// Drops foreign keys declared after the first `len`. Undo-only.
+    pub fn truncate_foreign_keys(&mut self, len: usize) {
+        self.catalog.truncate_foreign_keys(len);
+        self.fks.truncate(len);
+        self.refresh_indexes();
     }
 
-    /// Audits one *unconditional* inclusion dependency against current
-    /// data, returning the violating source keys (conditional filters are
-    /// ignored here — full audits with filters run through the executor,
-    /// which can evaluate arbitrary predicates).
-    pub fn unsatisfied_inclusions_on(&self, dep: &InclusionDependency) -> Result<Vec<Vec<Value>>> {
-        let src_meta = self.catalog.table_required(&dep.src_table)?;
-        let dst_meta = self.catalog.table_required(&dep.dst_table)?;
-        let src_idx: Vec<usize> = dep
-            .src_columns
-            .iter()
-            .map(|c| {
-                src_meta
-                    .schema
-                    .index_of(c)
-                    .ok_or_else(|| Error::Catalog(format!("bad column {c}")))
-            })
-            .collect::<Result<_>>()?;
-        let dst_idx: Vec<usize> = dep
-            .dst_columns
-            .iter()
-            .map(|c| {
-                dst_meta
-                    .schema
-                    .index_of(c)
-                    .ok_or_else(|| Error::Catalog(format!("bad column {c}")))
-            })
-            .collect::<Result<_>>()?;
-        let dst = &self.tables[&dep.dst_table];
-        let mut missing = Vec::new();
-        for row in self.tables[&dep.src_table].rows() {
-            let key: Vec<Value> = src_idx.iter().map(|&i| row.get(i).clone()).collect();
-            if !dst.contains_key(&dst_idx, &key) {
-                missing.push(key);
-            }
-        }
-        Ok(missing)
+    /// Drops inclusion dependencies declared after the first `len`.
+    /// Undo-only.
+    pub fn truncate_inclusion_dependencies(&mut self, len: usize) {
+        self.catalog.truncate_inclusion_dependencies(len);
     }
+
+    // ---------------- accounting ----------------
 
     /// Total number of stored rows (all tables).
     pub fn total_rows(&self) -> usize {
         self.tables.values().map(|t| t.len()).sum()
+    }
+
+    /// Bytes held by every table's key indexes.
+    pub fn index_bytes(&self) -> usize {
+        self.tables.values().map(Table::index_bytes).sum()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn tables_mut_for_test(&mut self, name: &Ident) -> &mut Table {
+        self.tables.get_mut(name).unwrap()
     }
 }
 
@@ -426,12 +586,20 @@ mod tests {
         db
     }
 
+    fn rows(d: &Database, t: &str) -> Vec<Row> {
+        d.table(&Ident::new(t)).unwrap().rows().to_vec()
+    }
+
+    fn student(id: &str, name: &str) -> Row {
+        Row(vec![id.into(), name.into()])
+    }
+
     #[test]
     fn pk_uniqueness_enforced() {
         let mut d = db();
         let t = Ident::new("students");
-        d.insert(&t, Row(vec!["11".into(), "ann".into()])).unwrap();
-        let err = d.insert(&t, Row(vec!["11".into(), "bob".into()]));
+        d.insert(&t, student("11", "ann")).unwrap();
+        let err = d.insert(&t, student("11", "bob"));
         assert!(matches!(err, Err(Error::Constraint(_))));
     }
 
@@ -442,45 +610,159 @@ mod tests {
         let r = Ident::new("registered");
         let err = d.insert(&r, Row(vec!["11".into(), "cs101".into()]));
         assert!(matches!(err, Err(Error::Constraint(_))));
-        d.insert(&s, Row(vec!["11".into(), "ann".into()])).unwrap();
+        d.insert(&s, student("11", "ann")).unwrap();
         d.insert(&r, Row(vec!["11".into(), "cs101".into()])).unwrap();
     }
 
     #[test]
-    fn inclusion_audit_reports_missing_keys() {
+    fn update_cannot_duplicate_a_primary_key() {
         let mut d = db();
         let s = Ident::new("students");
-        d.insert(&s, Row(vec!["11".into(), "ann".into()])).unwrap();
-        d.insert(&s, Row(vec!["12".into(), "bob".into()])).unwrap();
-        let dep = InclusionDependency {
-            name: Ident::new("all_registered"),
-            src_table: Ident::new("students"),
-            src_columns: vec![Ident::new("student_id")],
-            src_filter: None,
-            dst_table: Ident::new("registered"),
-            dst_columns: vec![Ident::new("student_id")],
-            dst_filter: None,
-        };
-        let missing = d.unsatisfied_inclusions_on(&dep).unwrap();
-        assert_eq!(missing.len(), 2);
-        d.insert(&Ident::new("registered"), Row(vec!["11".into(), "cs101".into()]))
-            .unwrap();
-        let missing = d.unsatisfied_inclusions_on(&dep).unwrap();
-        assert_eq!(missing, vec![vec![Value::Str("12".into())]]);
+        d.insert(&s, student("11", "ann")).unwrap();
+        d.insert(&s, student("12", "bob")).unwrap();
+        let before = rows(&d, "students");
+        let err = d
+            .apply_row_updates(&s, vec![(0, student("12", "ann"))])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            Error::Constraint(r#"duplicate primary key [Str("12")] in students"#.into())
+        );
+        assert_eq!(rows(&d, "students"), before, "all or nothing");
+        // The index still answers for both keys.
+        assert!(d.insert(&s, student("11", "x")).is_err());
+        assert!(d.insert(&s, student("12", "x")).is_err());
     }
 
     #[test]
-    fn delete_and_update_route_through() {
+    fn update_may_swap_keys() {
         let mut d = db();
         let s = Ident::new("students");
-        d.insert(&s, Row(vec!["11".into(), "ann".into()])).unwrap();
+        d.insert(&s, student("11", "ann")).unwrap();
+        d.insert(&s, student("12", "bob")).unwrap();
         let n = d
-            .update_where(&s, |_| true, |r| Row(vec![r.get(0).clone(), "anne".into()]))
+            .apply_row_updates(&s, vec![(0, student("12", "ann")), (1, student("11", "bob"))])
             .unwrap();
-        assert_eq!(n, 1);
-        let n = d.delete_where(&s, |_| true).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(d.total_rows(), 0);
+        assert_eq!(n, 2);
+        assert!(d.insert(&s, student("12", "x")).is_err());
+        assert!(d.insert(&s, student("13", "x")).is_ok());
+    }
+
+    #[test]
+    fn update_cannot_dangle_a_foreign_key() {
+        let mut d = db();
+        let (s, r) = (Ident::new("students"), Ident::new("registered"));
+        d.insert(&s, student("11", "ann")).unwrap();
+        d.insert(&r, Row(vec!["11".into(), "cs101".into()])).unwrap();
+        let err = d
+            .apply_row_updates(&r, vec![(0, Row(vec!["99".into(), "cs101".into()]))])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            Error::Constraint(
+                r#"foreign key fk_reg_student: value [Str("99")] not present in students"#.into()
+            )
+        );
+        assert_eq!(rows(&d, "registered")[0].get(0), &Value::Str("11".into()));
+        // A change to a non-key column is not checked at all.
+        d.apply_row_updates(&r, vec![(0, Row(vec!["11".into(), "cs102".into()]))])
+            .unwrap();
+    }
+
+    #[test]
+    fn parent_key_updates_and_deletes_stay_unchecked() {
+        let mut d = db();
+        let (s, r) = (Ident::new("students"), Ident::new("registered"));
+        d.insert(&s, student("11", "ann")).unwrap();
+        d.insert(&r, Row(vec!["11".into(), "cs101".into()])).unwrap();
+        d.apply_row_updates(&s, vec![(0, student("12", "ann"))]).unwrap();
+        assert_eq!(d.delete_at(&s, &[0]).unwrap(), 1);
+        assert_eq!(rows(&d, "registered").len(), 1, "no cascade");
+    }
+
+    #[test]
+    fn rollback_restores_rows_and_indexes() {
+        let mut d = db();
+        let s = Ident::new("students");
+        d.insert(&s, student("11", "ann")).unwrap();
+        d.insert(&s, student("12", "bob")).unwrap();
+        d.commit();
+        let before = rows(&d, "students");
+        let m = d.mark();
+        d.insert(&s, student("13", "cy")).unwrap();
+        d.apply_row_updates(&s, vec![(0, student("14", "ann"))]).unwrap();
+        d.delete_at(&s, &[1, 1, 9]).unwrap();
+        assert_eq!(d.pending(m).count(), 3);
+        d.rollback_to(m);
+        assert_eq!(rows(&d, "students"), before);
+        assert!(d.table(&s).unwrap().index_drift().is_empty());
+        assert!(d.insert(&s, student("11", "x")).is_err());
+        assert!(d.insert(&s, student("13", "x")).is_ok());
+    }
+
+    #[test]
+    fn pending_yields_the_redo_in_order() {
+        let mut d = db();
+        let s = Ident::new("students");
+        d.insert(&s, student("11", "ann")).unwrap();
+        d.insert(&s, student("12", "bob")).unwrap();
+        d.delete_at(&s, &[0, 5]).unwrap();
+        let redo: Vec<TableDelta> = d.pending(Mark(0)).map(DeltaRef::to_delta).collect();
+        let insert = |row| TableDelta::Insert {
+            table: s.clone(),
+            row,
+        };
+        assert_eq!(
+            redo,
+            vec![
+                // Copied out of the table before the delete moved them.
+                insert(student("11", "ann")),
+                insert(student("12", "bob")),
+                TableDelta::Delete {
+                    table: s.clone(),
+                    indexes: vec![0, 5]
+                },
+            ]
+        );
+        d.commit();
+        assert_eq!(d.pending(Mark(0)).count(), 0);
+    }
+
+    #[test]
+    fn appends_share_an_entry_but_never_across_a_mark() {
+        let mut d = db();
+        let s = Ident::new("students");
+        d.insert_unchecked(&s, student("10", "zed")).unwrap();
+        d.commit();
+        let outer = d.mark();
+        d.insert(&s, student("11", "ann")).unwrap();
+        d.insert(&s, student("12", "bob")).unwrap();
+        assert_eq!(d.journal.len(), 1, "one entry for consecutive appends");
+        let inner = d.mark();
+        d.insert(&s, student("13", "cy")).unwrap();
+        assert_eq!(d.journal.len(), 2, "a mark seals the entry below it");
+        d.rollback_to(inner);
+        assert_eq!(rows(&d, "students").len(), 3);
+        d.insert(&s, student("14", "dee")).unwrap();
+        assert_eq!(d.pending(inner).count(), 1);
+        d.rollback_to(outer);
+        assert_eq!(rows(&d, "students"), vec![student("10", "zed")]);
+        assert!(d.table(&s).unwrap().index_drift().is_empty());
+    }
+
+    #[test]
+    fn index_footprint_is_eight_bytes_a_slot() {
+        let mut d = db();
+        let s = Ident::new("students");
+        d.reserve(&s, 1000).unwrap();
+        for i in 0..1000 {
+            d.insert_unchecked(&s, student(&i.to_string(), "x")).unwrap();
+        }
+        d.commit();
+        // One index (students' key, which fk_reg_student also references),
+        // at most half full: 2048 slots for 1000 keys. `registered` has
+        // no declared key and no index.
+        assert_eq!(d.index_bytes(), 2048 * 8);
     }
 
     #[test]
@@ -488,6 +770,7 @@ mod tests {
         let mut d = db();
         let bad = Ident::new("nope");
         assert!(d.insert(&bad, Row(vec![])).is_err());
-        assert!(d.delete_where(&bad, |_| true).is_err());
+        assert!(d.delete_at(&bad, &[0]).is_err());
+        assert!(d.apply_row_updates(&bad, vec![]).is_err());
     }
 }

@@ -1,7 +1,9 @@
 //! # fgac-storage
 //!
-//! In-memory relational storage engine: multiset tables, a catalog of
-//! schemas/views/constraints, and the [`Database`] facade.
+//! In-memory relational storage engine: multiset tables with hash key
+//! indexes, a catalog of schemas/views/constraints, and the [`Database`]
+//! facade with its per-statement journal (undo, WAL redo and replay are
+//! one [`TableDelta`] stream — see `database.rs`).
 //!
 //! The catalog records the two families of integrity constraints the
 //! paper's inference rules consume:
@@ -23,10 +25,13 @@ mod catalog;
 mod constraint;
 mod database;
 mod delta;
+mod index;
+#[cfg(test)]
+mod oracle;
 mod table;
 
 pub use catalog::{Catalog, TableMeta, ViewDef};
 pub use constraint::{ForeignKey, InclusionDependency};
-pub use database::{Database, TableSnapshot};
-pub use delta::TableDelta;
+pub use database::Database;
+pub use delta::{DeltaRef, Mark, TableDelta};
 pub use table::Table;

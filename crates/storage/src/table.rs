@@ -1,24 +1,37 @@
-//! Multiset tables.
+//! Multiset tables and their key indexes.
+// Rows and indexes are mutated in place here; a panic mid-statement
+// leaves a torn table (see clippy.toml). Bubble a Result instead. Tests
+// exempt.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
+use crate::index::{KeyIndex, MAX_ROWS};
 use fgac_types::{Error, Ident, Result, Row, Schema, Value};
 
 /// An in-memory table holding a multiset of rows.
 ///
 /// Rows are kept in insertion order; duplicates are allowed (SQL bag
-/// semantics). Type checking against the schema happens on every insert.
+/// semantics). Type checking against the schema happens on every write.
+/// Each declared key (see `Database`) has a [`KeyIndex`]; the row
+/// mutators below leave index maintenance to their callers, which
+/// journal the row write first (see `Database`'s module docs).
 #[derive(Debug, Clone)]
 pub struct Table {
     name: Ident,
     schema: Schema,
     rows: Vec<Row>,
+    /// Primary-key column positions, resolved at `CREATE TABLE`.
+    pk: Option<Box<[usize]>>,
+    indexes: Vec<KeyIndex>,
 }
 
 impl Table {
-    pub fn new(name: impl Into<Ident>, schema: Schema) -> Self {
+    pub(crate) fn new(name: Ident, schema: Schema, pk: Option<Box<[usize]>>) -> Self {
         Table {
-            name: name.into(),
+            name,
             schema,
             rows: Vec::new(),
+            pk,
+            indexes: Vec::new(),
         }
     }
 
@@ -40,6 +53,10 @@ impl Table {
 
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    pub(crate) fn pk(&self) -> Option<&[usize]> {
+        self.pk.as_deref()
     }
 
     /// Type-checks a row against the schema without inserting it.
@@ -76,16 +93,12 @@ impl Table {
         Ok(())
     }
 
-    /// Inserts a row after type checking. Integer values destined for
-    /// double columns are widened.
-    pub fn insert(&mut self, row: Row) -> Result<()> {
+    /// Type-checks a row and puts it in stored form: integer values
+    /// destined for double columns are widened. Key checks run on this
+    /// form, since it is what the table will hold.
+    pub(crate) fn prepare(&self, row: Row) -> Result<Row> {
         self.check_row(&row)?;
-        self.rows.push(self.coerce(row));
-        Ok(())
-    }
-
-    fn coerce(&self, row: Row) -> Row {
-        Row(row
+        Ok(Row(row
             .0
             .into_iter()
             .zip(self.schema.columns())
@@ -93,101 +106,220 @@ impl Table {
                 (Value::Int(i), fgac_types::DataType::Double) => Value::Double(*i as f64),
                 _ => v,
             })
-            .collect())
+            .collect()))
     }
 
-    /// Removes rows matching the predicate; returns how many were
-    /// removed.
-    pub fn delete_where(&mut self, mut pred: impl FnMut(&Row) -> bool) -> usize {
-        let before = self.rows.len();
-        self.rows.retain(|r| !pred(r));
-        before - self.rows.len()
+    /// True if some row other than `except` has, at `cols`, the values
+    /// `probe` has at `probe_cols` (`Value::eq`, column by column): one
+    /// hash probe of the index on `cols`. Every key the database checks
+    /// is indexed, so a missing index is an internal error.
+    pub(crate) fn holds_key(
+        &self,
+        cols: &[usize],
+        probe: &Row,
+        probe_cols: &[usize],
+        except: Option<usize>,
+    ) -> Result<bool> {
+        let ix = self.indexes.iter().find(|ix| ix.cols() == cols).ok_or_else(|| {
+            Error::Internal(format!("no index on columns {cols:?} of {}", self.name))
+        })?;
+        Ok(ix.find(probe, probe_cols, |p| {
+            Some(p) != except
+                && self.rows.get(p).is_some_and(|r| {
+                    cols.iter()
+                        .zip(probe_cols)
+                        .all(|(&c, &k)| r.get(c) == probe.get(k))
+                })
+        }))
     }
 
-    /// Applies an in-place transformation to rows matching the predicate;
-    /// returns how many were updated. The new row is type-checked.
-    pub fn update_where(
-        &mut self,
-        mut pred: impl FnMut(&Row) -> bool,
-        mut f: impl FnMut(&Row) -> Row,
-    ) -> Result<usize> {
-        // Two-phase so a type error midway leaves the table unchanged.
-        let mut updates = Vec::new();
-        for (i, row) in self.rows.iter().enumerate() {
-            if pred(row) {
-                let new = f(row);
-                self.check_row(&new)?;
-                updates.push((i, self.coerce(new)));
+    // ---------------- row writes (callers journal, then index) ----------------
+
+    /// Appends a prepared row; not yet indexed (see [`Table::index_last`]).
+    pub(crate) fn push(&mut self, row: Row) -> Result<()> {
+        if self.rows.len() >= MAX_ROWS {
+            return Err(Error::Execution(format!(
+                "table {} is full ({MAX_ROWS} rows)",
+                self.name
+            )));
+        }
+        self.rows.push(row);
+        Ok(())
+    }
+
+    /// Indexes the last row.
+    pub(crate) fn index_last(&mut self) {
+        if let Some((pos, row)) = self.rows.len().checked_sub(1).zip(self.rows.last()) {
+            for ix in &mut self.indexes {
+                ix.insert(row, pos);
             }
         }
-        let n = updates.len();
-        for (i, new) in updates {
-            self.rows[i] = new;
-        }
-        Ok(n)
     }
 
-    /// Replaces row `i` for each `(i, row)` pair, after type-checking
-    /// **all** replacements — either every update lands or none do.
-    /// Indexes must be in bounds (callers derive them from `rows()`).
-    pub fn apply_row_updates(&mut self, updates: Vec<(usize, Row)>) -> Result<usize> {
-        let mut checked = Vec::with_capacity(updates.len());
-        for (i, new) in updates {
-            if i >= self.rows.len() {
-                return Err(Error::Execution(format!(
-                    "row index {i} out of bounds in {} ({} rows)",
-                    self.name,
-                    self.rows.len()
-                )));
+    /// Room for `extra` more rows, in the row vector and every index.
+    pub(crate) fn reserve(&mut self, extra: usize) {
+        self.rows.reserve(extra);
+        for ix in &mut self.indexes {
+            ix.reserve(extra);
+        }
+    }
+
+    /// Replaces the row at `pos` (in bounds), returning the old one.
+    pub(crate) fn replace(&mut self, pos: usize, row: Row) -> Row {
+        std::mem::replace(&mut self.rows[pos], row)
+    }
+
+    /// Moves an index entry from `old` to `new` at `pos`, for every
+    /// index whose key differs between the two.
+    pub(crate) fn reindex(&mut self, pos: usize, old: &Row, new: &Row) {
+        for ix in &mut self.indexes {
+            if ix.cols().iter().any(|&c| old.get(c) != new.get(c)) {
+                ix.remove(old, pos);
+                ix.insert(new, pos);
             }
-            self.check_row(&new)?;
-            checked.push((i, self.coerce(new)));
         }
-        let n = checked.len();
-        for (i, new) in checked {
-            self.rows[i] = new;
-        }
-        Ok(n)
     }
 
-    /// Removes the rows at the given positions (any order, duplicates
-    /// ignored); returns how many were removed. Infallible by design:
-    /// callers decide *what* to delete before any row is touched.
-    pub fn delete_at(&mut self, indexes: &[usize]) -> usize {
-        if indexes.is_empty() {
-            return 0;
+    /// Removes the rows at `victims` (ascending, unique, in bounds) and
+    /// returns them with their positions; indexes are not touched.
+    pub(crate) fn remove_rows(&mut self, victims: &[usize]) -> Vec<(usize, Row)> {
+        if let [v] = *victims {
+            return vec![(v, self.rows.remove(v))];
         }
-        let victim: std::collections::BTreeSet<usize> = indexes
-            .iter()
-            .copied()
-            .filter(|&i| i < self.rows.len())
-            .collect();
-        let before = self.rows.len();
-        let mut i = 0;
-        self.rows.retain(|_| {
-            let keep = !victim.contains(&i);
-            i += 1;
-            keep
+        let mut removed = Vec::with_capacity(victims.len());
+        let (mut pos, mut next) = (0usize, victims.iter().peekable());
+        self.rows.retain_mut(|r| {
+            let here = pos;
+            pos += 1;
+            if next.next_if_eq(&&here).is_some() {
+                removed.push((here, std::mem::take(r)));
+                false
+            } else {
+                true
+            }
         });
-        before - self.rows.len()
+        removed
     }
 
-    /// A copy of the stored rows, for undo (see `Database::snapshot_table`).
-    pub(crate) fn snapshot_rows(&self) -> Vec<Row> {
-        self.rows.clone()
+    /// Index half of a delete: see [`KeyIndex::after_delete`].
+    pub(crate) fn index_after_delete(&mut self, removed: &[(usize, Row)]) {
+        for ix in &mut self.indexes {
+            ix.after_delete(removed);
+        }
     }
 
-    /// Replaces the stored rows wholesale with a previously taken
-    /// snapshot. Bypasses type checks: the snapshot was valid when taken.
-    pub(crate) fn restore_rows(&mut self, rows: Vec<Row>) {
+    // ---------------- undo ----------------
+
+    /// Undoes appends: truncates the table to `from` rows (and, with
+    /// `reindex`, drops the removed rows' index entries).
+    pub(crate) fn undo_append(&mut self, from: usize, reindex: bool) {
+        while self.rows.len() > from {
+            let pos = self.rows.len() - 1;
+            let Some(row) = self.rows.pop() else {
+                break;
+            };
+            if reindex {
+                for ix in &mut self.indexes {
+                    ix.remove(&row, pos);
+                }
+            }
+        }
+    }
+
+    /// Undoes an update: puts `old[k]` back at `updates[k].0`, last
+    /// replacement first.
+    pub(crate) fn undo_update(&mut self, updates: &[(usize, Row)], old: Vec<Row>, reindex: bool) {
+        for ((pos, _), old) in updates.iter().zip(old).rev() {
+            if *pos >= self.rows.len() {
+                continue;
+            }
+            let cur = self.replace(*pos, old);
+            if reindex {
+                let old = &self.rows[*pos];
+                for ix in &mut self.indexes {
+                    if ix.cols().iter().any(|&c| old.get(c) != cur.get(c)) {
+                        ix.remove(&cur, *pos);
+                        ix.insert(old, *pos);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Undoes a delete: puts the removed rows back at their positions in
+    /// one merge pass.
+    pub(crate) fn undo_delete(&mut self, removed: Vec<(usize, Row)>, reindex: bool) {
+        let victims: Vec<usize> = removed.iter().map(|(p, _)| *p).collect();
+        let kept = std::mem::take(&mut self.rows);
+        let mut rows = Vec::with_capacity(kept.len() + removed.len());
+        let mut kept = kept.into_iter();
+        for (pos, row) in removed {
+            while rows.len() < pos {
+                match kept.next() {
+                    Some(r) => rows.push(r),
+                    None => break,
+                }
+            }
+            rows.push(row);
+        }
+        rows.extend(kept);
         self.rows = rows;
+        if reindex {
+            for ix in &mut self.indexes {
+                ix.before_undelete(&victims);
+                for &p in &victims {
+                    if let Some(row) = self.rows.get(p) {
+                        ix.insert(row, p);
+                    }
+                }
+            }
+        }
     }
 
-    /// True if some row has the given values at the given column indexes.
-    pub fn contains_key(&self, indexes: &[usize], key: &[Value]) -> bool {
-        self.rows
+    // ---------------- index set ----------------
+
+    /// Makes the index set exactly `keys`: indexes already present are
+    /// kept, missing ones built from the rows, others dropped.
+    pub(crate) fn set_keys(&mut self, keys: &[Box<[usize]>]) {
+        self.indexes.retain(|ix| keys.iter().any(|k| **k == *ix.cols()));
+        for k in keys {
+            if !self.indexes.iter().any(|ix| ix.cols() == &k[..]) {
+                self.indexes.push(KeyIndex::build(k.clone(), &self.rows));
+            }
+        }
+    }
+
+    /// Rebuilds every index from the rows — the recovery for a panic
+    /// that may have struck between a row write and its index write.
+    pub(crate) fn rebuild_indexes(&mut self) {
+        for ix in &mut self.indexes {
+            *ix = ix.rebuilt(&self.rows);
+        }
+    }
+
+    /// Bytes held by this table's indexes.
+    pub(crate) fn index_bytes(&self) -> usize {
+        self.indexes.iter().map(KeyIndex::heap_bytes).sum()
+    }
+
+    /// Each index's entries next to those of one rebuilt from the rows,
+    /// for the indexes where the two differ.
+    #[cfg(test)]
+    pub(crate) fn index_drift(&self) -> Vec<[Vec<(u32, u32)>; 2]> {
+        self.indexes
             .iter()
-            .any(|r| indexes.iter().zip(key).all(|(&i, v)| r.get(i) == v))
+            .map(|ix| {
+                [ix.entries(), ix.rebuilt(&self.rows).entries()]
+            })
+            .filter(|[live, fresh]| live != fresh)
+            .collect()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn corrupt_index(&mut self) {
+        if let Some(ix) = self.indexes.first_mut() {
+            ix.corrupt_one();
+        }
     }
 }
 
@@ -198,26 +330,34 @@ mod tests {
 
     fn table() -> Table {
         Table::new(
-            "grades",
+            Ident::new("grades"),
             Schema::new(vec![
                 Column::new("student_id", DataType::Str),
                 Column::new("grade", DataType::Int).nullable(),
             ]),
+            Some(vec![0].into()),
         )
+    }
+
+    fn put(t: &mut Table, row: Row) -> Result<()> {
+        let row = t.prepare(row)?;
+        t.push(row)?;
+        t.index_last();
+        Ok(())
     }
 
     #[test]
     fn insert_type_checks() {
         let mut t = table();
-        t.insert(Row(vec!["11".into(), Value::Int(90)])).unwrap();
-        t.insert(Row(vec!["12".into(), Value::Null])).unwrap();
+        put(&mut t, Row(vec!["11".into(), Value::Int(90)])).unwrap();
+        put(&mut t, Row(vec!["12".into(), Value::Null])).unwrap();
         assert_eq!(t.len(), 2);
 
-        let err = t.insert(Row(vec![Value::Int(1), Value::Int(2)])).unwrap_err();
+        let err = put(&mut t, Row(vec![Value::Int(1), Value::Int(2)])).unwrap_err();
         assert!(matches!(err, Error::Type(_)));
-        let err = t.insert(Row(vec![Value::Null, Value::Int(2)])).unwrap_err();
+        let err = put(&mut t, Row(vec![Value::Null, Value::Int(2)])).unwrap_err();
         assert!(matches!(err, Error::Constraint(_)));
-        let err = t.insert(Row(vec!["11".into()])).unwrap_err();
+        let err = put(&mut t, Row(vec!["11".into()])).unwrap_err();
         assert!(matches!(err, Error::Type(_)));
     }
 
@@ -225,66 +365,51 @@ mod tests {
     fn duplicates_are_kept() {
         let mut t = table();
         let row = Row(vec!["11".into(), Value::Int(90)]);
-        t.insert(row.clone()).unwrap();
-        t.insert(row).unwrap();
+        put(&mut t, row.clone()).unwrap();
+        put(&mut t, row).unwrap();
         assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn int_widens_to_double() {
         let mut t = Table::new(
-            "m",
+            Ident::new("m"),
             Schema::new(vec![Column::new("x", DataType::Double)]),
+            None,
         );
-        t.insert(Row(vec![Value::Int(3)])).unwrap();
+        put(&mut t, Row(vec![Value::Int(3)])).unwrap();
         assert_eq!(t.rows()[0].get(0), &Value::Double(3.0));
     }
 
     #[test]
-    fn delete_and_update() {
+    fn holds_key_probes_the_index() {
         let mut t = table();
-        for (s, g) in [("11", 90), ("12", 80), ("13", 70)] {
-            t.insert(Row(vec![s.into(), Value::Int(g)])).unwrap();
+        t.set_keys(&[vec![0].into()]);
+        put(&mut t, Row(vec!["11".into(), Value::Int(90)])).unwrap();
+        let probe = Row(vec!["11".into(), Value::Int(0)]);
+        assert!(t.holds_key(&[0], &probe, &[0], None).unwrap());
+        assert!(!t.holds_key(&[0], &probe, &[0], Some(0)).unwrap(), "except skips the row");
+        assert!(!t.holds_key(&[0], &Row(vec!["99".into()]), &[0], None).unwrap());
+        assert!(matches!(
+            t.holds_key(&[1], &Row(vec![Value::Int(90)]), &[0], None),
+            Err(Error::Internal(_))
+        ));
+    }
+
+    #[test]
+    fn remove_rows_and_undo_restore_order() {
+        let mut t = table();
+        t.set_keys(&[vec![0].into()]);
+        for s in ["a", "b", "c", "d", "e"] {
+            put(&mut t, Row(vec![s.into(), Value::Null])).unwrap();
         }
-        let n = t.delete_where(|r| r.get(1) == &Value::Int(80));
-        assert_eq!(n, 1);
+        let before = t.rows().to_vec();
+        let removed = t.remove_rows(&[0, 2, 4]);
+        t.index_after_delete(&removed);
         assert_eq!(t.len(), 2);
-
-        let n = t
-            .update_where(
-                |r| r.get(0) == &Value::Str("11".into()),
-                |r| Row(vec![r.get(0).clone(), Value::Int(95)]),
-            )
-            .unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(t.rows()[0].get(1), &Value::Int(95));
-    }
-
-    #[test]
-    fn update_type_error_is_atomic() {
-        let mut t = table();
-        t.insert(Row(vec!["11".into(), Value::Int(90)])).unwrap();
-        t.insert(Row(vec!["12".into(), Value::Int(80)])).unwrap();
-        let err = t.update_where(
-            |_| true,
-            |r| {
-                if r.get(0) == &Value::Str("12".into()) {
-                    Row(vec![Value::Int(0), Value::Int(0)]) // bad type
-                } else {
-                    Row(vec![r.get(0).clone(), Value::Int(1)])
-                }
-            },
-        );
-        assert!(err.is_err());
-        // First row must not have been updated.
-        assert_eq!(t.rows()[0].get(1), &Value::Int(90));
-    }
-
-    #[test]
-    fn contains_key_checks_projection() {
-        let mut t = table();
-        t.insert(Row(vec!["11".into(), Value::Int(90)])).unwrap();
-        assert!(t.contains_key(&[0], &["11".into()]));
-        assert!(!t.contains_key(&[0], &["99".into()]));
+        assert!(t.index_drift().is_empty());
+        t.undo_delete(removed, true);
+        assert_eq!(t.rows(), &before[..]);
+        assert!(t.index_drift().is_empty());
     }
 }

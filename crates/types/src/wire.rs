@@ -184,12 +184,18 @@ impl WireDecode for Ident {
     }
 }
 
-impl<T: WireEncode> WireEncode for Vec<T> {
+impl<T: WireEncode> WireEncode for [T] {
     fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, self.len() as u64);
         for item in self {
             item.encode(out);
         }
+    }
+}
+
+impl<T: WireEncode> WireEncode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode(out);
     }
 }
 

@@ -54,7 +54,7 @@
 //!   orphaned inode would acknowledge unrecoverable writes.
 
 use crate::crc::crc32;
-use crate::record::{frame, WalRecord, CLASS_DATA, CLASS_POLICY, FRAME_HEADER_LEN};
+use crate::record::{encode_dml, frame, WalRecord, CLASS_DATA, CLASS_POLICY, FRAME_HEADER_LEN};
 use crate::snapshot::SnapshotState;
 use fgac_types::wire::{Reader, WireDecode, WireEncode};
 use fgac_types::{Error, Result};
@@ -347,11 +347,27 @@ impl WalStore {
     /// Appends one record; with `sync`, also fsyncs before acknowledging.
     /// Returns the record's LSN.
     pub fn append(&mut self, record: &WalRecord, sync: bool) -> Result<u64> {
+        self.append_payload(&record.to_bytes(), record.class(), sync)
+    }
+
+    /// Appends the `Dml` record of these deltas — byte for byte what
+    /// [`WalStore::append`] writes for `WalRecord::Dml` — encoding them
+    /// where they are.
+    pub fn append_dml<'a>(
+        &mut self,
+        deltas: impl Iterator<Item = fgac_storage::DeltaRef<'a>>,
+        sync: bool,
+    ) -> Result<u64> {
+        let mut payload = Vec::new();
+        encode_dml(deltas, &mut payload);
+        self.append_payload(&payload, CLASS_DATA, sync)
+    }
+
+    fn append_payload(&mut self, payload: &[u8], class: u8, sync: bool) -> Result<u64> {
         self.check_poisoned()?;
         #[cfg(feature = "fault-injection")]
         fgac_types::faults::hit("wal::append")?;
-        let payload = record.to_bytes();
-        let framed = frame(&payload, record.class())?;
+        let framed = frame(payload, class)?;
 
         #[cfg(feature = "fault-injection")]
         if let Err(e) = fgac_types::faults::hit("wal::append_torn") {

@@ -17,8 +17,8 @@
 //! byte of that payload.
 
 use crate::crc::crc32;
-use fgac_storage::TableDelta;
-use fgac_types::wire::{Reader, WireDecode, WireEncode};
+use fgac_storage::{DeltaRef, TableDelta};
+use fgac_types::wire::{put_u64, Reader, WireDecode, WireEncode};
 use fgac_types::{Error, Result};
 
 const TAG_DDL: u8 = 0x01;
@@ -120,12 +120,25 @@ impl WireEncode for WalRecord {
                 to.encode(out);
                 view.encode(out);
             }
-            WalRecord::Dml { deltas } => {
-                out.push(TAG_DML);
-                deltas.encode(out);
-            }
+            WalRecord::Dml { deltas } => encode_dml(deltas.iter().map(TableDelta::view), out),
         }
     }
+}
+
+/// Encodes a `Dml` record from borrowed deltas — the bytes of
+/// `WalRecord::Dml { deltas }`, without owning them (a durable engine
+/// logs its statement journal in place). The delta count is written
+/// once the deltas have been.
+pub(crate) fn encode_dml<'a>(deltas: impl Iterator<Item = DeltaRef<'a>>, out: &mut Vec<u8>) {
+    out.push(TAG_DML);
+    let at = out.len();
+    put_u64(out, 0);
+    let mut n: u64 = 0;
+    for d in deltas {
+        d.encode(out);
+        n += 1;
+    }
+    out[at..at + 8].copy_from_slice(&n.to_le_bytes());
 }
 
 impl WireDecode for WalRecord {
@@ -253,6 +266,26 @@ mod tests {
                 row: Row(vec!["11".into()]),
             }],
         });
+    }
+
+    #[test]
+    fn dml_bytes_are_the_tag_then_the_delta_vector() {
+        let deltas = vec![
+            TableDelta::Insert {
+                table: Ident::new("grades"),
+                row: Row(vec!["11".into()]),
+            },
+            TableDelta::Delete {
+                table: Ident::new("grades"),
+                indexes: vec![3, 1],
+            },
+        ];
+        let mut expected = vec![TAG_DML];
+        deltas.encode(&mut expected);
+        let mut borrowed = Vec::new();
+        encode_dml(deltas.iter().map(TableDelta::view), &mut borrowed);
+        assert_eq!(borrowed, expected);
+        assert_eq!(WalRecord::Dml { deltas }.to_bytes(), expected);
     }
 
     #[test]

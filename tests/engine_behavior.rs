@@ -310,3 +310,75 @@ fn committed_dml_bumps_version_and_reverifies_conditional_verdicts() {
     assert!(e.data_version() > v0, "committed DML must bump the version");
     assert_eq!(e.check(&s, q).unwrap().verdict, Verdict::Invalid);
 }
+
+#[test]
+fn update_enforces_primary_and_foreign_keys_all_or_nothing() {
+    let mut e = Engine::new();
+    e.admin_script(
+        "
+        create table students (student_id varchar not null, name varchar,
+            primary key (student_id));
+        create table enrolled (student_id varchar not null, course_id varchar,
+            foreign key (student_id) references students (student_id));
+        insert into students values ('11', 'ann'), ('12', 'bob');
+        insert into enrolled values ('11', 'cs101');
+        ",
+    )
+    .unwrap();
+    e.grant_update_sql("11", "authorize update on students where true")
+        .unwrap();
+    e.grant_update_sql("11", "authorize update on enrolled where true")
+        .unwrap();
+    let s = Session::new("11");
+    let rows = |e: &Engine, t: &str| e.database().table(&t.into()).unwrap().rows().to_vec();
+    let (students, enrolled, v0) = (rows(&e, "students"), rows(&e, "enrolled"), e.data_version());
+
+    // A duplicate primary key is refused with the INSERT path's message.
+    let err = e
+        .execute(
+            &s,
+            "update students set student_id = '12' where student_id = '11'",
+        )
+        .unwrap_err();
+    assert_eq!(
+        err,
+        Error::Constraint(r#"duplicate primary key [Str("12")] in students"#.into())
+    );
+    // So is a child key with no parent; the admin path checks the same.
+    let dangling = "update enrolled set student_id = '99'";
+    let err = e.execute(&s, dangling).unwrap_err();
+    assert_eq!(
+        err,
+        Error::Constraint(
+            r#"foreign key fk_enrolled_0: value [Str("99")] not present in students"#.into()
+        )
+    );
+    assert!(matches!(
+        e.admin_script(dangling),
+        Err(Error::Constraint(_))
+    ));
+    assert_eq!(
+        rows(&e, "students"),
+        students,
+        "refused updates change nothing"
+    );
+    assert_eq!(rows(&e, "enrolled"), enrolled);
+    assert_eq!(e.data_version(), v0);
+
+    // Keys are checked against the statement's final state: two rows
+    // may swap keys in one UPDATE.
+    e.admin_script(
+        "create table seats (seat int not null, primary key (seat));
+         insert into seats values (1), (2);",
+    )
+    .unwrap();
+    e.grant_update_sql("11", "authorize update on seats where true")
+        .unwrap();
+    let n = e.execute(&s, "update seats set seat = 3 - seat").unwrap();
+    assert_eq!(n.affected(), Some(2));
+    assert_eq!(rows(&e, "seats"), vec![Row(vec![Value::Int(2)]), Row(vec![Value::Int(1)])]);
+    assert!(matches!(
+        e.admin_script("insert into seats values (1)"),
+        Err(Error::Constraint(_))
+    ));
+}

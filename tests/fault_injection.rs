@@ -120,6 +120,44 @@ fn injected_panic_mid_insert_rolls_back_and_engine_survives() {
 }
 
 #[test]
+fn injected_panic_between_row_and_index_write_keeps_keys_enforced() {
+    let _guard = Disarm;
+    let mut e = engine();
+    e.grant_update_sql("11", "authorize insert on grades where student_id = $user_id")
+        .unwrap();
+    let s = Session::new("11");
+    let before = grades(&e);
+
+    // The `storage::insert` site sits after the row is appended and
+    // journaled but before the key index learns of it: the second row
+    // is in the table, unindexed, when the panic unwinds.
+    faults::arm("storage::insert", Fault::PanicOnNth(2));
+    let err = with_quiet_panics(|| {
+        e.execute(
+            &s,
+            "insert into grades values ('11', 'cs501', 1), ('11', 'cs502', 2)",
+        )
+    })
+    .unwrap_err();
+    assert!(matches!(err, Error::Internal(_)), "got {err:?}");
+    faults::disarm_all();
+    assert_eq!(grades(&e), before, "both rows must be rolled back");
+
+    // The rebuilt index still knows every surviving key...
+    let err = e
+        .execute(&s, "insert into grades values ('11', 'cs101', 0)")
+        .unwrap_err();
+    assert!(matches!(err, Error::Constraint(_)), "got {err:?}");
+    // ...and none of the rolled-back ones: each inserts once, then is
+    // refused as a duplicate.
+    for course in ["cs501", "cs502"] {
+        let sql = format!("insert into grades values ('11', '{course}', 3)");
+        assert_eq!(e.execute(&s, &sql).unwrap().affected(), Some(1));
+        assert!(matches!(e.execute(&s, &sql), Err(Error::Constraint(_))));
+    }
+}
+
+#[test]
 fn injected_panic_during_query_eval_is_isolated() {
     let _guard = Disarm;
     let mut e = engine();
