@@ -1,25 +1,29 @@
 //! Multi-client load benchmark for the network front end.
 //!
-//! Emits `BENCH_server.json` and optionally gates against a checked-in
-//! baseline:
+//! Emits `BENCH_server.json`:
 //!
 //! ```text
-//! serverbench [--clients N] [--requests N] [--out PATH] [--check BASELINE.json]
+//! serverbench [--clients N] [--requests N] [--out PATH]
 //! ```
+//!
+//! Speed is only reported: `--check` is a usage error. fgacbench
+//! measures this request path end to end; a single-shot q/s or p99 here
+//! cannot tell a regression from runner noise.
 //!
 //! Two phases against an in-process [`fgac_server::Server`]:
 //!
 //! 1. **Throughput** — N concurrent clients each issue M repeated
 //!    authorized queries (the hot path: plan cache + validity cache
-//!    hits) over real TCP connections. Gates: aggregate q/s must stay
-//!    above `min_qps`, and p99 request latency below `max_p99_ms`.
-//! 2. **Overload** — the same workload against a server with a
-//!    one-slot queue and a single worker, so admission control *must*
+//!    hits) over real TCP connections; aggregate q/s and p99 request
+//!    latency are reported.
+//! 2. **Overload** — the same workload against a server with one
+//!    admission permit and a one-slot line, so admission control *must*
 //!    shed. Clients retry on `SHED` with jittered exponential backoff
-//!    until every request eventually succeeds. Gated on invariants,
-//!    not speed: every shed answer is `SHED` (never `DENIED` — denial
-//!    under load would be an authorization lie), and every request
-//!    completes within the retry budget.
+//!    until every request eventually succeeds. Its invariants are hard
+//!    failures: every shed answer is `SHED` (never `DENIED` — denial
+//!    under load would be an authorization lie), every request
+//!    completes within the retry budget, and both phases drain
+//!    cleanly.
 
 use fgac_bench::{emit_report, num, percentile, Cli};
 use fgac_core::{Engine, SharedEngine};
@@ -129,7 +133,7 @@ fn run_phase(addr: std::net::SocketAddr, clients: usize, requests: usize) -> Pha
 
 fn main() {
     let (cli, [clients, requests]) =
-        Cli::parse("BENCH_server.json", [("--clients", 8), ("--requests", 250)]);
+        Cli::parse_report("BENCH_server.json", [("--clients", 8), ("--requests", 250)]);
 
     // --- Phase 1: throughput on a generously provisioned server.
     let server = Server::start(
@@ -146,7 +150,7 @@ fn main() {
     let report = server.finish().expect("drain throughput server");
     assert!(report.drained_cleanly, "throughput phase left work behind");
 
-    // --- Phase 2: overload. One worker, one queue slot: shedding is
+    // --- Phase 2: overload. One permit, one place in line: shedding is
     // guaranteed, and the retry loop must still complete every request.
     let server = Server::start(
         fixture_engine(),
@@ -161,6 +165,7 @@ fn main() {
     let overload_requests = (requests / 5).max(20);
     let overload = run_phase(server.local_addr(), clients, overload_requests);
     let report = server.finish().expect("drain overload server");
+    assert!(report.drained_cleanly, "overload phase left work behind");
     let shed_counter = report
         .metrics
         .iter()
@@ -175,11 +180,6 @@ fn main() {
         denied_counter, 0,
         "overload phase produced DENIED responses — shedding leaked into authorization"
     );
-
-    // --- Gates.
-    let min_qps = cli.gate("min_qps", 500.0);
-    let max_p99_ms = cli.gate("max_p99_ms", 250.0);
-    let pass = throughput.qps >= min_qps && throughput.p99_ms <= max_p99_ms;
 
     emit_report(
         &cli.out,
@@ -200,26 +200,10 @@ fn main() {
                     ("qps", num(overload.qps, 0)),
                 ]),
             ),
-            (
-                "gates",
-                Json::obj([
-                    ("min_qps", num(min_qps, 0)),
-                    ("max_p99_ms", num(max_p99_ms, 1)),
-                    ("pass", Json::Bool(pass)),
-                ]),
-            ),
         ]),
     );
     eprintln!(
         "throughput {:.0} q/s p99 {:.2}ms over {} requests; overload: {} client-visible sheds, {} SHED frames, 0 DENIED",
         throughput.qps, throughput.p99_ms, throughput.total_requests, overload.sheds, shed_counter
     );
-
-    if !pass {
-        eprintln!(
-            "GATE FAIL: qps {:.0} (min {min_qps:.0}) p99 {:.2}ms (max {max_p99_ms:.1}ms)",
-            throughput.qps, throughput.p99_ms
-        );
-        std::process::exit(1);
-    }
 }

@@ -8,10 +8,10 @@
 //! * `benches/e*.rs` — Criterion microbenchmarks per experiment;
 //! * the seven CI bench bins (`hotpath`, `walbench`, `certbench`,
 //!   `policybench`, `churnbench`, `flowbench`, `serverbench`; all but
-//!   `walbench` gate against a baseline), which share one scaffold
-//!   defined here: [`Cli`] (the `--out` / `--check`
-//!   / `--<count> N` command line; `walbench` parses it with
-//!   [`Cli::parse_report`], which refuses `--check`), [`Baseline`] (a checked-in
+//!   `walbench` and `serverbench` gate against a baseline), which share
+//!   one scaffold defined here: [`Cli`] (the `--out` / `--check`
+//!   / `--<count> N` command line; `walbench` and `serverbench` parse it
+//!   with [`Cli::parse_report`], which refuses `--check`), [`Baseline`] (a checked-in
 //!   thresholds file read through the workspace JSON codec, keys looked
 //!   up as top-level fields), [`percentile`], and [`emit_report`] /
 //!   [`num`] (the `BENCH_*.json` report as a [`Json`] value).
@@ -351,8 +351,6 @@ mod tests {
             ("hotpath.json", "warm_qps"),
             ("policy.json", "max_p99_growth"),
             ("policy.json", "min_hit_rate"),
-            ("server.json", "min_qps"),
-            ("server.json", "max_p99_ms"),
         ] {
             assert!(
                 Baseline::load(&format!("{dir}/{file}")).number(key) > 0.0,

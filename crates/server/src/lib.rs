@@ -5,9 +5,9 @@
 //! that many concurrently connected principals share one enforcement
 //! point, and this crate supplies that multi-principal surface.
 //!
-//! Deliberately `std`-only — `std::net` sockets, a bounded worker
-//! pool, and the workspace's vendored `parking_lot` wrappers; no async
-//! runtime. The robustness features mirror what the engine already
+//! Deliberately `std`-only — `std::net` sockets, one thread per
+//! connection, and the workspace's vendored `parking_lot` wrappers; no
+//! async runtime. The robustness features mirror what the engine already
 //! guarantees internally:
 //!
 //! * **Strict framing** ([`frame`]) — the WAL's CRC-everything
@@ -17,13 +17,14 @@
 //!   and `TIMEOUT` (deadline) are distinct from `DENIED`
 //!   (authorization), so operational failure can never be mistaken for
 //!   a policy decision, and vice versa.
-//! * **Admission control** ([`queue`]) — a bounded queue that refuses
-//!   rather than buffers without bound.
+//! * **Admission control** ([`server`]) — a counting permit: a bounded
+//!   number of requests execute at once, a bounded number wait, and the
+//!   rest are refused rather than buffered without bound.
 //! * **Deadlines** — per-request wall-clock budgets threaded into the
 //!   engine's validity-check meter; expiry denies fail-closed and
 //!   leaves no cache residue.
 //! * **Isolation and drain** ([`server`]) — per-connection and
-//!   per-worker panic isolation, idle/stall timeouts, and a graceful
+//!   per-request panic isolation, idle/stall timeouts, and a graceful
 //!   drain that answers every admitted request before the engine's
 //!   WAL is closed.
 
@@ -31,7 +32,6 @@ pub mod client;
 pub mod frame;
 pub mod metrics;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 
 pub use client::Client;

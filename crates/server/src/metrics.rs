@@ -100,7 +100,11 @@ pub fn flow_rows(e: &fgac_core::Engine) -> Vec<(&'static str, u64)> {
 
 impl Metrics {
     pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+        Self::add(counter, 1);
+    }
+
+    pub fn add(counter: &AtomicU64, n: u64) {
+        counter.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Counts one outgoing response by its wire status. Called exactly

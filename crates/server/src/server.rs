@@ -1,49 +1,52 @@
-//! The TCP front end: accept loop, per-connection threads, bounded
-//! worker pool, and graceful drain.
+//! The TCP front end: accept loop, per-connection threads that run
+//! their own requests under a counting admission permit, and graceful
+//! drain.
 //!
 //! ## Thread structure
 //!
 //! ```text
 //! accept thread ──► connection threads (one per client, panic-isolated)
-//!                        │  try_push (never blocks; Full ⇒ SHED)
+//!                        │  Admission::acquire (line full ⇒ SHED,
+//!                        │  closed ⇒ UNAVAILABLE, else wait in line)
 //!                        ▼
-//!                 BoundedQueue<Job>
-//!                        │  pop
+//!                 permit held: SharedEngine::execute_at(deadline)
+//!                        │  permit released
 //!                        ▼
-//!                 worker pool (fixed size, panic-isolated)
-//!                        │  SharedEngine::execute_at(deadline)
-//!                        ▼
-//!                 reply channel ──► connection thread writes the frame
+//!                 the same thread writes the response frame
 //! ```
+//!
+//! At most `workers` permits are out at once and at most
+//! `queue_capacity` threads wait for one; no other thread runs.
 //!
 //! ## Robustness invariants
 //!
-//! * **Shed ≠ denied.** Overload produces `SHED` (queue full,
+//! * **Shed ≠ denied.** Overload produces `SHED` (admission line full,
 //!   connection table full) or `UNAVAILABLE` (draining) — statuses the
 //!   engine never uses for authorization verdicts, so a client can
 //!   always tell "retry later" from "you may not".
 //! * **Deadlines are admission-scoped.** A request's wall-clock
-//!   deadline starts when its frame is accepted, so time spent queued
-//!   behind other work counts against it; expiry denies fail-closed
-//!   inside the engine without touching any cache.
+//!   deadline starts when its frame is accepted, before it waits for a
+//!   permit, so time spent behind other work counts against it; expiry
+//!   denies fail-closed inside the engine without touching any cache.
 //! * **Panic isolation.** A panic in a connection thread kills only
-//!   that connection; a panic in a worker is caught, counted, and
-//!   answered with an `ERROR` status — the pool keeps its size.
-//! * **Graceful drain.** `finish()` stops accepting, lets in-flight
-//!   requests complete up to the drain deadline, answers anything still
-//!   queued with `UNAVAILABLE`, then closes the engine (which fsyncs
-//!   the WAL). Every response written before drain is durable after it.
+//!   that connection; a panic while a request executes is caught,
+//!   counted, and answered with an `ERROR` status — the permit is
+//!   released on the way out, so the admission bound keeps its size.
+//! * **Graceful drain.** `finish()` stops accepting, lets permit holders
+//!   and waiters proceed up to the drain deadline, refuses the waiters
+//!   still in line (each answers `UNAVAILABLE`), waits for every permit
+//!   holder, then closes the engine (which fsyncs the WAL). Every
+//!   response written before drain is durable after it.
 
 use crate::frame::{read_frame_deadline, write_frame, FrameEvent};
 use crate::metrics::Metrics;
 use crate::protocol::{response_for_error, AdminOp, Request, Response};
-use crate::queue::{BoundedQueue, PushError};
 use fgac_core::{Session, SharedEngine};
 use fgac_types::{Error, Ident, Result, Row, Value};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -52,9 +55,10 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Bind address; use port 0 to let the OS pick (tests).
     pub addr: String,
-    /// Worker pool size (engine executors).
+    /// Requests executing against the engine at once.
     pub workers: usize,
-    /// Admission queue capacity; beyond this, requests are shed.
+    /// Requests that may wait for one of the `workers` slots; beyond
+    /// this, requests are shed.
     pub queue_capacity: usize,
     /// Concurrent connection cap; beyond this, connections are refused
     /// with a `SHED` frame before any handshake.
@@ -69,10 +73,6 @@ pub struct ServerConfig {
     /// How long `finish()` waits for in-flight work before refusing
     /// what remains.
     pub drain_deadline: Duration,
-    /// How long a connection thread waits for a worker's reply before
-    /// giving up on the request (backstop; normally the drain path or
-    /// the deadline answers first).
-    pub reply_timeout: Duration,
     /// The only principal whose sessions may issue `ADMIN` requests.
     pub admin_principal: String,
 }
@@ -88,7 +88,6 @@ impl Default for ServerConfig {
             frame_timeout: Duration::from_secs(2),
             default_deadline: None,
             drain_deadline: Duration::from_secs(5),
-            reply_timeout: Duration::from_secs(30),
             admin_principal: "admin".into(),
         }
     }
@@ -103,13 +102,107 @@ const STOPPED: u8 = 2;
 /// granularity.
 const POLL: Duration = Duration::from_millis(20);
 
-/// One admitted request travelling from a connection thread to a
-/// worker and back.
-struct Job {
-    request: Request,
-    session: Session,
-    deadline: Option<Instant>,
-    reply: mpsc::SyncSender<Response>,
+/// Counting admission control: a connection thread holds a [`Permit`]
+/// while its request executes. At most `slots` permits are out and at
+/// most `line` threads wait for one. The mutex guards three counters and
+/// is never held across an engine call; poisoning is recovered with
+/// `into_inner`, since no code path can leave the counters half-updated.
+struct Admission {
+    state: Mutex<AdmissionState>,
+    freed: Condvar,
+    slots: usize,
+    line: usize,
+}
+
+#[derive(Default)]
+struct AdmissionState {
+    running: usize,
+    waiting: usize,
+    closed: bool,
+}
+
+/// Why [`Admission::acquire`] refused a request.
+#[derive(Debug, PartialEq, Eq)]
+enum Refused {
+    /// Every permit is out and the line is full.
+    Shed,
+    /// `finish()` closed admission, before or during the wait.
+    Closed,
+}
+
+impl Admission {
+    fn new(slots: usize, line: usize) -> Self {
+        Admission {
+            state: Mutex::new(AdmissionState::default()),
+            freed: Condvar::new(),
+            slots: slots.max(1),
+            line: line.max(1),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, AdmissionState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Takes a permit, waiting in line while every one is out. Refuses
+    /// at once when the line is full or admission is closed; a waiter
+    /// woken by [`Admission::close`] leaves refused.
+    fn acquire(&self) -> std::result::Result<Permit<'_>, Refused> {
+        let mut s = self.lock();
+        if s.closed {
+            return Err(Refused::Closed);
+        }
+        if s.running >= self.slots {
+            if s.waiting >= self.line {
+                return Err(Refused::Shed);
+            }
+            s.waiting += 1;
+            while s.running >= self.slots && !s.closed {
+                s = self.freed.wait(s).unwrap_or_else(|p| p.into_inner());
+            }
+            s.waiting -= 1;
+            if s.closed {
+                return Err(Refused::Closed);
+            }
+        }
+        s.running += 1;
+        Ok(Permit { admission: self })
+    }
+
+    /// Refuses every later `acquire` and wakes every waiter, each of
+    /// which answers its own client. Returns how many were waiting.
+    fn close(&self) -> usize {
+        let mut s = self.lock();
+        s.closed = true;
+        let waiting = s.waiting;
+        drop(s);
+        self.freed.notify_all();
+        waiting
+    }
+
+    /// (permit holders, waiters).
+    fn counts(&self) -> (usize, usize) {
+        let s = self.lock();
+        (s.running, s.waiting)
+    }
+}
+
+/// One taken admission slot. Dropping it — on return or on unwind —
+/// frees the slot and wakes one waiter.
+struct Permit<'a> {
+    admission: &'a Admission,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut s = self.admission.lock();
+        s.running -= 1;
+        let wake = s.waiting > 0;
+        drop(s);
+        if wake {
+            self.admission.freed.notify_one();
+        }
+    }
 }
 
 struct Shared {
@@ -118,8 +211,7 @@ struct Shared {
     state: AtomicU8,
     metrics: Metrics,
     conns: AtomicUsize,
-    inflight: AtomicUsize,
-    queue: BoundedQueue<Job>,
+    admission: Admission,
 }
 
 impl Shared {
@@ -134,7 +226,8 @@ pub struct DrainReport {
     /// True when every admitted request completed before the drain
     /// deadline (nothing was refused mid-flight).
     pub drained_cleanly: bool,
-    /// Admitted-but-unserved requests answered with `UNAVAILABLE`.
+    /// Requests still waiting for a permit at the drain deadline,
+    /// answered with `UNAVAILABLE`.
     pub refused_jobs: usize,
     /// Final counter snapshot, taken after the engine closed.
     pub metrics: Vec<(&'static str, u64)>,
@@ -146,11 +239,10 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds, spawns the worker pool and accept thread, and returns.
+    /// Binds, spawns the accept thread, and returns.
     pub fn start(engine: SharedEngine, config: ServerConfig) -> Result<Server> {
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| Error::Execution(format!("bind {}: {e}", config.addr)))?;
@@ -161,23 +253,13 @@ impl Server {
             .local_addr()
             .map_err(|e| Error::Execution(format!("local_addr: {e}")))?;
         let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
+            admission: Admission::new(config.workers, config.queue_capacity),
             engine,
             config,
             state: AtomicU8::new(RUNNING),
             metrics: Metrics::new(),
             conns: AtomicUsize::new(0),
-            inflight: AtomicUsize::new(0),
         });
-        let workers = (0..shared.config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("fgac-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .map_err(|e| Error::Execution(format!("spawn worker: {e}")))
-            })
-            .collect::<Result<Vec<_>>>()?;
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -189,7 +271,6 @@ impl Server {
             shared,
             local_addr,
             accept: Some(accept),
-            workers,
         })
     }
 
@@ -201,54 +282,49 @@ impl Server {
         &self.shared.metrics
     }
 
-    /// Jobs admitted but not yet picked up by a worker. A lock-free
-    /// gauge (unlike the `METRICS` command, which reads engine cache
-    /// stats under the engine read lock) — tests use it to sequence
-    /// backpressure scenarios deterministically.
+    /// Requests waiting for an admission permit. Read under the
+    /// admission mutex, never the engine lock (unlike the `METRICS`
+    /// command, which reads engine cache stats under the engine read
+    /// lock) — tests use it to sequence backpressure scenarios
+    /// deterministically.
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
+        self.shared.admission.counts().1
     }
 
-    /// Jobs currently inside a worker (popped, not yet replied).
+    /// Requests holding an admission permit (executing, not yet
+    /// answered).
     pub fn inflight(&self) -> usize {
-        self.shared.inflight.load(Ordering::Acquire)
+        self.shared.admission.counts().0
     }
 
-    /// Stops accepting, drains in-flight work up to the drain deadline,
-    /// refuses the rest, stops the workers, and closes the engine
-    /// (fsyncing the WAL). Idempotent at the engine level: a second
-    /// close reports a clean double-close error.
+    /// Stops accepting, drains admitted work up to the drain deadline,
+    /// refuses the requests still waiting, waits for the ones executing,
+    /// and closes the engine (fsyncing the WAL). Idempotent at the
+    /// engine level: a second close reports a clean double-close error.
     pub fn finish(mut self) -> Result<DrainReport> {
         self.shared.state.store(DRAINING, Ordering::Release);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        // Drain: admitted work keeps flowing through the pool.
+        // Drain: permit holders finish and waiters move up.
+        let admission = &self.shared.admission;
         let deadline = Instant::now() + self.shared.config.drain_deadline;
-        while Instant::now() < deadline {
-            if self.shared.queue.is_empty() && self.shared.inflight.load(Ordering::Acquire) == 0 {
-                break;
-            }
+        while admission.counts() != (0, 0) && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        let drained = self.shared.queue.is_empty()
-            && self.shared.inflight.load(Ordering::Acquire) == 0;
+        let drained = admission.counts() == (0, 0);
         self.shared.state.store(STOPPED, Ordering::Release);
-        // Anything still queued is answered, not dropped: each job has a
-        // client blocked on its reply channel.
-        let leftover = self.shared.queue.close_and_drain();
-        let refused_jobs = leftover.len();
-        for job in leftover {
-            Metrics::bump(&self.shared.metrics.drain_shed);
-            let _ = job.reply.try_send(Response::Unavailable(
-                "server stopped before this request was served; retry after restart".into(),
-            ));
+        // Whoever still waits is answered, not dropped: closing wakes
+        // each waiter, which writes `UNAVAILABLE` to its own client.
+        let refused_jobs = admission.close();
+        Metrics::add(&self.shared.metrics.drain_shed, refused_jobs as u64);
+        // Requests already executing finish before the engine closes.
+        while admission.counts().0 > 0 {
+            std::thread::sleep(Duration::from_millis(5));
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        // Give connection threads (which only write replies and poll
-        // sockets) a moment to notice STOPPED and unwind.
+        // Give connection threads (every permit is back; they only write
+        // replies and poll sockets) a moment to notice STOPPED and
+        // unwind.
         let conn_deadline = Instant::now() + Duration::from_secs(2);
         while self.shared.conns.load(Ordering::Acquire) > 0 && Instant::now() < conn_deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -374,7 +450,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 }
             }
             request @ (Request::Query { .. } | Request::Admin(_)) => {
-                let resp = dispatch(shared, &session, request);
+                let resp = dispatch(shared, &session, &request);
                 if !send_response(&mut stream, shared, &resp) {
                     return;
                 }
@@ -427,80 +503,66 @@ fn next_request(
     }
 }
 
-/// Admits a request into the bounded queue and waits for its reply.
-/// Never blocks on a full queue: `Full` becomes `SHED` immediately.
-fn dispatch(shared: &Arc<Shared>, session: &Session, request: Request) -> Response {
-    let deadline = match &request {
+/// Runs one engine request on the calling connection thread under an
+/// admission permit. Never waits when the line is full: that is `SHED`
+/// at once. The deadline starts before the wait, so waiting counts
+/// against it.
+fn dispatch(shared: &Arc<Shared>, session: &Session, request: &Request) -> Response {
+    let deadline = match request {
         Request::Query {
             deadline_ms: Some(ms),
             ..
         } => Some(Instant::now() + Duration::from_millis(*ms)),
         _ => shared.config.default_deadline.map(|d| Instant::now() + d),
     };
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let job = Job {
-        request,
-        session: session.clone(),
-        deadline,
-        reply: reply_tx,
-    };
-    match shared.queue.try_push(job) {
-        Ok(()) => {}
-        Err(PushError::Full(_)) => {
+    let _permit = match shared.admission.acquire() {
+        Ok(permit) => permit,
+        Err(Refused::Shed) => {
             return Response::Shed("admission queue full; retry with backoff".into());
         }
-        Err(PushError::Closed(_)) => {
+        Err(Refused::Closed) => {
             return Response::Unavailable("server draining; reconnect later".into());
         }
-    }
-    match reply_rx.recv_timeout(shared.config.reply_timeout) {
-        Ok(resp) => resp,
-        Err(_) => Response::Unavailable("no reply from worker pool before the backstop".into()),
-    }
+    };
+    process(shared, session, request, deadline)
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        match shared.queue.pop_timeout(Duration::from_millis(50)) {
-            Some(job) => {
-                shared.inflight.fetch_add(1, Ordering::AcqRel);
-                let resp = process(shared, &job);
-                let _ = job.reply.try_send(resp);
-                shared.inflight.fetch_sub(1, Ordering::AcqRel);
-            }
-            None => {
-                if shared.queue.is_closed() {
-                    return;
-                }
-            }
+/// Executes one request against the engine, isolating panics — the
+/// injected `server::handle_request` fault included — so the connection
+/// answers `ERROR` and its permit comes back.
+fn process(
+    shared: &Arc<Shared>,
+    session: &Session,
+    request: &Request,
+    deadline: Option<Instant>,
+) -> Response {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(feature = "fault-injection")]
+        if fgac_types::faults::hit("server::handle_request").is_err() {
+            return Response::Error("injected fault: request handler failed".into());
         }
-    }
-}
-
-/// Executes one job against the engine, isolating panics so the worker
-/// pool never shrinks.
-fn process(shared: &Arc<Shared>, job: &Job) -> Response {
-    #[cfg(feature = "fault-injection")]
-    if fgac_types::faults::hit("server::handle_request").is_err() {
-        return Response::Error("injected fault: request handler failed".into());
-    }
-    let outcome = catch_unwind(AssertUnwindSafe(|| execute(shared, job)));
+        execute(shared, session, request, deadline)
+    }));
     match outcome {
         Ok(resp) => resp,
         Err(_) => {
             Metrics::bump(&shared.metrics.worker_panics);
             Response::Error(
-                "internal error: request handler panicked (isolated; connection and pool intact)"
-                    .into(),
+                "internal error: request handler panicked (isolated; connection intact)".into(),
             )
         }
     }
 }
 
-fn execute(shared: &Arc<Shared>, job: &Job) -> Response {
-    match &job.request {
+fn execute(
+    shared: &Arc<Shared>,
+    session: &Session,
+    request: &Request,
+    deadline: Option<Instant>,
+) -> Response {
+    match request {
         Request::Query { sql, .. } => {
-            match shared.engine.execute_at(&job.session, sql, job.deadline) {
+            match shared.engine.execute_at(session, sql, deadline) {
                 Ok(resp) => match resp.rows() {
                     Some(q) => Response::Rows {
                         names: q.names.clone(),
@@ -512,7 +574,7 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> Response {
             }
         }
         Request::Admin(op) => {
-            if job.session.user() != shared.config.admin_principal {
+            if session.user() != shared.config.admin_principal {
                 return Response::Denied(format!(
                     "admin operations require principal '{}'",
                     shared.config.admin_principal
@@ -535,9 +597,9 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> Response {
                 Err(e) => response_for_error(&e),
             }
         }
-        // Routed directly in the connection thread; reaching a worker
-        // with one of these is a bug, answered defensively.
-        _ => Response::Protocol("request is not a worker operation".into()),
+        // Answered in `serve_connection` without a permit; reaching the
+        // engine with one of these is a bug, answered defensively.
+        _ => Response::Protocol("request is not an engine operation".into()),
     }
 }
 
@@ -552,7 +614,7 @@ fn metrics_response(shared: &Arc<Shared>) -> Response {
         .map(|(k, v)| (k.to_string(), v))
         .collect();
     pairs.push(("conns_open".into(), shared.conns.load(Ordering::Acquire) as u64));
-    pairs.push(("queue_depth".into(), shared.queue.len() as u64));
+    pairs.push(("queue_depth".into(), shared.admission.counts().1 as u64));
     shared.engine.with_read(|e| {
         let (vh, vm) = e.cache().stats();
         pairs.push(("validity_cache_hits".into(), vh));
@@ -582,5 +644,105 @@ fn metrics_response(shared: &Arc<Shared>) -> Response {
     Response::Rows {
         names: vec![Ident::new("metric"), Ident::new("value")],
         rows,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// Polls until `admission` shows `want` (permit holders, waiters).
+    fn wait_for(admission: &Admission, want: (usize, usize)) {
+        let t = Instant::now();
+        while admission.counts() != want {
+            assert!(
+                t.elapsed() < Duration::from_secs(5),
+                "counts stuck at {:?}, want {want:?}",
+                admission.counts()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A thread that takes a permit, releases it at once, and reports
+    /// how `acquire` came out.
+    fn spawn_acquire(
+        admission: &Arc<Admission>,
+    ) -> std::thread::JoinHandle<std::result::Result<(), Refused>> {
+        let admission = Arc::clone(admission);
+        std::thread::spawn(move || admission.acquire().map(drop))
+    }
+
+    #[test]
+    fn sheds_exactly_beyond_slots_plus_line() {
+        let admission = Arc::new(Admission::new(1, 2));
+        let held = admission.acquire().unwrap();
+        let waiters = [spawn_acquire(&admission), spawn_acquire(&admission)];
+        wait_for(&admission, (1, 2));
+        assert!(matches!(admission.acquire(), Err(Refused::Shed)));
+        drop(held);
+        for w in waiters {
+            assert_eq!(w.join().unwrap(), Ok(()));
+        }
+        wait_for(&admission, (0, 0));
+        assert!(admission.acquire().is_ok(), "a freed slot admits again");
+    }
+
+    #[test]
+    fn close_refuses_new_requests_and_reports_the_waiters() {
+        let admission = Arc::new(Admission::new(1, 4));
+        let held = admission.acquire().unwrap();
+        let waiters = [spawn_acquire(&admission), spawn_acquire(&admission)];
+        wait_for(&admission, (1, 2));
+        assert_eq!(admission.close(), 2);
+        for w in waiters {
+            assert_eq!(w.join().unwrap(), Err(Refused::Closed));
+        }
+        assert!(matches!(admission.acquire(), Err(Refused::Closed)));
+        assert_eq!(admission.counts(), (1, 0), "the holder keeps its permit");
+        drop(held);
+        assert_eq!(admission.counts(), (0, 0));
+    }
+
+    #[test]
+    fn a_released_permit_wakes_one_waiter() {
+        let admission = Arc::new(Admission::new(1, 2));
+        let held = admission.acquire().unwrap();
+        // Each waiter, once admitted, holds its permit until it takes
+        // one token from the gate.
+        let (go, gate) = mpsc::channel::<()>();
+        let gate = Arc::new(Mutex::new(gate));
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let (admission, gate) = (Arc::clone(&admission), Arc::clone(&gate));
+                std::thread::spawn(move || {
+                    let _permit = admission.acquire().unwrap();
+                    gate.lock().unwrap().recv().unwrap();
+                })
+            })
+            .collect();
+        wait_for(&admission, (1, 2));
+        drop(held);
+        wait_for(&admission, (1, 1));
+        go.send(()).unwrap();
+        wait_for(&admission, (1, 0));
+        go.send(()).unwrap();
+        for w in waiters {
+            w.join().unwrap();
+        }
+        assert_eq!(admission.counts(), (0, 0));
+    }
+
+    #[test]
+    fn a_permit_is_released_when_its_holder_panics() {
+        let admission = Admission::new(1, 1);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let _permit = admission.acquire().unwrap();
+            panic!("request handler panicked");
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(admission.counts(), (0, 0));
+        assert!(admission.acquire().is_ok());
     }
 }

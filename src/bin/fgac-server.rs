@@ -11,9 +11,13 @@
 //! The serving mode opens (recovering if needed) the WAL-backed store
 //! in `--data`, optionally applies `--init` as an admin script on a
 //! fresh store, prints `LISTENING <addr>` on stdout, and serves until
-//! SIGTERM/SIGINT. Shutdown is graceful: stop accepting, drain
-//! in-flight requests up to `--drain-ms`, answer the rest with
-//! `UNAVAILABLE`, fsync and close the WAL, then print `DRAINED ...`.
+//! SIGTERM/SIGINT. Each connection's thread runs its own requests: at
+//! most `--workers` execute at once, at most `--queue` wait for one of
+//! those slots, and any beyond that are answered `SHED`. Shutdown is
+//! graceful: stop accepting, drain admitted requests up to
+//! `--drain-ms`, answer the ones still waiting with `UNAVAILABLE`, let
+//! the executing ones finish, fsync and close the WAL, then print
+//! `DRAINED ...`.
 //!
 //! `--check` performs recovery only and reports what it found — the CI
 //! smoke job uses it to prove a served-then-terminated store recovers
@@ -187,7 +191,6 @@ fn run_serve(args: &Args) -> i32 {
         default_deadline: args.deadline_ms.map(Duration::from_millis),
         drain_deadline: Duration::from_millis(args.drain_ms),
         admin_principal: args.admin.clone(),
-        ..ServerConfig::default()
     };
     let server = match Server::start(SharedEngine::new(engine), config) {
         Ok(s) => s,

@@ -238,6 +238,89 @@ fn shed_under_backpressure_is_never_denied() {
 }
 
 #[test]
+fn drain_refuses_the_waiting_request_and_finishes_the_running_one() {
+    // workers=1 and a one-slot line, the engine stalled behind its write
+    // lock: A holds the only permit, B waits for it. The drain deadline
+    // passes with both still there, so finish() must refuse B with
+    // UNAVAILABLE (counted), never DENIED, and still let A finish before
+    // the engine closes.
+    let engine = fixture_engine();
+    let server = Server::start(
+        engine.clone(),
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            drain_deadline: Duration::from_millis(200),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let q = "select grade from grades where student_id = '11'";
+
+    // The write lock is held until B has been refused, so A is still
+    // executing when the drain closes admission. The timeout only bounds
+    // a broken drain.
+    let (release, released) = std::sync::mpsc::channel::<()>();
+    let barrier = Arc::new(std::sync::Barrier::new(2));
+    let stall = {
+        let engine = engine.clone();
+        let barrier = Arc::clone(&barrier);
+        std::thread::spawn(move || {
+            engine.with_write(|_| {
+                barrier.wait();
+                let _ = released.recv_timeout(Duration::from_secs(10));
+            });
+        })
+    };
+    barrier.wait();
+
+    let addr = server.local_addr();
+    let spawn_query = || {
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr, Duration::from_secs(10)).unwrap();
+            c.hello("11").unwrap();
+            c.query(q).unwrap()
+        })
+    };
+    let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
+        let t = std::time::Instant::now();
+        while !cond() {
+            assert!(
+                t.elapsed() < Duration::from_secs(1),
+                "timed out waiting for {what}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let a = spawn_query();
+    wait_for("A to hold the only permit", &|| server.inflight() == 1);
+    let b = spawn_query();
+    wait_for("B to wait in line", &|| server.queue_depth() == 1);
+    let b = std::thread::spawn(move || {
+        let answer = b.join().unwrap();
+        let _ = release.send(());
+        answer
+    });
+
+    let report = server.finish().unwrap();
+    match b.join().unwrap() {
+        Response::Unavailable(_) => {}
+        Response::Denied(m) => panic!("drain refusal surfaced as DENIED: {m}"),
+        other => panic!("expected Unavailable for the waiting request, got {other:?}"),
+    }
+    match a.join().unwrap() {
+        Response::Rows { rows, .. } => assert_eq!(rows.len(), 1),
+        other => panic!("the running request did not complete: {other:?}"),
+    }
+    stall.join().unwrap();
+    let counter = |name: &str| report.metrics.iter().find(|(k, _)| *k == name).unwrap().1;
+    assert!(!report.drained_cleanly);
+    assert_eq!(report.refused_jobs, 1);
+    assert_eq!(counter("drain_shed"), 1);
+    assert_eq!(counter("resp_denied"), 0);
+}
+
+#[test]
 fn deadline_expiry_is_timeout_status_not_denied() {
     let server = Server::start(fixture_engine(), quick_config()).unwrap();
     let mut c = connect(&server, "11");

@@ -233,6 +233,50 @@ fn torn_response_loses_the_ack_but_never_the_commit() {
 }
 
 #[test]
+fn request_handler_panic_is_an_error_and_returns_the_permit() {
+    // One permit: if the panicking request kept it, the query after it
+    // on the same connection would wait forever (and the drain would
+    // time out).
+    let _serial = GLOBAL_FAULTS.lock().unwrap_or_else(|p| p.into_inner());
+    let _guard = Disarm;
+    let dir = tmp_dir("handler-panic");
+    let server = Server::start(
+        durable_engine(&dir),
+        ServerConfig {
+            workers: 1,
+            drain_deadline: Duration::from_secs(5),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut c = Client::connect(server.local_addr(), Duration::from_secs(5)).unwrap();
+    c.hello("11").unwrap();
+    let q = "select course_id from grades where student_id = '11'";
+
+    faults::arm_global("server::handle_request", Fault::PanicOnNth(1));
+    match c.query(q).unwrap() {
+        Response::Error(m) => assert!(m.contains("panicked"), "{m}"),
+        other => panic!("expected Error for a panicking handler, got {other:?}"),
+    }
+    faults::arm_global("server::handle_request", Fault::ErrorOnNth(1));
+    match c.query(q).unwrap() {
+        Response::Error(m) => assert!(m.contains("injected fault"), "{m}"),
+        other => panic!("expected Error for a failing handler, got {other:?}"),
+    }
+    faults::disarm_all();
+
+    match c.query(q).unwrap() {
+        Response::Rows { .. } => {}
+        other => panic!("the connection did not recover its permit: {other:?}"),
+    }
+    let report = server.finish().unwrap();
+    assert!(report.drained_cleanly);
+    let panics = report.metrics.iter().find(|(k, _)| *k == "worker_panics").unwrap().1;
+    assert_eq!(panics, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn read_fault_closes_the_connection_but_not_the_server() {
     let _serial = GLOBAL_FAULTS.lock().unwrap_or_else(|p| p.into_inner());
     let _guard = Disarm;
