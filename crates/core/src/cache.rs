@@ -20,17 +20,14 @@
 //!
 //! Every entry also carries the policy epoch it was computed at and,
 //! for accepts, the validity certificate that proves the derivation.
-//! A policy change no longer clears the cache: the engine sweeps it
-//! with [`ValidityCache::apply_policy_change`], restamping entries of
-//! unaffected principals to the new epoch (still fresh) and leaving
-//! affected certificate-carrying accepts behind at their mint epoch.
-//! Those surface from [`ValidityCache::lookup`] as
-//! [`CacheOutcome::Stale`]: the engine re-verifies the certificate
-//! against the *current* grant state and either restamps
-//! ([`ValidityCache::revalidated`]) or evicts and re-proves cold
-//! ([`ValidityCache::evict_stale`]). Affected entries without a
-//! certificate — including every cached denial, which a grant may
-//! legitimately flip to an accept — are dropped in the sweep.
+//! A policy change does not clear the cache: its owner,
+//! [`crate::invalidation::PolicyState`], runs [`ValidityCache::sweep`],
+//! which applies the one restamp rule to every entry. Affected
+//! certificate-carrying accepts are left behind at their mint epoch and
+//! surface from [`ValidityCache::lookup`] as [`CacheOutcome::Stale`]:
+//! the engine re-verifies the certificate against the *current* grant
+//! state and either restamps ([`ValidityCache::revalidated`]) or evicts
+//! and re-proves cold ([`ValidityCache::evict_stale`]).
 //!
 //! ## Concurrency
 //!
@@ -43,6 +40,7 @@
 //! the policy-change sweep nor [`ValidityCache::clear`] resets them, so
 //! a churn bench reads true hit rates across invalidations.
 
+use crate::invalidation::Sweep;
 use crate::nontruman::Verdict;
 use fgac_algebra::Plan;
 use fgac_analyze::Certificate;
@@ -313,44 +311,19 @@ impl ValidityCache {
         self.revalidations.fetch_add(MISS_UNIT, Ordering::Relaxed);
     }
 
-    /// The policy-change sweep, run inside the writer's critical section
-    /// right after the epoch bump `from_epoch → to_epoch`:
-    ///
-    /// * entries of principals the change cannot affect are restamped to
-    ///   `to_epoch` — still fresh;
-    /// * affected certificate-carrying accepts stay at their mint epoch
-    ///   (stale, revalidatable on next lookup);
-    /// * everything else affected is dropped.
-    ///
-    /// Only entries stamped exactly `from_epoch` are restamped: an entry
-    /// left stale by an *earlier* affecting change must not be
-    /// freshened by a later unrelated one — it still has a pending
-    /// revalidation to pass.
-    pub fn apply_policy_change<F>(&self, from_epoch: u64, to_epoch: u64, affects: F)
-    where
-        F: Fn(&str) -> bool,
-    {
+    /// The policy-change sweep: [`Sweep::keep`] decides every entry.
+    /// `&mut self` keeps it inside the owner's critical section.
+    pub fn sweep(&mut self, sweep: &Sweep) {
         let mut dropped = 0u64;
-        for shard in &self.shards {
-            shard.lock().retain(|(user, _), e| {
-                if !affects(user) {
-                    if e.policy_epoch == from_epoch {
-                        e.policy_epoch = to_epoch;
-                    }
-                    return true;
-                }
-                if e.verdict != Verdict::Invalid && e.cert.is_some() {
-                    // Keep, stale: the certificate decides its fate on
-                    // the next lookup.
-                    return true;
-                }
-                dropped += 1;
-                false
+        for shard in &mut self.shards {
+            shard.get_mut().retain(|(user, _), e| {
+                let revalidatable = e.verdict != Verdict::Invalid && e.cert.is_some();
+                let keep = sweep.keep(user, &mut e.policy_epoch, revalidatable);
+                dropped += u64::from(!keep);
+                keep
             });
         }
-        if dropped > 0 {
-            self.invalidated.fetch_add(dropped, Ordering::Relaxed);
-        }
+        *self.invalidated.get_mut() += dropped;
     }
 
     /// Clears every entry (recovery cold-start). Counters survive — they
@@ -405,6 +378,17 @@ impl ValidityCache {
             revalidation_misses,
             invalidated: self.invalidated_entries(),
         }
+    }
+}
+
+#[cfg(test)]
+impl ValidityCache {
+    /// The stamp of `(user, fingerprint)`'s entry, if cached.
+    pub(crate) fn stamp_of(&self, user: &str, fingerprint: u64) -> Option<u64> {
+        self.shard(user, fingerprint)
+            .lock()
+            .get(&(user.to_string(), fingerprint))
+            .map(|e| e.policy_epoch)
     }
 }
 
@@ -528,39 +512,6 @@ mod tests {
         let snap = c.snapshot();
         assert_eq!(snap.revalidation_misses, 1);
         assert_eq!(snap.entries, 0);
-    }
-
-    #[test]
-    fn sweep_restamps_unaffected_and_drops_affected_denials() {
-        let c = ValidityCache::new();
-        let fa = ValidityCache::fingerprint(&plan("a"));
-        let fb = ValidityCache::fingerprint(&plan("b"));
-        let fc = ValidityCache::fingerprint(&plan("c"));
-        // Unaffected accept, affected accept-with-cert, affected denial.
-        c.store("alice", fa, 1, 4, Verdict::Unconditional, None);
-        c.store("bob", fb, 1, 4, Verdict::Unconditional, Some(cert(4)));
-        c.store("bob", fc, 1, 4, Verdict::Invalid, None);
-        c.apply_policy_change(4, 5, |user| user == "bob");
-        // Alice restamped: fresh at 5 without a recheck.
-        assert_eq!(c.lookup("alice", fa, 1, 5), CacheOutcome::Hit(Verdict::Unconditional));
-        // Bob's accept is stale but revalidatable.
-        assert!(matches!(c.lookup("bob", fb, 1, 5), CacheOutcome::Stale { .. }));
-        // Bob's denial is gone — the grant may have made it valid.
-        assert_eq!(c.lookup("bob", fc, 1, 5), CacheOutcome::Miss);
-        assert_eq!(c.invalidated_entries(), 1);
-    }
-
-    #[test]
-    fn sweep_never_freshens_an_already_stale_entry() {
-        let c = ValidityCache::new();
-        let fp = ValidityCache::fingerprint(&plan("t"));
-        c.store("bob", fp, 1, 4, Verdict::Unconditional, Some(cert(4)));
-        // Change affecting bob: entry goes stale at epoch 4.
-        c.apply_policy_change(4, 5, |user| user == "bob");
-        // Later change affecting only alice: bob's entry must NOT be
-        // restamped to 6 — it still owes a revalidation.
-        c.apply_policy_change(5, 6, |user| user == "alice");
-        assert!(matches!(c.lookup("bob", fp, 1, 6), CacheOutcome::Stale { .. }));
     }
 
     #[test]

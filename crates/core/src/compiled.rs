@@ -11,7 +11,7 @@
 //! compiles that case into a decision structure the admission path can
 //! consult with a mask AND and a hash lookup:
 //!
-//! * per epoch, every catalog relation gets a bit id;
+//! * every catalog relation gets a bit id;
 //! * per principal, the granted view set is folded into
 //!   [`PrincipalCaps`]: a bitmask over relation ids marking *full-width*
 //!   unconditional coverage, plus per-relation column-coverage summaries
@@ -31,16 +31,14 @@
 //! summary, a DISTINCT view, a relation with no compiled entry — is a
 //! miss, never a deny and never an accept.
 //!
-//! **Epoch/invalidation contract.** Compiled tables are immutable
-//! snapshots ([`Arc<PrincipalCaps>`]) keyed by the policy epoch. Every
-//! grant, revoke, role change, or DDL bumps the epoch inside the
-//! writer's critical section and calls [`CompiledPolicies::invalidate`]
-//! there, so under [`crate::SharedEngine`] no reader ever observes a
-//! mask compiled against dead grants: readers hold the shared lock for
-//! the whole statement, and the swap happens while no reader is in
-//! flight. Lookups additionally re-key on the live epoch, so even a
-//! missed explicit invalidation (e.g. a pure catalog extension) can only
-//! cause a recompile, never a stale accept.
+//! **Epoch/invalidation contract.** Compiled snapshots are immutable
+//! ([`Arc<PrincipalCaps>`]), each stamped with the policy epoch it was
+//! compiled at. A lookup serves only a snapshot stamped with the epoch
+//! it asks for; anything else recompiles. The store is owned by
+//! [`crate::invalidation::PolicyState`], whose policy-change sweep
+//! ([`CompiledPolicies::sweep`]) runs the one restamp rule inside the
+//! writer's critical section, so under [`crate::SharedEngine`] no reader
+//! ever observes a mask compiled against dead grants.
 //!
 //! Every fast-path accept still mints a checkable certificate (PR 5's
 //! guarantee): one U1 step per covering view plus a U2 goal step — the
@@ -49,6 +47,7 @@
 
 use crate::authview::AuthorizationView;
 use crate::grants::Grants;
+use crate::invalidation::Sweep;
 use fgac_algebra::{normalize, ParamScope, Plan, ScalarExpr, SpjBlock};
 use fgac_storage::Catalog;
 use fgac_types::Ident;
@@ -128,9 +127,8 @@ pub struct FastAccept {
 /// contract.
 #[derive(Debug)]
 pub struct PrincipalCaps {
-    epoch: u64,
-    /// Relation → bit id, shared by every principal compiled at this
-    /// epoch.
+    /// Relation → bit id, shared by every principal compiled against
+    /// the same set of tables.
     rel_ids: Arc<HashMap<Ident, u32>>,
     /// Capability bitmask: bit `r` set ⇔ relation id `r` has a
     /// full-width unconditional covering view.
@@ -144,11 +142,6 @@ pub struct PrincipalCaps {
 }
 
 impl PrincipalCaps {
-    /// The policy epoch this snapshot was compiled against.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Relations with at least one compiled coverage entry.
     pub fn compiled_relations(&self) -> usize {
         self.coverage.len()
@@ -261,9 +254,8 @@ impl PrincipalCaps {
     }
 }
 
-/// The engine's compiled-policy tables: one immutable
-/// [`PrincipalCaps`] snapshot per principal, lazily compiled per policy
-/// epoch and swapped out wholesale on the writer's epoch bump.
+/// The engine's compiled-policy tables: one immutable, epoch-stamped
+/// [`PrincipalCaps`] snapshot per principal, compiled lazily.
 #[derive(Debug, Default)]
 pub struct CompiledPolicies {
     inner: Mutex<State>,
@@ -271,10 +263,11 @@ pub struct CompiledPolicies {
 
 #[derive(Debug, Default)]
 struct State {
-    /// `None` until first use and after [`CompiledPolicies::invalidate`].
-    epoch: Option<u64>,
-    rel_ids: Arc<HashMap<Ident, u32>>,
-    principals: HashMap<String, Arc<PrincipalCaps>>,
+    /// Relation → bit id for future compiles; `None` until first use
+    /// and after a sweep that introduced a name.
+    rel_ids: Option<Arc<HashMap<Ident, u32>>>,
+    /// principal → (epoch compiled at, snapshot).
+    principals: HashMap<String, (u64, Arc<PrincipalCaps>)>,
 }
 
 impl CompiledPolicies {
@@ -282,10 +275,11 @@ impl CompiledPolicies {
         Self::default()
     }
 
-    /// The principal's compiled snapshot for `epoch`, compiling it on
-    /// first use. Compilation runs outside the table lock — it is
-    /// O(granted views) — so concurrent readers compiling *different*
-    /// principals do not serialize behind each other.
+    /// The principal's compiled snapshot for `epoch`, compiling it when
+    /// no snapshot stamped `epoch` is cached. Compilation runs outside
+    /// the table lock — it is O(granted views) — so concurrent readers
+    /// compiling *different* principals do not serialize behind each
+    /// other.
     pub fn principal(
         &self,
         epoch: u64,
@@ -295,95 +289,45 @@ impl CompiledPolicies {
     ) -> Arc<PrincipalCaps> {
         let rel_ids = {
             let mut st = self.inner.lock();
-            if st.epoch != Some(epoch) {
-                st.epoch = Some(epoch);
-                st.principals.clear();
-                st.rel_ids = Arc::new(relation_ids(catalog));
+            if let Some((stamp, caps)) = st.principals.get(user) {
+                if *stamp == epoch {
+                    return Arc::clone(caps);
+                }
             }
-            if let Some(caps) = st.principals.get(user) {
-                return Arc::clone(caps);
-            }
-            Arc::clone(&st.rel_ids)
+            Arc::clone(
+                st.rel_ids
+                    .get_or_insert_with(|| Arc::new(relation_ids(catalog))),
+            )
         };
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
-        let caps = Arc::new(compile_principal(epoch, user, catalog, grants, rel_ids));
+        let caps = Arc::new(compile_principal(user, catalog, grants, rel_ids));
         let mut st = self.inner.lock();
-        if st.epoch == Some(epoch) {
-            // First compile wins on a benign race; both snapshots are
-            // identical (compilation is a pure function of epoch state).
-            return Arc::clone(
-                st.principals
-                    .entry(user.to_string())
-                    .or_insert(caps),
-            );
+        let slot = st
+            .principals
+            .entry(user.to_string())
+            .or_insert_with(|| (epoch, Arc::clone(&caps)));
+        // First compile wins on a benign race; both snapshots are
+        // identical (compilation is a pure function of epoch state).
+        if slot.0 != epoch {
+            *slot = (epoch, caps);
         }
-        // The epoch moved while we compiled (not possible under the
-        // engine's locking, but cheap to tolerate): hand the snapshot to
-        // this caller only, without publishing it.
-        caps
+        Arc::clone(&slot.1)
     }
 
-    /// Drops every compiled snapshot. Called by the writer inside its
-    /// critical section on every policy/schema change, so the epoch bump
-    /// and the table swap are one atomic event from any reader's view.
-    pub fn invalidate(&self) {
-        let mut st = self.inner.lock();
-        st.epoch = None;
-        st.principals.clear();
-        st.rel_ids = Arc::new(HashMap::new());
-    }
-
-    /// The dependency-tracked policy-change sweep, run inside the
-    /// writer's critical section right after the epoch bump
-    /// `from_epoch → to_epoch`: drops only the snapshots of principals
-    /// the change affects and re-keys the table to the new epoch, so
-    /// unaffected principals keep their compiled caps across churn.
-    ///
-    /// Soundness: a snapshot is a pure function of the catalog and one
-    /// principal's effective grants. For an unaffected principal
-    /// neither input changed, so the retained snapshot equals what a
-    /// recompile at `to_epoch` would produce. A pure catalog extension
-    /// (CREATE TABLE) passes the new catalog so *future* compiles see
-    /// the new relation ids; retained snapshots keep their own embedded
-    /// `rel_ids` and simply miss (→ full prover) on the new table —
-    /// never a stale accept. Returns the number of snapshots dropped.
-    ///
-    /// If the table's epoch does not match `from_epoch` (possible only
-    /// if an invalidation was missed), everything is dropped — fail
-    /// closed, exactly like [`CompiledPolicies::invalidate`].
-    pub fn apply_policy_change<F>(
-        &self,
-        from_epoch: u64,
-        to_epoch: u64,
-        affects: F,
-        new_catalog: Option<&Catalog>,
-    ) -> usize
-    where
-        F: Fn(&str) -> bool,
-    {
-        let mut st = self.inner.lock();
-        match st.epoch {
-            // Nothing compiled yet: leave the table unkeyed — the first
-            // `principal()` call builds relation ids from the live
-            // catalog and keys the table in one step.
-            None => 0,
-            Some(e) if e == from_epoch => {
-                st.epoch = Some(to_epoch);
-                let before = st.principals.len();
-                st.principals.retain(|user, _| !affects(user));
-                if let Some(cat) = new_catalog {
-                    st.rel_ids = Arc::new(relation_ids(cat));
-                }
-                before - st.principals.len()
-            }
-            Some(_) => {
-                let dropped = st.principals.len();
-                st.epoch = None;
-                st.principals.clear();
-                st.rel_ids = Arc::new(HashMap::new());
-                dropped
-            }
+    /// The policy-change sweep: [`Sweep::keep`] decides every
+    /// principal's snapshot (none carries a certificate, so an affected
+    /// one is dropped). A snapshot is a pure function of the catalog and
+    /// one principal's effective grants, so an unaffected one equals
+    /// what a recompile would produce. A change that introduces a name
+    /// resets the relation ids for future compiles; retained snapshots
+    /// keep their own and simply miss (→ full prover) on a new table.
+    pub fn sweep(&mut self, sweep: &Sweep) {
+        let st = self.inner.get_mut();
+        if sweep.introduces_names() {
+            st.rel_ids = None;
         }
+        st.principals
+            .retain(|user, (stamp, _)| sweep.keep(user, stamp, false));
     }
 
     /// Number of principals with a live compiled snapshot (gauge).
@@ -392,8 +336,8 @@ impl CompiledPolicies {
     }
 }
 
-/// Stable relation → bit-id assignment for one epoch (catalog iteration
-/// order is deterministic).
+/// Stable relation → bit-id assignment (catalog iteration order is
+/// deterministic).
 fn relation_ids(catalog: &Catalog) -> HashMap<Ident, u32> {
     let mut ids = HashMap::new();
     for (i, t) in catalog.tables().enumerate() {
@@ -404,7 +348,6 @@ fn relation_ids(catalog: &Catalog) -> HashMap<Ident, u32> {
 
 /// Folds the principal's granted view set into a capability snapshot.
 fn compile_principal(
-    epoch: u64,
     user: &str,
     catalog: &Catalog,
     grants: &Grants,
@@ -469,7 +412,6 @@ fn compile_principal(
         }
     }
     PrincipalCaps {
-        epoch,
         rel_ids,
         full_mask,
         coverage,
@@ -517,8 +459,17 @@ fn compile_view_block(name: &Ident, block: SpjBlock) -> Option<(Ident, RelCovera
 }
 
 #[cfg(test)]
+impl CompiledPolicies {
+    /// The stamp of `user`'s cached snapshot, if any.
+    pub(crate) fn stamp_of(&self, user: &str) -> Option<u64> {
+        self.inner.lock().principals.get(user).map(|e| e.0)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::invalidation::PolicyDelta;
     use fgac_types::{Column, DataType, Schema};
 
     fn catalog() -> Catalog {
@@ -560,7 +511,6 @@ mod tests {
 
     fn caps(catalog: &Catalog, grants: &Grants) -> PrincipalCaps {
         compile_principal(
-            7,
             "u",
             catalog,
             grants,
@@ -657,21 +607,23 @@ mod tests {
     }
 
     #[test]
-    fn sweep_retains_unaffected_principals() {
+    fn unaffected_snapshot_survives_a_sweep_verbatim() {
         let mut c = catalog();
         add_view(&mut c, "create authorization view g as select * from grades");
         add_view(&mut c, "create authorization view s as select * from students");
         let mut g = Grants::new();
         g.grant_view("u", "g");
         g.grant_view("w", "s");
-        let tables = CompiledPolicies::new();
+        let mut tables = CompiledPolicies::new();
         let u1 = tables.principal(1, "u", &c, &g);
         let _w1 = tables.principal(1, "w", &c, &g);
-        assert_eq!(tables.compiled_principals(), 2);
         // A change affecting only "w" keeps "u"'s snapshot byte-for-byte.
+        let revoke = PolicyDelta::RevokeView {
+            principal: "w".into(),
+            view: Ident::new("s"),
+        };
         g.revoke_view("w", &Ident::new("s"));
-        let dropped = tables.apply_policy_change(1, 2, |user| user == "w", None);
-        assert_eq!(dropped, 1);
+        tables.sweep(&Sweep::new(&revoke, &g, 1, 2));
         assert_eq!(tables.compiled_principals(), 1);
         let u2 = tables.principal(2, "u", &c, &g);
         assert!(Arc::ptr_eq(&u1, &u2), "unaffected snapshot must survive");
@@ -681,26 +633,12 @@ mod tests {
     }
 
     #[test]
-    fn sweep_with_unexpected_epoch_fails_closed() {
-        let mut c = catalog();
-        add_view(&mut c, "create authorization view g as select * from grades");
-        let mut g = Grants::new();
-        g.grant_view("u", "g");
-        let tables = CompiledPolicies::new();
-        let _ = tables.principal(3, "u", &c, &g);
-        // from_epoch disagrees with the table's key: drop everything.
-        let dropped = tables.apply_policy_change(9, 10, |_| false, None);
-        assert_eq!(dropped, 1);
-        assert_eq!(tables.compiled_principals(), 0);
-    }
-
-    #[test]
     fn new_table_sweep_rebuilds_relation_ids_for_future_compiles() {
         let mut c = catalog();
         add_view(&mut c, "create authorization view g as select * from grades");
         let mut g = Grants::new();
         g.grant_view("u", "g");
-        let tables = CompiledPolicies::new();
+        let mut tables = CompiledPolicies::new();
         let before = tables.principal(1, "u", &c, &g);
         // Pure catalog extension: "u" is unaffected and keeps its caps.
         c.add_table(
@@ -709,7 +647,10 @@ mod tests {
             None,
         )
         .unwrap();
-        tables.apply_policy_change(1, 2, |_| false, Some(&c));
+        let new_table = PolicyDelta::NewTable {
+            table: Ident::new("audit"),
+        };
+        tables.sweep(&Sweep::new(&new_table, &g, 1, 2));
         let after = tables.principal(2, "u", &c, &g);
         assert!(Arc::ptr_eq(&before, &after));
         // A fresh principal compiled after the sweep sees the new
@@ -717,30 +658,30 @@ mod tests {
         // admits; the new table simply has no coverage).
         g.grant_view("v2", "g");
         let fresh = tables.principal(2, "v2", &c, &g);
+        assert!(fresh.rel_ids.contains_key(&Ident::new("audit")));
         assert!(admit(&fresh, &c, "select grade from grades where course_id = 'x'").is_some());
         assert!(admit(&fresh, &c, "select id from audit").is_none());
     }
 
     #[test]
-    fn epoch_change_swaps_snapshots() {
+    fn snapshot_stamped_behind_the_lookup_epoch_recompiles() {
         let mut c = catalog();
         add_view(&mut c, "create authorization view g as select * from grades");
         let mut g = Grants::new();
         g.grant_view("u", "g");
         let tables = CompiledPolicies::new();
-        let a = tables.principal(1, "u", &c, &g);
-        assert_eq!(a.epoch(), 1);
-        assert_eq!(tables.compiled_principals(), 1);
+        let a = tables.principal(3, "u", &c, &g);
         // Same epoch: same snapshot.
-        let b = tables.principal(1, "u", &c, &g);
+        let b = tables.principal(3, "u", &c, &g);
         assert!(Arc::ptr_eq(&a, &b));
-        // Writer-side invalidation drops everything.
-        tables.invalidate();
-        assert_eq!(tables.compiled_principals(), 0);
-        // New epoch recompiles against the (changed) grants.
+        // The grant goes away with no sweep in between: a lookup at a
+        // later epoch must recompile against the live grants, never
+        // serve the snapshot stamped 3.
         g.revoke_view("u", &Ident::new("g"));
-        let c2 = tables.principal(2, "u", &c, &g);
-        assert_eq!(c2.epoch(), 2);
-        assert_eq!(c2.compiled_relations(), 0);
+        let compiles = compile_count();
+        let c4 = tables.principal(4, "u", &c, &g);
+        assert!(compile_count() > compiles);
+        assert_eq!(c4.compiled_relations(), 0);
+        assert_eq!(tables.stamp_of("u"), Some(4));
     }
 }

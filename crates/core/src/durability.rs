@@ -39,6 +39,7 @@
 //! [`Engine::sync`] / [`Engine::close`] at a boundary you choose.
 
 use crate::engine::Engine;
+use crate::grants::Grants;
 use crate::invalidation::PolicyDelta;
 use fgac_sql::Statement;
 use fgac_storage::Mark;
@@ -151,7 +152,7 @@ impl Engine {
         // cache entry under, and every cache — plans, verdicts, compiled
         // caps — starts cold (a recovered engine has no certificates to
         // revalidate against anyway).
-        engine.apply_change(crate::invalidation::PolicyDelta::Full);
+        engine.policy.apply(PolicyDelta::Full);
         engine.attach(Durability {
             store: recovered.store,
             opts,
@@ -313,19 +314,19 @@ impl Engine {
             .collect();
         let grants = GrantsState {
             views: self
-                .grants
+                .grants()
                 .view_grants()
                 .iter()
                 .map(|(p, vs)| (p.clone(), vs.iter().cloned().collect()))
                 .collect(),
             constraints: self
-                .grants
+                .grants()
                 .constraint_grants()
                 .iter()
                 .map(|(p, cs)| (p.clone(), cs.iter().cloned().collect()))
                 .collect(),
             update_auths: self
-                .grants
+                .grants()
                 .update_grants()
                 .iter()
                 .map(|(p, auths)| {
@@ -341,7 +342,7 @@ impl Engine {
                 })
                 .collect(),
             roles: self
-                .grants
+                .grants()
                 .role_memberships()
                 .iter()
                 .map(|(u, rs)| (u.clone(), rs.iter().cloned().collect()))
@@ -350,7 +351,7 @@ impl Engine {
         SnapshotState {
             lsn,
             data_version: self.data_version,
-            policy_epoch: self.policy_epoch,
+            policy_epoch: self.policy_epoch(),
             tables,
             foreign_keys: self.db.catalog().foreign_keys().to_vec(),
             views_sql,
@@ -391,20 +392,21 @@ impl Engine {
             let stmt = fgac_sql::parse_statement(sql)?;
             self.apply_ddl(&stmt)?;
         }
+        let mut grants = Grants::new();
         for (principal, views) in snap.grants.views {
             for v in views {
-                self.grants.grant_view(principal.clone(), v);
+                grants.grant_view(principal.clone(), v);
             }
         }
         for (principal, constraints) in snap.grants.constraints {
             for c in constraints {
-                self.grants.grant_constraint(principal.clone(), c);
+                grants.grant_constraint(principal.clone(), c);
             }
         }
         for (principal, auths) in snap.grants.update_auths {
             for sql in auths {
                 match fgac_sql::parse_statement(&sql)? {
-                    Statement::Authorize(a) => self.grants.grant_update(principal.clone(), a),
+                    Statement::Authorize(a) => grants.grant_update(principal.clone(), a),
                     _ => {
                         return Err(Error::Corrupt(format!(
                             "snapshot update authorization is not an AUTHORIZE statement: {sql}"
@@ -415,11 +417,11 @@ impl Engine {
         }
         for (user, roles) in snap.grants.roles {
             for r in roles {
-                self.grants.add_role(user.clone(), r);
+                grants.add_role(user.clone(), r);
             }
         }
+        self.policy.restore(grants, snap.policy_epoch);
         self.data_version = snap.data_version;
-        self.policy_epoch = snap.policy_epoch;
         Ok(())
     }
 
@@ -440,52 +442,54 @@ impl Engine {
                 self.bump();
                 Ok(())
             }
-            WalRecord::GrantView { principal, view } => {
-                self.grants.grant_view(principal.clone(), view.as_str());
-                self.apply_change(PolicyDelta::GrantView {
-                    principal,
-                    view: Ident::new(view),
-                });
-                Ok(())
-            }
-            WalRecord::RevokeView { principal, view } => {
-                let v = Ident::new(view);
-                self.grants.revoke_view(&principal, &v);
-                self.apply_change(PolicyDelta::RevokeView { principal, view: v });
-                Ok(())
-            }
-            WalRecord::GrantConstraint { principal, name } => {
-                self.grants.grant_constraint(principal.clone(), name.as_str());
-                self.apply_change(PolicyDelta::GrantConstraint {
-                    principal,
-                    name: Ident::new(name),
-                });
-                Ok(())
-            }
             WalRecord::GrantUpdate { principal, sql } => match fgac_sql::parse_statement(&sql)? {
                 Statement::Authorize(a) => {
-                    self.grants.grant_update(principal, a);
+                    self.policy.grant_update(principal, a);
                     Ok(())
                 }
                 _ => Err(Error::Corrupt(format!(
                     "logged update authorization is not an AUTHORIZE statement: {sql}"
                 ))),
             },
-            WalRecord::AddRole { user, role } => {
-                self.grants.add_role(user.clone(), role);
-                self.apply_change(PolicyDelta::AddRole { user });
-                Ok(())
-            }
-            WalRecord::DelegateView { to, view, .. } => {
-                // Validation (delegator holds the view) passed at log
-                // time; replay applies the effect.
-                self.grants.grant_view(to.clone(), view.as_str());
-                self.apply_change(PolicyDelta::GrantView {
-                    principal: to,
-                    view: Ident::new(view),
-                });
+            // Validation (a delegator holds the view) passed at log
+            // time; replay applies the effect.
+            grant => {
+                self.policy.apply(policy_delta(&grant)?);
                 Ok(())
             }
         }
     }
+}
+
+/// The [`PolicyDelta`] a grant record makes. Shared by the live commit
+/// path and replay, so both change the grants and sweep the caches
+/// alike.
+pub(crate) fn policy_delta(record: &WalRecord) -> Result<PolicyDelta> {
+    Ok(match record {
+        WalRecord::GrantView { principal, view } => PolicyDelta::GrantView {
+            principal: principal.clone(),
+            view: Ident::new(view),
+        },
+        WalRecord::RevokeView { principal, view } => PolicyDelta::RevokeView {
+            principal: principal.clone(),
+            view: Ident::new(view),
+        },
+        WalRecord::GrantConstraint { principal, name } => PolicyDelta::GrantConstraint {
+            principal: principal.clone(),
+            name: Ident::new(name),
+        },
+        WalRecord::AddRole { user, role } => PolicyDelta::AddRole {
+            user: user.clone(),
+            role: role.clone(),
+        },
+        WalRecord::DelegateView { to, view, .. } => PolicyDelta::GrantView {
+            principal: to.clone(),
+            view: Ident::new(view),
+        },
+        WalRecord::Ddl { .. } | WalRecord::Dml { .. } | WalRecord::GrantUpdate { .. } => {
+            return Err(Error::Internal(
+                "policy_delta called on a record that changes no grant".into(),
+            ))
+        }
+    })
 }

@@ -16,7 +16,7 @@
 use crate::cache::{CacheOutcome, ValidityCache};
 use crate::durability::Durability;
 use crate::grants::Grants;
-use crate::invalidation::PolicyDelta;
+use crate::invalidation::{PolicyDelta, PolicyState};
 use crate::nontruman::{CheckOptions, Validator, Verdict, ValidityReport};
 use crate::plancache::{CachedPlan, PlanCache};
 use crate::session::Session;
@@ -59,23 +59,12 @@ impl EngineResponse {
 /// The fine-grained access control engine.
 pub struct Engine {
     pub(crate) db: Database,
-    pub(crate) grants: Grants,
-    pub(crate) cache: ValidityCache,
-    pub(crate) plan_cache: PlanCache,
-    /// Per-principal compiled capability snapshots (the authorization
-    /// fast path). Keyed by `policy_epoch`: invalidated explicitly on
-    /// every policy/schema change and re-keyed lazily on lookup, so a
-    /// revoke can never leave a stale mask serving accepts.
-    compiled: crate::compiled::CompiledPolicies,
-    /// Epoch-stamped per-principal flow findings + shared view-summary
-    /// memo for incremental `ANALYZE FLOW` (see [`crate::flowcache`]).
-    flow: crate::flowcache::FlowAnalysisCache,
+    /// Grants, the policy epoch and every cache derived from them; they
+    /// change only through [`PolicyState::apply`] and its siblings.
+    pub(crate) policy: PolicyState,
     options: CheckOptions,
     /// Bumped on every successful DML — versions conditional verdicts.
     pub(crate) data_version: u64,
-    /// Bumped on every catalog or authorization change — versions cached
-    /// plans (binding depends on the catalog; validity depends on both).
-    pub(crate) policy_epoch: u64,
     /// `Some` when the engine writes a WAL (see [`Engine::open`]).
     pub(crate) durability: Option<Durability>,
     /// Set by [`Engine::close`]. A closed engine returns a clean
@@ -89,14 +78,9 @@ impl Engine {
     pub fn new() -> Self {
         Engine {
             db: Database::new(),
-            grants: Grants::new(),
-            cache: ValidityCache::new(),
-            plan_cache: PlanCache::new(),
-            compiled: crate::compiled::CompiledPolicies::new(),
-            flow: crate::flowcache::FlowAnalysisCache::new(),
+            policy: PolicyState::new(),
             options: CheckOptions::default(),
             data_version: 0,
-            policy_epoch: 0,
             durability: None,
             closed: false,
         }
@@ -128,15 +112,15 @@ impl Engine {
     }
 
     pub fn grants(&self) -> &Grants {
-        &self.grants
+        self.policy.grants()
     }
 
     pub fn cache(&self) -> &ValidityCache {
-        &self.cache
+        self.policy.validity_cache()
     }
 
     pub fn plan_cache(&self) -> &PlanCache {
-        &self.plan_cache
+        self.policy.plan_cache()
     }
 
     pub fn data_version(&self) -> u64 {
@@ -144,61 +128,12 @@ impl Engine {
     }
 
     pub fn policy_epoch(&self) -> u64 {
-        self.policy_epoch
-    }
-
-    /// Applies one policy/schema change to the admission caches:
-    /// dependency-tracked invalidation instead of the old global
-    /// cold-start. The epoch still bumps on every change (it remains
-    /// the version stamp certificates are minted under), but each cache
-    /// is swept with the delta:
-    ///
-    /// * validity cache — entries of unaffected principals are
-    ///   restamped to the new epoch; affected certificate-carrying
-    ///   accepts stay behind as *stale* (warm-revalidated on next
-    ///   lookup, see [`Engine::check_admitted_at`]); affected denials
-    ///   and certificate-less entries are dropped;
-    /// * plan cache — only DDL introducing a catalog name can change
-    ///   binding, so only entries depending on that name are dropped
-    ///   (grants/roles touch nothing);
-    /// * compiled caps — affected principals' snapshots are dropped,
-    ///   the rest survive; a CREATE TABLE also rebuilds the relation-id
-    ///   space for future compiles.
-    ///
-    /// Runs inside the writer's critical section (`&mut self`), so
-    /// under [`crate::SharedEngine`] no reader observes the new grants
-    /// with the old caches or vice versa.
-    pub(crate) fn apply_change(&mut self, delta: PolicyDelta) {
-        let from = self.policy_epoch;
-        self.policy_epoch += 1;
-        let to = self.policy_epoch;
-        crate::invalidation::note_policy_change();
-        if matches!(delta, PolicyDelta::Full) {
-            crate::invalidation::note_full_invalidation();
-            self.cache.clear();
-            self.plan_cache.clear();
-            self.compiled.invalidate();
-            self.flow.clear();
-            return;
-        }
-        let grants = &self.grants;
-        let affects = |user: &str| delta.affects(grants, user);
-        self.cache.apply_policy_change(from, to, affects);
-        if let Some(name) = delta.introduced_name() {
-            self.plan_cache.invalidate_deps(std::slice::from_ref(name));
-        }
-        self.flow
-            .apply_policy_change(from, to, affects, delta.introduced_name().is_some());
-        let new_catalog = match delta {
-            PolicyDelta::NewTable { .. } => Some(self.db.catalog()),
-            _ => None,
-        };
-        self.compiled.apply_policy_change(from, to, affects, new_catalog);
+        self.policy.epoch()
     }
 
     /// The compiled-policy store (fast-path capability snapshots).
     pub fn compiled_policies(&self) -> &crate::compiled::CompiledPolicies {
-        &self.compiled
+        self.policy.compiled()
     }
 
     // ---------------- DBA path ----------------
@@ -289,7 +224,7 @@ impl Engine {
                         parent_columns: fk.parent_columns.clone(),
                     })?;
                 }
-                self.apply_change(PolicyDelta::NewTable {
+                self.policy.apply(PolicyDelta::NewTable {
                     table: t.name.clone(),
                 });
                 Ok(())
@@ -300,7 +235,7 @@ impl Engine {
                     authorization: v.authorization,
                     query: v.query.clone(),
                 })?;
-                self.apply_change(PolicyDelta::NewView {
+                self.policy.apply(PolicyDelta::NewView {
                     view: v.name.clone(),
                 });
                 Ok(())
@@ -315,7 +250,7 @@ impl Engine {
                     dst_columns: d.dst_columns.clone(),
                     dst_filter: d.dst_filter.clone(),
                 })?;
-                self.apply_change(PolicyDelta::NewConstraint {
+                self.policy.apply(PolicyDelta::NewConstraint {
                     name: d.name.clone(),
                 });
                 Ok(())
@@ -393,52 +328,28 @@ impl Engine {
     /// durable engine the record is committed first, so the grant tables
     /// never run ahead of the log.
     pub fn grant_view(&mut self, principal: &str, view: &str) -> Result<()> {
-        self.ensure_open()?;
-        self.log_commit(WalRecord::GrantView {
+        self.commit_policy(WalRecord::GrantView {
             principal: principal.into(),
             view: view.into(),
-        })?;
-        self.grants.grant_view(principal, view);
-        self.apply_change(PolicyDelta::GrantView {
-            principal: principal.to_string(),
-            view: Ident::new(view),
-        });
-        self.maybe_snapshot();
-        Ok(())
+        })
     }
 
     /// Revokes an authorization view from a principal. Cached verdicts
-    /// and plans derived under the old grant set are discarded.
+    /// derived under the old grant set are dropped or left to revalidate.
     pub fn revoke_view(&mut self, principal: &str, view: &str) -> Result<()> {
-        self.ensure_open()?;
-        self.log_commit(WalRecord::RevokeView {
+        self.commit_policy(WalRecord::RevokeView {
             principal: principal.into(),
             view: view.into(),
-        })?;
-        self.grants.revoke_view(principal, &Ident::new(view));
-        self.apply_change(PolicyDelta::RevokeView {
-            principal: principal.to_string(),
-            view: Ident::new(view),
-        });
-        self.maybe_snapshot();
-        Ok(())
+        })
     }
 
     /// Makes an integrity constraint visible to a principal (U3a
     /// condition 2).
     pub fn grant_constraint(&mut self, principal: &str, name: &str) -> Result<()> {
-        self.ensure_open()?;
-        self.log_commit(WalRecord::GrantConstraint {
+        self.commit_policy(WalRecord::GrantConstraint {
             principal: principal.into(),
             name: name.into(),
-        })?;
-        self.grants.grant_constraint(principal, name);
-        self.apply_change(PolicyDelta::GrantConstraint {
-            principal: principal.to_string(),
-            name: Ident::new(name),
-        });
-        self.maybe_snapshot();
-        Ok(())
+        })
     }
 
     /// Grants an `AUTHORIZE ...` update authorization (SQL text).
@@ -450,7 +361,7 @@ impl Engine {
                     principal: principal.into(),
                     sql: sql.into(),
                 })?;
-                self.grants.grant_update(principal, a);
+                self.policy.grant_update(principal, a);
                 self.maybe_snapshot();
                 Ok(())
             }
@@ -460,17 +371,10 @@ impl Engine {
 
     /// Adds a user to a role.
     pub fn add_role(&mut self, user: &str, role: &str) -> Result<()> {
-        self.ensure_open()?;
-        self.log_commit(WalRecord::AddRole {
+        self.commit_policy(WalRecord::AddRole {
             user: user.into(),
             role: role.into(),
-        })?;
-        self.grants.add_role(user, role);
-        self.apply_change(PolicyDelta::AddRole {
-            user: user.to_string(),
-        });
-        self.maybe_snapshot();
-        Ok(())
+        })
     }
 
     /// Delegates a view grant between users (Section 6). The delegator
@@ -479,21 +383,25 @@ impl Engine {
     pub fn delegate_view(&mut self, from: &str, to: &str, view: &str) -> Result<()> {
         self.ensure_open()?;
         let v = Ident::new(view);
-        if !self.grants.views_for(from).contains(&v) {
+        if !self.grants().views_for(from).contains(&v) {
             return Err(Error::Unauthorized(format!(
                 "user {from} does not hold view {v} and cannot delegate it"
             )));
         }
-        self.log_commit(WalRecord::DelegateView {
+        self.commit_policy(WalRecord::DelegateView {
             from: from.into(),
             to: to.into(),
             view: view.into(),
-        })?;
-        self.grants.grant_view(to, v.clone());
-        self.apply_change(PolicyDelta::GrantView {
-            principal: to.to_string(),
-            view: v,
-        });
+        })
+    }
+
+    /// The commit protocol of a grant record: log, then apply its
+    /// [`PolicyDelta`].
+    fn commit_policy(&mut self, record: WalRecord) -> Result<()> {
+        self.ensure_open()?;
+        let delta = crate::durability::policy_delta(&record)?;
+        self.log_commit(record)?;
+        self.policy.apply(delta);
         self.maybe_snapshot();
         Ok(())
     }
@@ -529,7 +437,7 @@ impl Engine {
     ) -> Result<EngineResponse> {
         self.ensure_open()?;
         check_deadline(deadline)?;
-        if let Some(cached) = self.plan_cache.get(sql, session.params()) {
+        if let Some(cached) = self.plan_cache().get(sql, session.params()) {
             return self.execute_cached_query_at(session, &cached, deadline);
         }
         let stmt = fgac_sql::parse_statement(sql)?;
@@ -560,7 +468,7 @@ impl Engine {
         if let Err(e) = check_deadline(deadline) {
             return Some(Err(e));
         }
-        if let Some(cached) = self.plan_cache.get(sql, session.params()) {
+        if let Some(cached) = self.plan_cache().get(sql, session.params()) {
             return Some(self.execute_cached_query_at(session, &cached, deadline));
         }
         let stmt = match fgac_sql::parse_statement(sql) {
@@ -653,7 +561,7 @@ impl Engine {
             validity_fp,
             deps,
         });
-        self.plan_cache.insert(sql, session.params(), cached.clone());
+        self.plan_cache().insert(sql, session.params(), cached.clone());
         Ok(cached)
     }
 
@@ -780,17 +688,17 @@ impl Engine {
             // commit point (log + bump) lives in `execute_statement`,
             // after the WAL append is known to have succeeded.
             Statement::Insert(i) => {
-                let auth = UpdateAuthorizer::new(&self.grants);
+                let auth = UpdateAuthorizer::new(self.policy.grants());
                 let n = auth.insert(&mut self.db, session, i)?;
                 Ok(EngineResponse::Affected(n))
             }
             Statement::Update(u) => {
-                let auth = UpdateAuthorizer::new(&self.grants);
+                let auth = UpdateAuthorizer::new(self.policy.grants());
                 let n = auth.update(&mut self.db, session, u)?;
                 Ok(EngineResponse::Affected(n))
             }
             Statement::Delete(d) => {
-                let auth = UpdateAuthorizer::new(&self.grants);
+                let auth = UpdateAuthorizer::new(self.policy.grants());
                 let n = auth.delete(&mut self.db, session, d)?;
                 Ok(EngineResponse::Affected(n))
             }
@@ -822,10 +730,10 @@ impl Engine {
     pub fn analyze_policy(&self, principal: Option<&str>) -> Vec<Diagnostic> {
         let set = fgac_analyze::PolicySet {
             catalog: self.db.catalog(),
-            view_grants: self.grants.view_grants(),
-            constraint_grants: self.grants.constraint_grants(),
-            role_memberships: self.grants.role_memberships(),
-            revocations: self.grants.revoked_views(),
+            view_grants: self.grants().view_grants(),
+            constraint_grants: self.grants().constraint_grants(),
+            role_memberships: self.grants().role_memberships(),
+            revocations: self.grants().revoked_views(),
         };
         let opts = fgac_analyze::AnalyzeOptions {
             budget: self.options.budget.clone(),
@@ -845,17 +753,17 @@ impl Engine {
     pub fn analyze_flow(&self, principal: Option<&str>) -> Vec<Diagnostic> {
         let set = fgac_analyze::PolicySet {
             catalog: self.db.catalog(),
-            view_grants: self.grants.view_grants(),
-            constraint_grants: self.grants.constraint_grants(),
-            role_memberships: self.grants.role_memberships(),
-            revocations: self.grants.revoked_views(),
+            view_grants: self.grants().view_grants(),
+            constraint_grants: self.grants().constraint_grants(),
+            role_memberships: self.grants().role_memberships(),
+            revocations: self.grants().revoked_views(),
         };
         let opts = fgac_analyze::AnalyzeOptions {
             budget: self.options.budget.clone(),
         };
         match principal {
-            Some(p) => self.flow.analyze_one(&set, p, &opts),
-            None => self.flow.analyze_full(&set, self.policy_epoch, &opts),
+            Some(p) => self.policy.flow().analyze_one(&set, p, &opts),
+            None => self.policy.flow().analyze_full(&set, self.policy_epoch(), &opts),
         }
     }
 
@@ -864,10 +772,10 @@ impl Engine {
     pub fn flow_diff_grant(&self, grant: &fgac_analyze::ProposedGrant) -> Vec<Diagnostic> {
         let set = fgac_analyze::PolicySet {
             catalog: self.db.catalog(),
-            view_grants: self.grants.view_grants(),
-            constraint_grants: self.grants.constraint_grants(),
-            role_memberships: self.grants.role_memberships(),
-            revocations: self.grants.revoked_views(),
+            view_grants: self.grants().view_grants(),
+            constraint_grants: self.grants().constraint_grants(),
+            role_memberships: self.grants().role_memberships(),
+            revocations: self.grants().revoked_views(),
         };
         let opts = fgac_analyze::AnalyzeOptions {
             budget: self.options.budget.clone(),
@@ -877,7 +785,7 @@ impl Engine {
 
     /// (epoch-fresh flow entries, total flow entries) — metrics.
     pub fn flow_cache_stats(&self) -> (usize, usize) {
-        self.flow.stats(self.policy_epoch)
+        self.policy.flow().stats(self.policy_epoch())
     }
 
     /// The live policy in the shape the independent certificate checker
@@ -885,10 +793,10 @@ impl Engine {
     pub fn certificate_policy(&self) -> fgac_analyze::CertPolicy<'_> {
         fgac_analyze::CertPolicy {
             catalog: self.db.catalog(),
-            view_grants: self.grants.view_grants(),
-            constraint_grants: self.grants.constraint_grants(),
-            role_memberships: self.grants.role_memberships(),
-            policy_epoch: self.policy_epoch,
+            view_grants: self.grants().view_grants(),
+            constraint_grants: self.grants().constraint_grants(),
+            role_memberships: self.grants().role_memberships(),
+            policy_epoch: self.policy_epoch(),
         }
     }
 
@@ -911,15 +819,18 @@ impl Engine {
     ) -> Result<ValidityReport> {
         let mut options = self.options.clone();
         options.emit_certificates = true;
-        let caps =
-            self.compiled
-                .principal(self.policy_epoch, session.user(), self.db.catalog(), &self.grants);
-        let mut report = Validator::new(&self.db, &self.grants)
+        let caps = self.compiled_policies().principal(
+            self.policy_epoch(),
+            session.user(),
+            self.db.catalog(),
+            self.grants(),
+        );
+        let mut report = Validator::new(&self.db, self.grants())
             .with_options(options)
             .with_compiled(caps)
             .check_query(session, query)?;
         if let Some(cert) = &mut report.certificate {
-            cert.policy_epoch = self.policy_epoch;
+            cert.policy_epoch = self.policy_epoch();
         }
         if report.is_valid() {
             let Some(cert) = &report.certificate else {
@@ -950,7 +861,7 @@ impl Engine {
     /// would run at prepare time. Warms both the plan cache and the
     /// validity cache.
     pub fn check(&self, session: &Session, sql: &str) -> Result<ValidityReport> {
-        let cached = match self.plan_cache.get(sql, session.params()) {
+        let cached = match self.plan_cache().get(sql, session.params()) {
             Some(c) => c,
             None => {
                 let q = fgac_sql::parse_query(sql)?;
@@ -985,8 +896,8 @@ impl Engine {
     ) -> Result<ValidityReport> {
         check_deadline(deadline)?;
         match self
-            .cache
-            .lookup(session.user(), fp, self.data_version, self.policy_epoch)
+            .cache()
+            .lookup(session.user(), fp, self.data_version, self.policy_epoch())
         {
             CacheOutcome::Hit(verdict) => return Ok(ValidityReport::cache_hit(verdict)),
             // Computed under an older grant state but the accept carries
@@ -1005,20 +916,23 @@ impl Engine {
                     },
                 );
                 if diags.is_empty() {
-                    self.cache.revalidated(session.user(), fp, self.policy_epoch);
+                    self.cache().revalidated(session.user(), fp, self.policy_epoch());
                     return Ok(ValidityReport::revalidated(verdict));
                 }
-                self.cache.evict_stale(session.user(), fp);
+                self.cache().evict_stale(session.user(), fp);
                 // Fall through to the cold check below.
             }
             CacheOutcome::Miss => {}
         }
         let mut options = self.options.clone();
         clamp_budget_deadline(&mut options, deadline);
-        let caps =
-            self.compiled
-                .principal(self.policy_epoch, session.user(), self.db.catalog(), &self.grants);
-        let report = match Validator::new(&self.db, &self.grants)
+        let caps = self.compiled_policies().principal(
+            self.policy_epoch(),
+            session.user(),
+            self.db.catalog(),
+            self.grants(),
+        );
+        let report = match Validator::new(&self.db, self.grants())
             .with_options(options)
             .with_compiled(caps)
             .check_plan(session, plan)
@@ -1027,7 +941,7 @@ impl Engine {
                 // The validator stamps epoch 0; rebase the certificate on
                 // the live policy epoch it was actually minted under.
                 if let Some(cert) = &mut report.certificate {
-                    cert.policy_epoch = self.policy_epoch;
+                    cert.policy_epoch = self.policy_epoch();
                 }
                 // Shadow mode: in debug builds, every ACCEPT must carry a
                 // certificate the independent checker verifies. A failure
@@ -1067,11 +981,11 @@ impl Engine {
         // later policy change can warm-revalidate instead of dropping
         // the entry; denials (and emission-off checks) store none.
         let cert = report.certificate.clone().map(Arc::new);
-        self.cache.store(
+        self.cache().store(
             session.user(),
             fp,
             self.data_version,
-            self.policy_epoch,
+            self.policy_epoch(),
             report.verdict,
             cert,
         );
@@ -1227,7 +1141,7 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("data_version", &self.data_version)
-            .field("policy_epoch", &self.policy_epoch)
+            .field("policy_epoch", &self.policy_epoch())
             .field("durable", &self.durability.is_some())
             .finish_non_exhaustive()
     }

@@ -11,23 +11,18 @@
 //!   shared [`FlowContext`] memo survives every grant/revoke/role
 //!   change and is dropped only when DDL introduces a catalog name.
 //! * **Per-principal findings** are stamped with the policy epoch they
-//!   were computed under. The [`PolicyDelta::affects`] sweep — the
-//!   same predicate the validity cache uses — drops affected
-//!   principals' entries and restamps the rest, so a grant to one
-//!   principal re-analyzes only that principal (and role members
-//!   inheriting from it) on the next run.
+//!   were computed under and swept by the same restamp rule as the
+//!   admission caches ([`Sweep::keep`]), so a grant to one principal
+//!   re-analyzes only that principal (and role members inheriting from
+//!   it) on the next run.
 //!
 //! Cached entries hold the *whole-set* analysis (role-sourced findings
 //! deduplicated onto the role's pass). Single-principal runs
 //! (`ANALYZE FLOW FOR p`, the session statement) are computed fresh
 //! against the shared summary memo: their dedup context differs, and
 //! they are not the hot path the bench gates.
-//!
-//! The sweep runs inside the writer's critical section (`&mut Engine` /
-//! the [`crate::SharedEngine`] write lock) like every other cache
-//! sweep, so a reader never observes new grants with stale flow
-//! entries.
 
+use crate::invalidation::Sweep;
 use fgac_analyze::{AnalyzeOptions, Diagnostic, FlowContext, PolicySet};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -64,7 +59,7 @@ struct Inner {
 }
 
 /// Epoch-stamped per-principal flow findings plus the shared view
-/// summary memo, swept by [`crate::invalidation::PolicyDelta`].
+/// summary memo, owned by [`crate::invalidation::PolicyState`].
 #[derive(Debug, Default)]
 pub struct FlowAnalysisCache {
     inner: Mutex<Inner>,
@@ -75,39 +70,18 @@ impl FlowAnalysisCache {
         Self::default()
     }
 
-    /// Drops everything — the full-invalidation (recovery) path.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.ctx.clear();
-        inner.findings.clear();
-    }
-
-    /// The dependency sweep: drops entries of principals the delta
-    /// `affects`, restamps the rest from `from` to `to`, and clears the
-    /// view-summary memo only when the change introduced a catalog name
-    /// (the only way an existing view body can re-bind differently).
-    pub fn apply_policy_change(
-        &self,
-        from: u64,
-        to: u64,
-        affects: impl Fn(&str) -> bool,
-        introduced_name: bool,
-    ) {
-        let mut inner = self.inner.lock();
-        if introduced_name {
+    /// The policy-change sweep: [`Sweep::keep`] decides every
+    /// principal's findings, and the view-summary memo is dropped only
+    /// when the change introduced a catalog name (the only way an
+    /// existing view body can re-bind differently).
+    pub fn sweep(&mut self, sweep: &Sweep) {
+        let inner = self.inner.get_mut();
+        if sweep.introduces_names() {
             inner.ctx.clear();
         }
-        inner.findings.retain(|p, entry| {
-            if affects(p) {
-                return false;
-            }
-            if entry.0 == from {
-                entry.0 = to;
-            }
-            // An entry stamped older than `from` was already stale;
-            // keep it stale so it recomputes on next use.
-            true
-        });
+        inner
+            .findings
+            .retain(|p, (stamp, _)| sweep.keep(p, stamp, false));
     }
 
     /// (epoch-fresh entries, total entries) — metrics surface.
@@ -170,5 +144,21 @@ impl FlowAnalysisCache {
             .ctx
             .principal_flow(set, principal, &analyzed, opts)
             .findings
+    }
+}
+
+#[cfg(test)]
+impl FlowAnalysisCache {
+    /// Caches empty findings for `principal` stamped `stamp`.
+    pub(crate) fn seed(&mut self, principal: &str, stamp: u64) {
+        self.inner
+            .get_mut()
+            .findings
+            .insert(principal.to_string(), (stamp, Vec::new()));
+    }
+
+    /// The stamp of `principal`'s cached findings, if any.
+    pub(crate) fn stamp_of(&self, principal: &str) -> Option<u64> {
+        self.inner.lock().findings.get(principal).map(|e| e.0)
     }
 }

@@ -1,48 +1,49 @@
-//! Dependency-tracked policy-change invalidation.
+//! One owner for policy state, and one rule for what a policy change
+//! does to cached state.
 //!
-//! Before this module, every grant, revoke, role change, or DDL bumped
-//! the global `policy_epoch` and cold-started all three admission
-//! caches at once — the plan cache, the sharded validity cache, and the
-//! compiled capability snapshots. Under server traffic with frequent
-//! policy churn that is a recurring p99 cliff: one revocation for one
-//! principal re-proves every other principal's working set from
-//! scratch.
+//! [`PolicyState`] owns the grant tables, the policy epoch and the four
+//! caches derived from them: the [`ValidityCache`], the [`PlanCache`],
+//! the [`CompiledPolicies`] and the [`FlowAnalysisCache`]. They are
+//! private fields, and the only mutators are [`PolicyState::apply`],
+//! [`PolicyState::grant_update`] and [`PolicyState::restore`]. A grant
+//! therefore cannot change without its sweep, and because the sweeps
+//! take `&mut` to a cache that no one outside `PolicyState` can borrow
+//! mutably, the borrow checker — not a lint — keeps them inside the
+//! writer's critical section (`&mut Engine` / the
+//! [`crate::SharedEngine`] write lock). A reader sees the pre-change
+//! grants with the pre-change caches, or the post-change grants with
+//! the post-change caches, never a mix.
 //!
-//! A [`PolicyDelta`] describes *what actually changed*, and
-//! [`PolicyDelta::affects`] answers the only question the caches need:
-//! "could this change alter the effective grant set of user `u`?" The
-//! engine applies a change by bumping the epoch as before (the epoch
-//! remains the global version stamp certificates are minted under) and
-//! then sweeping each cache with the delta:
+//! A [`PolicyDelta`] describes what changed, and
+//! [`PolicyDelta::affects`] answers the one question the caches ask:
+//! "could this change alter the effective grant set of user `u`?" After
+//! the epoch bump `from → to`, every per-principal cache calls
+//! [`Sweep::keep`] on each entry, the one restamp rule:
 //!
-//! * validity-cache entries of **unaffected** principals are restamped
-//!   to the new epoch — still fresh, no recheck;
-//! * affected ACCEPT entries that carry a validity certificate are left
-//!   at their mint epoch — *stale*, eligible for cheap warm
-//!   revalidation ([`fgac_analyze::revalidate_certificate`]) on next
-//!   lookup;
-//! * affected entries without a certificate (and cached denials, which
-//!   a grant may legitimately flip) are dropped;
-//! * plan-cache entries are keyed by the relation/view names they were
-//!   bound against and are invalidated only by DDL that introduces a
-//!   colliding name — grants never change binding;
-//! * compiled [`crate::PrincipalCaps`] snapshots of unaffected
-//!   principals survive (compilation is a pure function of the catalog
-//!   and that principal's grants, neither of which changed for them).
+//! * an unaffected entry stamped `from` is restamped to `to` — still
+//!   fresh, no recheck;
+//! * an unaffected entry stamped older stays stale: it still owes a
+//!   revalidation an unrelated change must not launder;
+//! * an affected entry is dropped, except that a certificate-carrying
+//!   accept in the validity cache stays stale, eligible for warm
+//!   revalidation ([`fgac_analyze::revalidate_certificate`]) on its
+//!   next lookup;
+//! * [`PolicyDelta::Full`] marks every principal affected and every
+//!   name introduced, and keeps nothing.
 //!
-//! **Safety.** Every sweep runs inside the writer's critical section
-//! (`&mut Engine` / the [`crate::SharedEngine`] write lock), so a
-//! reader observes either the pre-change caches with the pre-change
-//! grants or the post-change caches with the post-change grants, never
-//! a mix. Restamping only ever applies to entries stamped with the
-//! *pre-change* epoch: an entry already left stale by an earlier
-//! affecting change keeps its old stamp and still must pass
-//! revalidation before it serves again. Anything doubtful — a missing
-//! certificate, a failed or budget-exhausted revalidation — falls
-//! closed to a full cold check.
+//! Plan-cache entries and the flow view-summary memo depend on name
+//! binding, not on grants: only a change that introduces a name drops
+//! them ([`Sweep::rebinds`]). Anything doubtful — a missing
+//! certificate, a failed or budget-exhausted revalidation, a stamp
+//! behind the epoch it is looked up at — falls closed to a full cold
+//! check.
 
+use crate::cache::ValidityCache;
+use crate::compiled::CompiledPolicies;
+use crate::flowcache::FlowAnalysisCache;
 use crate::grants::Grants;
-use fgac_sql::Query;
+use crate::plancache::PlanCache;
+use fgac_sql::{Authorize, Query};
 use fgac_storage::Catalog;
 use fgac_types::Ident;
 use std::collections::BTreeSet;
@@ -65,16 +66,8 @@ pub fn full_invalidation_count() -> u64 {
     FULL_INVALIDATIONS.load(Ordering::Relaxed)
 }
 
-pub(crate) fn note_policy_change() {
-    POLICY_CHANGES.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn note_full_invalidation() {
-    FULL_INVALIDATIONS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// One policy or schema change, in just enough detail to decide which
-/// cached admission state it can possibly touch.
+/// One policy or schema change, in just enough detail to perform its
+/// grant change and to decide which cached state it can touch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolicyDelta {
     /// An authorization view was granted to a principal (directly or by
@@ -85,7 +78,7 @@ pub enum PolicyDelta {
     /// An integrity constraint was made visible to a principal.
     GrantConstraint { principal: String, name: Ident },
     /// A user was added to a role: only that user's effective set moves.
-    AddRole { user: String },
+    AddRole { user: String, role: String },
     /// `CREATE [AUTHORIZATION] VIEW`: a new name exists, but until it is
     /// granted it is in nobody's effective set.
     NewView { view: Ident },
@@ -114,7 +107,7 @@ impl PolicyDelta {
                         .get(user)
                         .is_some_and(|roles| roles.contains(principal))
             }
-            PolicyDelta::AddRole { user: u } => user == u,
+            PolicyDelta::AddRole { user: u, .. } => user == u,
             // A freshly created view/table/constraint is granted to no
             // one: no effective set moves until a later grant (which
             // arrives as its own delta).
@@ -127,14 +120,198 @@ impl PolicyDelta {
 
     /// The catalog name this change introduces, if any — the only kind
     /// of change that can alter how an existing SQL text *binds* (name
-    /// resolution / view expansion), and therefore the only kind that
-    /// touches the plan cache.
+    /// resolution / view expansion).
     pub fn introduced_name(&self) -> Option<&Ident> {
         match self {
             PolicyDelta::NewView { view } => Some(view),
             PolicyDelta::NewTable { table } => Some(table),
             _ => None,
         }
+    }
+}
+
+/// One policy change as a cache sweep sees it: the delta, the
+/// post-change grants it is judged against, and the epoch bump
+/// `from → to`.
+#[derive(Debug)]
+pub struct Sweep<'a> {
+    delta: &'a PolicyDelta,
+    grants: &'a Grants,
+    from: u64,
+    to: u64,
+}
+
+impl<'a> Sweep<'a> {
+    pub fn new(delta: &'a PolicyDelta, grants: &'a Grants, from: u64, to: u64) -> Self {
+        Sweep {
+            delta,
+            grants,
+            from,
+            to,
+        }
+    }
+
+    /// The restamp rule (see the module docs), applied to one cached
+    /// entry of `principal` stamped `stamp`: `false` drops the entry;
+    /// `true` keeps it, restamped to the new epoch only when it is
+    /// unaffected and was fresh. `revalidatable` marks an accept that
+    /// carries a certificate — affected, it stays behind stale.
+    pub fn keep(&self, principal: &str, stamp: &mut u64, revalidatable: bool) -> bool {
+        if *self.delta == PolicyDelta::Full {
+            return false;
+        }
+        if self.delta.affects(self.grants, principal) {
+            return revalidatable;
+        }
+        if *stamp == self.from {
+            *stamp = self.to;
+        }
+        true
+    }
+
+    /// Does the change introduce a name at all? `Full` introduces every
+    /// name.
+    pub fn introduces_names(&self) -> bool {
+        *self.delta == PolicyDelta::Full || self.delta.introduced_name().is_some()
+    }
+
+    /// Could the change re-bind something that read the names `deps`?
+    pub fn rebinds(&self, deps: &BTreeSet<Ident>) -> bool {
+        *self.delta == PolicyDelta::Full
+            || self.delta.introduced_name().is_some_and(|n| deps.contains(n))
+    }
+}
+
+/// The grant tables, the policy epoch and every cache derived from them,
+/// behind one owner (see the module docs).
+///
+/// # The fence
+///
+/// Readers get `&` accessors only, so a sweep or a grant change through
+/// them does not compile. A restamp sweep through the engine's
+/// validity cache is refused:
+///
+/// ```compile_fail,E0596
+/// use fgac_core::invalidation::Sweep;
+/// use fgac_core::{Engine, Grants, PolicyDelta, ValidityCache};
+/// let engine = Engine::new();
+/// let (delta, grants) = (PolicyDelta::Full, Grants::new());
+/// engine.cache().sweep(&Sweep::new(&delta, &grants, 0, 1));
+/// ```
+///
+/// while the same sweep of a cache the caller owns compiles:
+///
+/// ```
+/// use fgac_core::invalidation::Sweep;
+/// use fgac_core::{Engine, Grants, PolicyDelta, ValidityCache};
+/// let engine = Engine::new();
+/// let (delta, grants) = (PolicyDelta::Full, Grants::new());
+/// ValidityCache::new().sweep(&Sweep::new(&delta, &grants, 0, 1));
+/// ```
+///
+/// Likewise a grant through the engine's grant tables is refused:
+///
+/// ```compile_fail,E0596
+/// let engine = fgac_core::Engine::new();
+/// engine.grants().grant_view("alice", "v");
+/// ```
+///
+/// while a grant to a copy the caller owns compiles:
+///
+/// ```
+/// let engine = fgac_core::Engine::new();
+/// engine.grants().clone().grant_view("alice", "v");
+/// ```
+#[derive(Debug, Default)]
+pub struct PolicyState {
+    grants: Grants,
+    /// Bumped on every catalog or authorization change; certificates
+    /// are minted under it and every cached entry is stamped with it.
+    epoch: u64,
+    validity: ValidityCache,
+    plans: PlanCache,
+    compiled: CompiledPolicies,
+    flow: FlowAnalysisCache,
+}
+
+impl PolicyState {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    pub fn grants(&self) -> &Grants {
+        &self.grants
+    }
+
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    pub fn validity_cache(&self) -> &ValidityCache {
+        &self.validity
+    }
+
+    pub fn plan_cache(&self) -> &PlanCache {
+        &self.plans
+    }
+
+    pub fn compiled(&self) -> &CompiledPolicies {
+        &self.compiled
+    }
+
+    pub fn flow(&self) -> &FlowAnalysisCache {
+        &self.flow
+    }
+
+    /// Performs the delta's grant change, bumps the epoch, and sweeps
+    /// every cache with the restamp rule.
+    pub fn apply(&mut self, delta: PolicyDelta) {
+        match &delta {
+            PolicyDelta::GrantView { principal, view } => {
+                self.grants.grant_view(principal.as_str(), view.clone())
+            }
+            PolicyDelta::RevokeView { principal, view } => self.grants.revoke_view(principal, view),
+            PolicyDelta::GrantConstraint { principal, name } => {
+                self.grants.grant_constraint(principal.as_str(), name.clone())
+            }
+            PolicyDelta::AddRole { user, role } => {
+                self.grants.add_role(user.as_str(), role.as_str())
+            }
+            PolicyDelta::NewView { .. }
+            | PolicyDelta::NewTable { .. }
+            | PolicyDelta::NewConstraint { .. } => {}
+            PolicyDelta::Full => {
+                FULL_INVALIDATIONS.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        POLICY_CHANGES.fetch_add(1, Ordering::Relaxed);
+        let from = self.epoch;
+        self.epoch += 1;
+        self.sweep(&delta, from);
+    }
+
+    /// Grants an `AUTHORIZE ...` update authorization. No cached state
+    /// depends on it — update authorizations are read per statement
+    /// ([`crate::UpdateAuthorizer`]) and never cached — so nothing is
+    /// swept and the epoch stays.
+    pub fn grant_update(&mut self, principal: impl Into<String>, auth: Authorize) {
+        self.grants.grant_update(principal, auth);
+    }
+
+    /// Recovery: installs a snapshot's grant tables and epoch and drops
+    /// every cache.
+    pub fn restore(&mut self, grants: Grants, epoch: u64) {
+        self.grants = grants;
+        self.epoch = epoch;
+        self.sweep(&PolicyDelta::Full, epoch);
+    }
+
+    fn sweep(&mut self, delta: &PolicyDelta, from: u64) {
+        let sweep = Sweep::new(delta, &self.grants, from, self.epoch);
+        self.validity.sweep(&sweep);
+        self.plans.sweep(&sweep);
+        self.flow.sweep(&sweep);
+        self.compiled.sweep(&sweep);
     }
 }
 
@@ -174,6 +351,9 @@ fn collect_name(catalog: &Catalog, name: &Ident, deps: &mut BTreeSet<Ident>, dep
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nontruman::Verdict;
+    use fgac_analyze::{CertVerdict, Certificate};
+    use std::sync::Arc;
 
     fn grants() -> Grants {
         let mut g = Grants::new();
@@ -206,7 +386,10 @@ mod tests {
     #[test]
     fn add_role_affects_only_that_user() {
         let g = grants();
-        let d = PolicyDelta::AddRole { user: "carol".into() };
+        let d = PolicyDelta::AddRole {
+            user: "carol".into(),
+            role: "student".into(),
+        };
         assert!(d.affects(&g, "carol"));
         assert!(!d.affects(&g, "alice"));
         assert!(!d.affects(&g, "bob"));
@@ -228,25 +411,120 @@ mod tests {
 
     #[test]
     fn introduced_names_cover_binding_changes_only() {
-        assert_eq!(
-            PolicyDelta::NewTable { table: Ident::new("t") }
-                .introduced_name()
-                .map(|i| i.as_str()),
-            Some("t")
-        );
-        assert_eq!(
-            PolicyDelta::NewView { view: Ident::new("v") }
-                .introduced_name()
-                .map(|i| i.as_str()),
-            Some("v")
-        );
-        assert!(PolicyDelta::GrantView {
+        let g = Grants::new();
+        let deps: BTreeSet<Ident> = [Ident::new("t")].into_iter().collect();
+        let rebinds = |d: &PolicyDelta| Sweep::new(d, &g, 0, 1).rebinds(&deps);
+        let introduces = |d: &PolicyDelta| Sweep::new(d, &g, 0, 1).introduces_names();
+        let table = PolicyDelta::NewTable { table: Ident::new("t") };
+        let view = PolicyDelta::NewView { view: Ident::new("v") };
+        let grant = PolicyDelta::GrantView {
             principal: "u".into(),
+            view: Ident::new("t"),
+        };
+        assert!(rebinds(&table) && introduces(&table));
+        assert!(!rebinds(&view) && introduces(&view));
+        assert!(!rebinds(&grant) && !introduces(&grant));
+        // Full introduces every name.
+        assert!(rebinds(&PolicyDelta::Full) && introduces(&PolicyDelta::Full));
+    }
+
+    /// What one cached entry holds, as far as the restamp rule cares.
+    #[derive(Debug, Clone, Copy)]
+    enum Held {
+        CertifiedAccept,
+        CertifiedDenial,
+        BareAccept,
+    }
+
+    /// The restamp rule, one case per row, run against all three
+    /// per-principal caches. Each row names the stamp the entry keeps
+    /// after the sweep `FROM → TO`, or `None` when it is dropped. The
+    /// compiled caps and flow findings carry no certificate, so an
+    /// affected entry always drops there.
+    #[test]
+    fn restamp_rule_is_the_same_in_every_per_principal_cache() {
+        const OLDER: u64 = 2;
+        const FROM: u64 = 4;
+        const TO: u64 = 5;
+        let revoke_bob = PolicyDelta::RevokeView {
+            principal: "bob".into(),
             view: Ident::new("v"),
+        };
+        let cases = [
+            ("unaffected@from", "alice", FROM, Held::CertifiedAccept, &revoke_bob, Some(TO), Some(TO)),
+            ("unaffected@older", "alice", OLDER, Held::CertifiedAccept, &revoke_bob, Some(OLDER), Some(OLDER)),
+            ("affected accept with a certificate", "bob", FROM, Held::CertifiedAccept, &revoke_bob, Some(FROM), None),
+            ("affected denial", "bob", FROM, Held::CertifiedDenial, &revoke_bob, None, None),
+            ("affected without a certificate", "bob", FROM, Held::BareAccept, &revoke_bob, None, None),
+            ("Full", "alice", FROM, Held::CertifiedAccept, &PolicyDelta::Full, None, None),
+        ];
+        let grants = Grants::new();
+        for (case, who, stamp, held, delta, validity_left, others_left) in cases {
+            let sweep = Sweep::new(delta, &grants, FROM, TO);
+
+            let mut validity = ValidityCache::new();
+            let cert = || {
+                Some(Arc::new(Certificate {
+                    principal: who.into(),
+                    policy_epoch: stamp,
+                    verdict: CertVerdict::Unconditional,
+                    params: vec![],
+                    query_tables: vec![],
+                    query: None,
+                    steps: vec![],
+                }))
+            };
+            let (verdict, cert) = match held {
+                Held::CertifiedAccept => (Verdict::Unconditional, cert()),
+                Held::CertifiedDenial => (Verdict::Invalid, cert()),
+                Held::BareAccept => (Verdict::Unconditional, None),
+            };
+            validity.store(who, 0, 0, stamp, verdict, cert);
+            validity.sweep(&sweep);
+            assert_eq!(validity.stamp_of(who, 0), validity_left, "validity cache, {case}");
+            let dropped = u64::from(validity_left.is_none());
+            assert_eq!(validity.invalidated_entries(), dropped, "validity drops, {case}");
+
+            let mut compiled = CompiledPolicies::new();
+            compiled.principal(stamp, who, &Catalog::new(), &grants);
+            compiled.sweep(&sweep);
+            assert_eq!(compiled.stamp_of(who), others_left, "compiled caps, {case}");
+
+            let mut flow = FlowAnalysisCache::new();
+            flow.seed(who, stamp);
+            flow.sweep(&sweep);
+            assert_eq!(flow.stamp_of(who), others_left, "flow cache, {case}");
         }
-        .introduced_name()
-        .is_none());
-        assert!(PolicyDelta::Full.introduced_name().is_none());
+    }
+
+    #[test]
+    fn only_apply_moves_the_epoch_and_restore_drops_every_cache() {
+        let mut state = PolicyState::new();
+        state.apply(PolicyDelta::AddRole {
+            user: "bob".into(),
+            role: "student".into(),
+        });
+        state.apply(PolicyDelta::GrantView {
+            principal: "student".into(),
+            view: Ident::new("v"),
+        });
+        assert_eq!(state.epoch(), 2);
+        assert_eq!(state.grants().views_for("bob"), vec![Ident::new("v")]);
+        let fgac_sql::Statement::Authorize(auth) =
+            fgac_sql::parse_statement("authorize insert on grades where student_id = $user_id")
+                .unwrap()
+        else {
+            panic!("not an AUTHORIZE statement");
+        };
+        state.grant_update("bob", auth);
+        assert_eq!(state.epoch(), 2, "update authorizations are never cached");
+        assert_eq!(state.grants().update_auths_for("bob").len(), 1);
+
+        state.validity_cache().store("bob", 0, 0, 2, Verdict::Unconditional, None);
+        state.restore(Grants::new(), 7);
+        assert_eq!(state.epoch(), 7);
+        assert!(state.grants().views_for("bob").is_empty());
+        assert!(state.validity_cache().is_empty());
     }
 
     #[test]

@@ -28,6 +28,9 @@
 //! * [`PlanCache`] (`plancache`) — memoized parse+bind so repeated
 //!   statements skip admission entirely (DESIGN.md "Hot path & caching
 //!   layers").
+//! * [`invalidation::PolicyState`] — the one owner of the grants, the
+//!   policy epoch and the four caches derived from them; a policy change
+//!   is one `apply(PolicyDelta)` with one restamp rule (DESIGN.md §4j).
 //! * [`Engine`] — the façade a downstream application uses: DDL, grants,
 //!   policy setup, and `execute` which enforces the chosen model.
 

@@ -26,9 +26,9 @@
 //! never touch this cache: binding does not consult the grant tables,
 //! so an authorization change cannot change what a SQL text binds to.
 //! DDL invalidates only the entries whose dependency set intersects the
-//! introduced name ([`PlanCache::invalidate_deps`]) — in a live engine
-//! that set is empty (a CREATE of an existing name fails), so plans
-//! survive unrelated schema growth too. DML touches nothing here: plans
+//! introduced name ([`PlanCache::sweep`]) — in a live engine that set
+//! is empty (a CREATE of an existing name fails), so plans survive
+//! unrelated schema growth too. DML touches nothing here: plans
 //! are data-independent (the data-version handling of conditional
 //! verdicts stays entirely inside the validity cache).
 
@@ -42,6 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::cache::CacheStats;
+use crate::invalidation::Sweep;
 
 /// Default number of cached plans (per engine).
 const DEFAULT_CAPACITY: usize = 256;
@@ -175,30 +176,26 @@ impl PlanCache {
         );
     }
 
-    /// Drops every entry whose dependency set intersects `names` (the
-    /// DDL sweep). Returns the number of entries dropped.
+    /// Drops every entry whose dependency set intersects `names`.
+    /// Returns the number of entries dropped.
     pub fn invalidate_deps(&self, names: &[Ident]) -> usize {
-        if names.is_empty() {
-            return 0;
-        }
-        let mut inner = self.inner.lock();
-        let before = inner.map.len();
-        inner
-            .map
-            .retain(|_, slot| !names.iter().any(|n| slot.value.deps.contains(n)));
-        let dropped = before - inner.map.len();
-        if dropped > 0 {
-            self.invalidated.fetch_add(dropped as u64, Ordering::Relaxed);
-        }
-        dropped
+        drop_where(&mut self.inner.lock(), &self.invalidated, |plan| {
+            names.iter().any(|n| plan.deps.contains(n))
+        })
     }
 
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        let dropped = inner.map.len() as u64;
-        inner.map.clear();
-        if dropped > 0 {
-            self.invalidated.fetch_add(dropped, Ordering::Relaxed);
+        drop_where(&mut self.inner.lock(), &self.invalidated, |_| true);
+    }
+
+    /// The policy-change sweep: grants never change what a SQL text
+    /// binds to, so only a change that introduces a name drops the
+    /// entries that read it ([`Sweep::rebinds`]).
+    pub fn sweep(&mut self, sweep: &Sweep) {
+        if sweep.introduces_names() {
+            drop_where(self.inner.get_mut(), &self.invalidated, |plan| {
+                sweep.rebinds(&plan.deps)
+            });
         }
     }
 
@@ -232,6 +229,21 @@ impl PlanCache {
             ..CacheStats::default()
         }
     }
+}
+
+/// Drops the entries `doomed` selects and counts them as invalidated.
+fn drop_where(
+    inner: &mut Inner,
+    invalidated: &AtomicU64,
+    doomed: impl Fn(&CachedPlan) -> bool,
+) -> usize {
+    let before = inner.map.len();
+    inner.map.retain(|_, slot| !doomed(&slot.value));
+    let dropped = before - inner.map.len();
+    if dropped > 0 {
+        invalidated.fetch_add(dropped as u64, Ordering::Relaxed);
+    }
+    dropped
 }
 
 #[cfg(test)]

@@ -454,7 +454,7 @@ reason = "monotonic stats counters, read only for reporting"
         assert_eq!(cfg.scope.exclude_files.len(), 1);
         assert_eq!(cfg.allows.len(), 1);
         assert_eq!(cfg.relaxed[0].sites, 4);
-        assert!(cfg.pass("L001") == PassConfig::default(), "absent pass = default");
+        assert!(cfg.pass("L002") == PassConfig::default(), "absent pass = default");
     }
 
     #[test]
@@ -467,7 +467,7 @@ reason = "monotonic stats counters, read only for reporting"
         assert!(cfg.pass_in_scope("L004", "crates/core/src/engine.rs"));
         assert!(!cfg.pass_in_scope("L004", "crates/bench/src/bin/b.rs"));
         // Unconfigured pass: everything in scope.
-        assert!(cfg.pass_in_scope("L001", "crates/anything/src/new.rs"));
+        assert!(cfg.pass_in_scope("L002", "crates/anything/src/new.rs"));
     }
 
     #[test]
@@ -478,7 +478,7 @@ reason = "monotonic stats counters, read only for reporting"
             Some(0)
         );
         assert_eq!(cfg.allow_index("L006", "crates/core/src/lib.rs", "panic!"), None);
-        assert_eq!(cfg.allow_index("L001", "crates/core/src/lib.rs", "call to .expect("), None);
+        assert_eq!(cfg.allow_index("L002", "crates/core/src/lib.rs", "call to .expect("), None);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! fgac-lint: multi-pass concurrency-correctness analysis over the
 //! workspace's own Rust sources.
 //!
-//! The paper's guarantees are operational: fail-closed denial,
-//! no-stale-verdict under churn, writer-only mutation of swept state.
-//! The type system does not check those, and a single mis-ordered
-//! atomic breaks them silently. This crate checks them statically —
-//! six passes (L001–L006, see `report.rs`) over a shared token/
+//! The paper's guarantees are operational: fail-closed denial and
+//! no-stale-verdict under churn. Writer-only mutation of swept policy
+//! state is the type system's job (`fgac_core::invalidation`); the
+//! rest it does not check, and a single mis-ordered atomic breaks them
+//! silently. This crate checks them statically — five passes
+//! (L002–L006, see `report.rs`) over a shared token/
 //! function-stack source model (`source.rs`), scoped and allowlisted by
 //! the checked-in `lint.toml` (`config.rs`), emitting JSON diagnostics
 //! in the same forward-compatible wire shape as

@@ -14,7 +14,6 @@
 
 pub mod error_path;
 pub mod lock_order;
-pub mod mutation;
 pub mod panic_sites;
 pub mod relaxed;
 pub mod wire_arith;
@@ -56,7 +55,6 @@ pub trait Pass {
 /// Every shipped pass, in code order.
 pub fn registry() -> Vec<Box<dyn Pass>> {
     vec![
-        Box::new(mutation::MutationOutsideWriter),
         Box::new(relaxed::RelaxedSyncDecision),
         Box::new(lock_order::LockOrderInversion),
         Box::new(error_path::ErrorPathMustDeny),

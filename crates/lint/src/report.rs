@@ -12,14 +12,12 @@ use fgac_types::Json;
 use std::fmt;
 
 /// Stable pass codes. Append-only: a code, once published, never
-/// changes meaning — allowlists and CI configurations key on them.
+/// changes meaning — allowlists and CI configurations key on them. A
+/// retired code is never reused: `L001` (writer-only mutation of swept
+/// policy state) is now enforced by the type system and parses as
+/// [`PassCode::Unrecognized`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PassCode {
-    /// `L001`: swept admission state (validity cache, plan cache,
-    /// compiled capabilities, flow cache, the policy epoch itself)
-    /// mutated outside `Engine::apply_change` — the writer-critical-
-    /// section invalidation contract of DESIGN.md §4j.
-    MutationOutsideWriter,
     /// `L002`: a `Relaxed` atomic operation feeding a branch — a
     /// verdict, a cache-serve decision, a lock-acquisition gate. Stats
     /// counters are fine under `Relaxed`; decisions are not. Also
@@ -52,7 +50,6 @@ pub enum PassCode {
 }
 
 pub const ALL_CODES: &[PassCode] = &[
-    PassCode::MutationOutsideWriter,
     PassCode::RelaxedSyncDecision,
     PassCode::LockOrderInversion,
     PassCode::ErrorPathMustDeny,
@@ -63,7 +60,6 @@ pub const ALL_CODES: &[PassCode] = &[
 impl PassCode {
     pub fn as_str(&self) -> &'static str {
         match self {
-            PassCode::MutationOutsideWriter => "L001",
             PassCode::RelaxedSyncDecision => "L002",
             PassCode::LockOrderInversion => "L003",
             PassCode::ErrorPathMustDeny => "L004",
@@ -75,7 +71,6 @@ impl PassCode {
 
     pub fn name(&self) -> &'static str {
         match self {
-            PassCode::MutationOutsideWriter => "MutationOutsideWriter",
             PassCode::RelaxedSyncDecision => "RelaxedSyncDecision",
             PassCode::LockOrderInversion => "LockOrderInversion",
             PassCode::ErrorPathMustDeny => "ErrorPathMustDeny",
@@ -330,8 +325,8 @@ mod tests {
             files_scanned: 87,
             passes: vec![
                 PassSummary {
-                    code: "L001".into(),
-                    name: "MutationOutsideWriter".into(),
+                    code: "L006".into(),
+                    name: "PanicSite".into(),
                     findings: 1,
                     ms: 3,
                 },
@@ -344,7 +339,7 @@ mod tests {
             ],
             unused_allows: vec!["L002 crates/x.rs \"old reason\"".into()],
             findings: vec![Finding::new(
-                PassCode::MutationOutsideWriter,
+                PassCode::PanicSite,
                 "crates/core/src/engine.rs",
                 171,
                 "weird \"quotes\"\nand\tlines",
@@ -355,7 +350,6 @@ mod tests {
     #[test]
     fn codes_are_stable() {
         for (code, s) in [
-            (PassCode::MutationOutsideWriter, "L001"),
             (PassCode::RelaxedSyncDecision, "L002"),
             (PassCode::LockOrderInversion, "L003"),
             (PassCode::ErrorPathMustDeny, "L004"),
@@ -365,8 +359,11 @@ mod tests {
             assert_eq!(code.as_str(), s);
             assert_eq!(PassCode::from_str_code(s), Some(code));
         }
-        // The forward-compat sentinel is parser-only.
+        assert_eq!(ALL_CODES.len(), 5);
+        // The forward-compat sentinel is parser-only, and a retired
+        // code is not a live one.
         assert_eq!(PassCode::from_str_code("L???"), None);
+        assert_eq!(PassCode::from_str_code("L001"), None);
     }
 
     #[test]
@@ -385,15 +382,19 @@ mod tests {
   "passes":[],"unused_allows":[],
   "findings":[
     {"code":"L099","name":"FuturePass","severity":"critical","file":"a.rs","line":"7","message":"from the future"},
-    {"code":"L002","name":"RelaxedSyncDecision","severity":"error","file":"b.rs","line":"9","message":"known"}
+    {"code":"L002","name":"RelaxedSyncDecision","severity":"error","file":"b.rs","line":"9","message":"known"},
+    {"code":"L001","name":"MutationOutsideWriter","severity":"error","file":"c.rs","line":"3","message":"retired"}
   ]
 }"#;
         let r = report_from_json(json).expect("forward-compat parse");
-        assert_eq!(r.findings.len(), 2);
+        assert_eq!(r.findings.len(), 3);
         assert_eq!(r.findings[0].code, PassCode::Unrecognized);
         assert_eq!(r.findings[0].severity, Severity::Unknown);
         assert_eq!(r.findings[1].code, PassCode::RelaxedSyncDecision);
         assert_eq!(r.findings[1].severity, Severity::Error);
+        // A retired code reads like one from the future.
+        assert_eq!(r.findings[2].code, PassCode::Unrecognized);
+        assert_eq!(r.findings[2].severity, Severity::Unknown);
         // Structural strictness is unchanged: a known code with an
         // unknown severity string is still rejected.
         let bad = json.replace("\"error\"", "\"critical\"");

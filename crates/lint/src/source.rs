@@ -16,7 +16,7 @@
 //! 3. [`strip_test_tokens`] removes every `#[cfg(test)]`-gated item, so
 //!    test code is exempt from every pass by construction.
 //! 4. [`FnWalker`] tracks the enclosing named-function stack as a pass
-//!    scans, generalizing the PR-9 epoch-discipline scanner.
+//!    scans, so L003 and L004 can attribute a token to its function.
 //!
 //! Known (documented) approximations: macro bodies are scanned as
 //! ordinary tokens, closures do not open a named scope, and types are
@@ -324,7 +324,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
 /// inspecting the token there. Closures and unnamed blocks change brace
 /// depth but not the stack; the stack therefore answers "which `fn`'s
 /// body am I in", with the outermost entry being the item-level
-/// function (what the epoch-discipline check keyed on).
+/// function.
 #[derive(Debug, Default)]
 pub struct FnWalker {
     stack: Vec<(String, usize)>,

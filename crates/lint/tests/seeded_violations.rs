@@ -54,16 +54,6 @@ fn assert_pass_is_load_bearing(code: PassCode, tag: &str, source: &str, min_find
 }
 
 #[test]
-fn l001_mutation_outside_writer_is_load_bearing() {
-    assert_pass_is_load_bearing(
-        PassCode::MutationOutsideWriter,
-        "l001",
-        include_str!("fixtures/seeded/l001.rs"),
-        2, // epoch bump + cache sweep, both outside apply_change
-    );
-}
-
-#[test]
 fn l002_relaxed_sync_decision_is_load_bearing() {
     let root = scratch("l002", include_str!("fixtures/seeded/l002.rs"));
     let cfg = Config::default();

@@ -108,7 +108,7 @@ fn report() -> Report {
         ],
         findings: vec![
             Finding::new(
-                PassCode::MutationOutsideWriter,
+                PassCode::PanicSite,
                 "crates/core/src/engine.rs",
                 171,
                 HOSTILE,
