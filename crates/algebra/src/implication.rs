@@ -20,6 +20,13 @@
 //! Truth of a comparison implies both operands are non-NULL, which the
 //! prover uses to derive `IS NOT NULL` facts.
 
+// A panic here is a failure that does not deny: outside tests, every
+// failure surfaces as an `Err` (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic,
+    clippy::unreachable, clippy::todo, clippy::unimplemented,
+))]
+
 use crate::expr::{CmpOp, ScalarExpr};
 use crate::normalize::normalize_expr;
 use fgac_types::{BudgetMeter, Result, Value};

@@ -45,11 +45,18 @@
 //! trips mid-proof the certificate is rejected (`Q004`), never waved
 //! through. An empty diagnostic list is the only "verified" answer.
 
+// A panic here is a failure that does not deny: outside tests, every
+// failure surfaces as an `Err` (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic,
+    clippy::unreachable, clippy::todo, clippy::unimplemented,
+))]
+
 use crate::diag::{Code, Diagnostic};
 use fgac_algebra::implication::implies_metered;
 use fgac_algebra::{bind_query, CmpOp, ParamScope, ScalarExpr, SpjBlock};
 use fgac_storage::{Catalog, InclusionDependency};
-use fgac_types::{Budget, BudgetMeter, Column, Error, Ident, Result, Value};
+use fgac_types::{Budget, BudgetMeter, Error, Ident, Result, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -1197,19 +1204,6 @@ fn owner_of(b: &SpjBlock, col: usize) -> Option<usize> {
         if col < acc {
             return Some(i);
         }
-    }
-    None
-}
-
-/// The flat column's schema entry, if in range.
-#[allow(dead_code)]
-fn flat_column(b: &SpjBlock, col: usize) -> Option<&Column> {
-    let mut acc = 0;
-    for (_, s) in &b.scans {
-        if col < acc + s.len() {
-            return s.columns().get(col - acc);
-        }
-        acc += s.len();
     }
     None
 }

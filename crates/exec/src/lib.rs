@@ -22,6 +22,13 @@
 //! observable to tests and benches: 0 for a projection or an aggregate
 //! over a filtered scan, `|result|` for `select * … where`.
 
+// A panic here is a failure that does not deny: outside tests, every
+// failure surfaces as an `Err` (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic,
+    clippy::unreachable, clippy::todo, clippy::unimplemented,
+))]
+
 #[cfg(test)]
 mod differential;
 mod dml;

@@ -3,13 +3,14 @@
 //!
 //! The paper's guarantees are operational: fail-closed denial and
 //! no-stale-verdict under churn. Writer-only mutation of swept policy
-//! state is the type system's job (`fgac_core::invalidation`); the
-//! rest it does not check, and a single mis-ordered atomic breaks them
-//! silently. This crate checks them statically — five passes
-//! (L002–L006, see `report.rs`) over a shared token/
-//! function-stack source model (`source.rs`), scoped and allowlisted by
-//! the checked-in `lint.toml` (`config.rs`), emitting JSON diagnostics
-//! in the same forward-compatible wire shape as
+//! state is the type system's job (`fgac_core::invalidation`);
+//! panic-freedom and checked wire arithmetic are clippy's, denied at
+//! crate roots (DESIGN.md §4l). The rest neither checks, and a single
+//! mis-ordered atomic breaks it silently. This crate checks it
+//! statically — three passes (L002–L004, see `report.rs`) over a
+//! shared token/function-stack source model (`source.rs`), scoped and
+//! allowlisted by the checked-in `lint.toml` (`config.rs`), emitting
+//! JSON diagnostics in the same forward-compatible wire shape as
 //! `crates/analyze/src/diag.rs` (`report.rs`). The dynamic counterpart
 //! — ThreadSanitizer over the churn/server tests and Miri over the
 //! wal/frame tests — runs in CI and covers the passes' blind spots.

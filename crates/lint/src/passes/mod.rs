@@ -14,9 +14,7 @@
 
 pub mod error_path;
 pub mod lock_order;
-pub mod panic_sites;
 pub mod relaxed;
-pub mod wire_arith;
 
 use crate::config::Config;
 use crate::report::{Finding, PassCode};
@@ -58,7 +56,5 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
         Box::new(relaxed::RelaxedSyncDecision),
         Box::new(lock_order::LockOrderInversion),
         Box::new(error_path::ErrorPathMustDeny),
-        Box::new(wire_arith::UncheckedWireArithmetic),
-        Box::new(panic_sites::PanicSite),
     ]
 }

@@ -13,9 +13,11 @@ use std::fmt;
 
 /// Stable pass codes. Append-only: a code, once published, never
 /// changes meaning — allowlists and CI configurations key on them. A
-/// retired code is never reused: `L001` (writer-only mutation of swept
-/// policy state) is now enforced by the type system and parses as
-/// [`PassCode::Unrecognized`].
+/// retired code is never reused, and parses as [`PassCode::Unrecognized`]:
+/// `L001` `MutationOutsideWriter` (writer-only mutation of swept policy
+/// state) is enforced by the type system; `L005`
+/// `UncheckedWireArithmetic` and `L006` `PanicSite` by clippy lints
+/// denied at crate roots (DESIGN.md §4l).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PassCode {
     /// `L002`: a `Relaxed` atomic operation feeding a branch — a
@@ -34,15 +36,6 @@ pub enum PassCode {
     /// swallows the error — fail-closed means every `Err` path must
     /// deny, uncached.
     ErrorPathMustDeny,
-    /// `L005`: unchecked `+`/`*` or a narrowing `as` cast on
-    /// length/offset values in wire-parsing code (WAL frames, server
-    /// frames, the wire reader) — overflow there turns a corrupt length
-    /// field into a mis-bounded read instead of `Error::Corrupt`.
-    UncheckedWireArithmetic,
-    /// `L006`: `.unwrap()` / `.expect()` / `panic!` / `unreachable!` /
-    /// `todo!` in code whose panic-freedom is an invariant (the PR-4/5
-    /// scanner, now a pass).
-    PanicSite,
     /// A pass code this build does not know. Never emitted by the
     /// analyzer; produced only by the wire parser so a newer writer's
     /// report still loads. Always [`Severity::Unknown`].
@@ -53,8 +46,6 @@ pub const ALL_CODES: &[PassCode] = &[
     PassCode::RelaxedSyncDecision,
     PassCode::LockOrderInversion,
     PassCode::ErrorPathMustDeny,
-    PassCode::UncheckedWireArithmetic,
-    PassCode::PanicSite,
 ];
 
 impl PassCode {
@@ -63,8 +54,6 @@ impl PassCode {
             PassCode::RelaxedSyncDecision => "L002",
             PassCode::LockOrderInversion => "L003",
             PassCode::ErrorPathMustDeny => "L004",
-            PassCode::UncheckedWireArithmetic => "L005",
-            PassCode::PanicSite => "L006",
             PassCode::Unrecognized => "L???",
         }
     }
@@ -74,8 +63,6 @@ impl PassCode {
             PassCode::RelaxedSyncDecision => "RelaxedSyncDecision",
             PassCode::LockOrderInversion => "LockOrderInversion",
             PassCode::ErrorPathMustDeny => "ErrorPathMustDeny",
-            PassCode::UncheckedWireArithmetic => "UncheckedWireArithmetic",
-            PassCode::PanicSite => "PanicSite",
             PassCode::Unrecognized => "Unrecognized",
         }
     }
@@ -325,21 +312,21 @@ mod tests {
             files_scanned: 87,
             passes: vec![
                 PassSummary {
-                    code: "L006".into(),
-                    name: "PanicSite".into(),
+                    code: "L004".into(),
+                    name: "ErrorPathMustDeny".into(),
                     findings: 1,
                     ms: 3,
                 },
                 PassSummary {
-                    code: "L005".into(),
-                    name: "UncheckedWireArithmetic".into(),
+                    code: "L003".into(),
+                    name: "LockOrderInversion".into(),
                     findings: 0,
                     ms: 1,
                 },
             ],
             unused_allows: vec!["L002 crates/x.rs \"old reason\"".into()],
             findings: vec![Finding::new(
-                PassCode::PanicSite,
+                PassCode::ErrorPathMustDeny,
                 "crates/core/src/engine.rs",
                 171,
                 "weird \"quotes\"\nand\tlines",
@@ -353,17 +340,17 @@ mod tests {
             (PassCode::RelaxedSyncDecision, "L002"),
             (PassCode::LockOrderInversion, "L003"),
             (PassCode::ErrorPathMustDeny, "L004"),
-            (PassCode::UncheckedWireArithmetic, "L005"),
-            (PassCode::PanicSite, "L006"),
         ] {
             assert_eq!(code.as_str(), s);
             assert_eq!(PassCode::from_str_code(s), Some(code));
         }
-        assert_eq!(ALL_CODES.len(), 5);
+        assert_eq!(ALL_CODES.len(), 3);
         // The forward-compat sentinel is parser-only, and a retired
         // code is not a live one.
         assert_eq!(PassCode::from_str_code("L???"), None);
-        assert_eq!(PassCode::from_str_code("L001"), None);
+        for retired in ["L001", "L005", "L006"] {
+            assert_eq!(PassCode::from_str_code(retired), None);
+        }
     }
 
     #[test]
@@ -383,18 +370,22 @@ mod tests {
   "findings":[
     {"code":"L099","name":"FuturePass","severity":"critical","file":"a.rs","line":"7","message":"from the future"},
     {"code":"L002","name":"RelaxedSyncDecision","severity":"error","file":"b.rs","line":"9","message":"known"},
-    {"code":"L001","name":"MutationOutsideWriter","severity":"error","file":"c.rs","line":"3","message":"retired"}
+    {"code":"L001","name":"MutationOutsideWriter","severity":"error","file":"c.rs","line":"3","message":"retired"},
+    {"code":"L005","name":"Retired","severity":"error","file":"d.rs","line":"4","message":"retired"},
+    {"code":"L006","name":"Retired","severity":"error","file":"e.rs","line":"5","message":"retired"}
   ]
 }"#;
         let r = report_from_json(json).expect("forward-compat parse");
-        assert_eq!(r.findings.len(), 3);
+        assert_eq!(r.findings.len(), 5);
         assert_eq!(r.findings[0].code, PassCode::Unrecognized);
         assert_eq!(r.findings[0].severity, Severity::Unknown);
         assert_eq!(r.findings[1].code, PassCode::RelaxedSyncDecision);
         assert_eq!(r.findings[1].severity, Severity::Error);
         // A retired code reads like one from the future.
-        assert_eq!(r.findings[2].code, PassCode::Unrecognized);
-        assert_eq!(r.findings[2].severity, Severity::Unknown);
+        for f in &r.findings[2..] {
+            assert_eq!(f.code, PassCode::Unrecognized, "{}", f.file);
+            assert_eq!(f.severity, Severity::Unknown, "{}", f.file);
+        }
         // Structural strictness is unchanged: a known code with an
         // unknown severity string is still rejected.
         let bad = json.replace("\"error\"", "\"critical\"");

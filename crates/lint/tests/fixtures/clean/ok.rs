@@ -1,6 +1,6 @@
 //! Clean fixture: every pass runs over this file and none may fire.
-//! Checked arithmetic, Acquire-ordered decisions, consistent lock
-//! order, fail-closed error paths, no panic sites.
+//! Acquire-ordered decisions, consistent lock order, fail-closed error
+//! paths.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -10,10 +10,6 @@ pub static STOP: AtomicBool = AtomicBool::new(false);
 pub struct Shards {
     pub alpha: Mutex<u64>,
     pub beta: Mutex<u64>,
-}
-
-pub fn payload_end(pos: usize, header_len: usize, cap: usize) -> Option<usize> {
-    pos.checked_add(header_len).filter(|&e| e <= cap)
 }
 
 pub fn drain(shards: &Shards) -> u64 {

@@ -126,26 +126,6 @@ fn l004_error_path_must_deny_is_load_bearing() {
 }
 
 #[test]
-fn l005_unchecked_wire_arithmetic_is_load_bearing() {
-    assert_pass_is_load_bearing(
-        PassCode::UncheckedWireArithmetic,
-        "l005",
-        include_str!("fixtures/seeded/l005.rs"),
-        2, // narrowing cast + unchecked addition
-    );
-}
-
-#[test]
-fn l006_panic_site_is_load_bearing() {
-    assert_pass_is_load_bearing(
-        PassCode::PanicSite,
-        "l006",
-        include_str!("fixtures/seeded/l006.rs"),
-        2, // unwrap + panic!
-    );
-}
-
-#[test]
 fn clean_fixture_stays_clean_under_every_pass() {
     let root = scratch("clean", include_str!("fixtures/clean/ok.rs"));
     let report = run(&root, &Config::default()).expect("lint clean tree");

@@ -1,10 +1,5 @@
 //! Length-prefixed, CRC-framed wire transport.
 //!
-// The frame codec runs on every connection and must never panic: a
-// malformed frame is a protocol error on *that* connection, never a
-// crash. See clippy.toml / fgac-lint.
-#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
-//!
 //! The framing discipline mirrors the WAL's (`fgac-wal`): a fixed
 //! header carrying the payload length, a kind byte, the payload CRC,
 //! and a CRC over the header itself — so a header is either trusted in
@@ -21,6 +16,10 @@
 //! 9       4     CRC-32 of bytes [0, 9)
 //! 13      len   payload
 //! ```
+
+// Lengths and offsets here come off the wire or the disk: overflow and
+// truncation are checked and surface as errors (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
 
 use fgac_types::{Error, Result};
 use fgac_wal::crc32;
@@ -55,7 +54,7 @@ pub fn encode_frame(kind: u8, payload: &[u8]) -> Result<Vec<u8>> {
     // try_from makes that dependency explicit rather than truncating.
     let len = u32::try_from(payload.len())
         .map_err(|_| Error::Execution("frame payload length exceeds u32".into()))?;
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    let mut out = Vec::with_capacity(HEADER_LEN.saturating_add(payload.len()));
     out.extend_from_slice(&len.to_le_bytes());
     out.push(kind);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -152,7 +151,7 @@ fn read_exact_deadline(
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => return Err(ReadFail::Eof),
-            Ok(n) => filled += n,
+            Ok(n) => filled = filled.saturating_add(n),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -215,7 +214,9 @@ pub fn read_frame_deadline(
     }
     // Phase 2: the frame has begun; it must complete before the frame
     // deadline.
-    let deadline = Instant::now() + frame_timeout;
+    let Some(deadline) = Instant::now().checked_add(frame_timeout) else {
+        return FrameEvent::Io(format!("frame timeout {frame_timeout:?} is out of range"));
+    };
     let mut header = [0u8; HEADER_LEN];
     header[0] = first[0];
     match read_exact_deadline(r, &mut header[1..], deadline) {
@@ -253,7 +254,7 @@ pub fn read_frame_blocking(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>> {
         match r.read(&mut header[filled..]) {
             Ok(0) if filled == 0 => return Ok(None),
             Ok(0) => return Err(Error::Corrupt("EOF mid-header".into())),
-            Ok(n) => filled += n,
+            Ok(n) => filled = filled.saturating_add(n),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(Error::Execution(format!("frame read failed: {e}"))),
         }
@@ -264,7 +265,7 @@ pub fn read_frame_blocking(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>> {
     while filled < parsed.len {
         match r.read(&mut payload[filled..]) {
             Ok(0) => return Err(Error::Corrupt("EOF mid-payload".into())),
-            Ok(n) => filled += n,
+            Ok(n) => filled = filled.saturating_add(n),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(Error::Execution(format!("frame read failed: {e}"))),
         }

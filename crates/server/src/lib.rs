@@ -28,6 +28,13 @@
 //!   drain that answers every admitted request before the engine's
 //!   WAL is closed.
 
+// A panic here is a failure that does not deny: outside tests, every
+// failure surfaces as an `Err` (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic,
+    clippy::unreachable, clippy::todo, clippy::unimplemented,
+))]
+
 pub mod client;
 pub mod frame;
 pub mod metrics;

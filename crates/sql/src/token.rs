@@ -8,7 +8,7 @@ use std::fmt;
 /// Keywords are matched case-insensitively; anything not listed here
 /// lexes as an identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "each variant is the keyword it names")]
 pub enum Keyword {
     Select,
     Distinct,

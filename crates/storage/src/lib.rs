@@ -21,6 +21,13 @@
 //! visible to the user", rule U3a condition 2) is tracked by
 //! `fgac-core`'s grant tables, not here.
 
+// A panic here is a failure that does not deny: outside tests, every
+// failure surfaces as an `Err` (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic,
+    clippy::unreachable, clippy::todo, clippy::unimplemented,
+))]
+
 mod catalog;
 mod constraint;
 mod database;

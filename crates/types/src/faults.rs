@@ -117,6 +117,10 @@ pub fn hit(site: &str) -> Result<()> {
         Some((false, n)) => Err(Error::Internal(format!(
             "injected fault at {site} (hit {n})"
         ))),
+        #[allow(
+            clippy::panic,
+            reason = "an armed panic fault must panic; only fault-injection builds have it"
+        )]
         Some((true, n)) => panic!("injected panic at {site} (hit {n})"),
     }
 }

@@ -14,6 +14,13 @@
 //! are all mappings over [`Json`], so there is a single parser, a single
 //! string escaper and a single place where nesting depth is bounded.
 
+// A panic here is a failure that does not deny: outside tests, every
+// failure surfaces as an `Err` (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic,
+    clippy::unreachable, clippy::todo, clippy::unimplemented,
+))]
+
 mod budget;
 mod error;
 #[cfg(feature = "fault-injection")]

@@ -8,6 +8,10 @@
 //! decoder is total: malformed input yields [`Error::Corrupt`], never a
 //! panic, because recovery code runs on whatever bytes survived a crash.
 
+// Lengths and offsets here come off the wire or the disk: overflow and
+// truncation are checked and surface as errors (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
+
 use crate::{Column, DataType, Error, Ident, Result, Row, Schema, Value};
 
 /// Types that can append their encoding to a byte buffer.
@@ -41,7 +45,8 @@ impl<'a> Reader<'a> {
     }
 
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        // `pos <= buf.len()` always holds: `take` is the only writer.
+        self.buf.len().saturating_sub(self.pos)
     }
 
     fn corrupt(what: &str) -> Error {
@@ -79,13 +84,15 @@ impl<'a> Reader<'a> {
     /// available, so a corrupt length cannot trigger a huge allocation.
     pub fn len_prefix(&mut self) -> Result<usize> {
         let n = self.u64()?;
-        if n > self.remaining() as u64 {
-            return Err(Error::Corrupt(format!(
-                "wire decode: length {n} exceeds remaining {}",
-                self.remaining()
-            )));
-        }
-        Ok(n as usize)
+        usize::try_from(n)
+            .ok()
+            .filter(|&len| len <= self.remaining())
+            .ok_or_else(|| {
+                Error::Corrupt(format!(
+                    "wire decode: length {n} exceeds remaining {}",
+                    self.remaining()
+                ))
+            })
     }
 
     /// Fails unless every byte has been consumed — trailing garbage in a
@@ -201,15 +208,18 @@ impl<T: WireEncode> WireEncode for Vec<T> {
 
 impl<T: WireDecode> WireDecode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let n = r.u64()?;
+        let count = r.u64()?;
         // Every element costs at least one byte, so a corrupt count can
         // be rejected before allocating.
-        if n > r.remaining() as u64 {
-            return Err(Error::Corrupt(format!(
-                "wire decode: element count {n} exceeds remaining bytes"
-            )));
-        }
-        let mut out = Vec::with_capacity(n as usize);
+        let n = usize::try_from(count)
+            .ok()
+            .filter(|&n| n <= r.remaining())
+            .ok_or_else(|| {
+                Error::Corrupt(format!(
+                    "wire decode: element count {count} exceeds remaining bytes"
+                ))
+            })?;
+        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(T::decode(r)?);
         }

@@ -5,6 +5,11 @@
 //! crash) from corruption (checksum mismatch — fail closed for policy
 //! records). The table is built at compile time; no external crate.
 
+#[allow(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "compile-time loop counters bounded by 256 and 8"
+)]
 const fn make_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;

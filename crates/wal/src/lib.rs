@@ -1,10 +1,5 @@
 //! # fgac-wal
 //!
-// Commit/recovery code must never panic (see clippy.toml): a panic
-// between the data mutation and the WAL append is exactly the torn
-// state the log exists to prevent. Test code is exempt.
-#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
-//!
 //! Crash-consistent durability for the fgac engine: an append-only,
 //! length-prefixed, CRC-checksummed write-ahead log plus full-state
 //! snapshots.
@@ -26,6 +21,14 @@
 //! This crate owns the byte format and file management; `fgac-core`
 //! owns what gets logged and how records replay into an engine
 //! (`Engine::open`). See DESIGN.md §Durability for the full scheme.
+
+// A panic or a wrapped length here is a failure that does not deny:
+// outside tests, every failure surfaces as an `Err` (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic,
+    clippy::unreachable, clippy::todo, clippy::unimplemented,
+    clippy::arithmetic_side_effects, clippy::cast_possible_truncation,
+))]
 
 mod crc;
 mod log;

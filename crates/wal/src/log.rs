@@ -64,7 +64,7 @@ use std::path::{Path, PathBuf};
 
 const WAL_MAGIC: &[u8; 8] = b"FGACWAL2";
 const SNAP_MAGIC: &[u8; 8] = b"FGACSNP2";
-const WAL_HEADER_LEN: u64 = 16;
+const WAL_HEADER_LEN: usize = 16;
 
 fn io_err(what: &str, e: std::io::Error) -> Error {
     Error::Execution(format!("wal {what}: {e}"))
@@ -121,12 +121,26 @@ fn write_new_log(path: &Path, base_lsn: u64) -> Result<File> {
         .truncate(true)
         .open(path)
         .map_err(|e| io_err("create", e))?;
-    let mut header = Vec::with_capacity(WAL_HEADER_LEN as usize);
+    let mut header = Vec::with_capacity(WAL_HEADER_LEN);
     header.extend_from_slice(WAL_MAGIC);
     header.extend_from_slice(&base_lsn.to_le_bytes());
     file.write_all(&header).map_err(|e| io_err("header write", e))?;
     file.sync_data().map_err(|e| io_err("header sync", e))?;
     Ok(file)
+}
+
+/// LSN of the `index`-th record of a log that starts at `base_lsn`. The
+/// header carrying `base_lsn` has no checksum, so one that leaves no
+/// room for the records is corruption.
+fn lsn_at(base_lsn: u64, index: usize) -> Result<u64> {
+    u64::try_from(index)
+        .ok()
+        .and_then(|i| base_lsn.checked_add(i))
+        .ok_or_else(|| {
+            Error::Corrupt(format!(
+                "wal record {index} past base lsn {base_lsn}: lsn overflows"
+            ))
+        })
 }
 
 fn open_append(path: &Path) -> Result<File> {
@@ -164,7 +178,7 @@ impl WalStore {
         Ok(WalStore {
             dir: dir.to_path_buf(),
             file: open_append(&path)?,
-            len: WAL_HEADER_LEN,
+            len: WAL_HEADER_LEN as u64,
             base_lsn: 0,
             next_lsn: 0,
             poisoned: None,
@@ -182,7 +196,7 @@ impl WalStore {
 
         let path = wal_path(dir);
         let bytes = std::fs::read(&path).map_err(|e| io_err("read", e))?;
-        if bytes.len() < WAL_HEADER_LEN as usize || &bytes[..8] != WAL_MAGIC {
+        if bytes.len() < WAL_HEADER_LEN || &bytes[..8] != WAL_MAGIC {
             return Err(Error::Corrupt(format!(
                 "wal header invalid in {}",
                 path.display()
@@ -206,7 +220,7 @@ impl WalStore {
         }
 
         let mut records = Vec::new();
-        let mut pos = WAL_HEADER_LEN as usize;
+        let mut pos = WAL_HEADER_LEN;
         let mut truncate_at: Option<usize> = None;
         while pos < bytes.len() {
             // Crash-during-recovery fault site: fires before anything in
@@ -227,7 +241,7 @@ impl WalStore {
             let class = header[4];
             let stored_pcrc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
             let stored_hcrc = u32::from_le_bytes([header[9], header[10], header[11], header[12]]);
-            let lsn = base_lsn + records.len() as u64;
+            let lsn = lsn_at(base_lsn, records.len())?;
             // A torn write lands a strict prefix of a valid frame, so
             // thirteen present-but-inconsistent header bytes can only be
             // corruption — and with an untrusted header neither `len`
@@ -285,7 +299,8 @@ impl WalStore {
         }
 
         if let Some(at) = truncate_at {
-            report.truncated_tail_bytes = (bytes.len() - at) as u64;
+            // `at` is a frame start, so it lies inside `bytes`.
+            report.truncated_tail_bytes = bytes.len().saturating_sub(at) as u64;
             let file = OpenOptions::new()
                 .write(true)
                 .open(&path)
@@ -296,7 +311,7 @@ impl WalStore {
         report.records_scanned = records.len();
 
         let len = truncate_at.map_or(bytes.len(), |at| at) as u64;
-        let next_lsn = base_lsn + records.len() as u64;
+        let next_lsn = lsn_at(base_lsn, records.len())?;
         Ok(Recovered {
             snapshot,
             records,
@@ -319,7 +334,9 @@ impl WalStore {
 
     /// Records in the current log file (since the last snapshot).
     pub fn records_in_log(&self) -> u64 {
-        self.next_lsn - self.base_lsn
+        // `next_lsn` starts at `base_lsn` and only grows; a rotation
+        // moves both to the snapshot LSN.
+        self.next_lsn.saturating_sub(self.base_lsn)
     }
 
     /// Log length in bytes, header included.
@@ -368,6 +385,15 @@ impl WalStore {
         #[cfg(feature = "fault-injection")]
         fgac_types::faults::hit("wal::append")?;
         let framed = frame(payload, class)?;
+        // Only a corrupt header's base LSN or a log of 2^64 bytes gets
+        // here; refuse before writing anything.
+        let lsn = self.next_lsn;
+        let (Some(next_lsn), Some(len)) = (
+            lsn.checked_add(1),
+            self.len.checked_add(framed.len() as u64),
+        ) else {
+            return Err(Error::Corrupt(format!("wal record {lsn}: lsn or length overflows")));
+        };
 
         #[cfg(feature = "fault-injection")]
         if let Err(e) = fgac_types::faults::hit("wal::append_torn") {
@@ -385,12 +411,13 @@ impl WalStore {
             self.poison("partial append");
             return Err(io_err("append", e));
         }
-        self.len += framed.len() as u64;
+        self.len = len;
 
-        // The immediate closure gives the cfg'd fault line a `?` scope;
-        // without fault-injection it collapses to the `if`, which clippy
-        // would otherwise flag.
-        #[allow(clippy::redundant_closure_call)]
+        #[allow(
+            clippy::redundant_closure_call,
+            reason = "the immediate closure gives the cfg'd fault line a `?` scope; \
+                      without fault-injection it collapses to the `if`"
+        )]
         let flushed: Result<()> = (|| {
             #[cfg(feature = "fault-injection")]
             fgac_types::faults::hit("wal::flush")?;
@@ -411,8 +438,7 @@ impl WalStore {
             return Err(e);
         }
 
-        let lsn = self.next_lsn;
-        self.next_lsn += 1;
+        self.next_lsn = next_lsn;
         Ok(lsn)
     }
 
@@ -449,9 +475,7 @@ impl WalStore {
             )));
         }
         let payload = state.to_bytes();
-        let mut doc = Vec::with_capacity(8 + FRAME_HEADER_LEN + payload.len());
-        doc.extend_from_slice(SNAP_MAGIC);
-        doc.extend_from_slice(&frame(&payload, CLASS_POLICY)?);
+        let doc = [SNAP_MAGIC.as_slice(), &frame(&payload, CLASS_POLICY)?].concat();
 
         let tmp = self.dir.join("snapshot.tmp");
         let final_path = snapshot_path(&self.dir);
@@ -480,7 +504,7 @@ impl WalStore {
         match reattached {
             Ok(file) => {
                 self.file = file;
-                self.len = WAL_HEADER_LEN;
+                self.len = WAL_HEADER_LEN as u64;
                 self.base_lsn = state.lsn;
                 Ok(())
             }
@@ -700,7 +724,7 @@ mod tests {
         // Damage the first record's last payload byte (it sits right
         // before the second frame's header).
         let dml_payload_len = WalRecord::Dml { deltas: vec![] }.to_bytes().len();
-        let idx = WAL_HEADER_LEN as usize + FRAME_HEADER_LEN + dml_payload_len - 1;
+        let idx = WAL_HEADER_LEN + FRAME_HEADER_LEN + dml_payload_len - 1;
         bytes[idx] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let err = WalStore::recover(&dir).unwrap_err();
@@ -802,7 +826,7 @@ mod tests {
         drop(store);
         let path = wal_path(&dir);
         let mut bytes = std::fs::read(&path).unwrap();
-        let class_idx = WAL_HEADER_LEN as usize + 4;
+        let class_idx = WAL_HEADER_LEN + 4;
         assert_eq!(bytes[class_idx], CLASS_POLICY);
         bytes[class_idx] = CLASS_DATA;
         let last = bytes.len() - 1;
@@ -843,6 +867,39 @@ mod tests {
         std::fs::write(snapshot_path(&dir), &doc).unwrap();
         let err = WalStore::recover(&dir).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn lsn_overflow_in_a_corrupt_log_fails_closed() {
+        // The header's base LSN carries no checksum. One at u64::MAX,
+        // with a snapshot claiming to cover it, leaves no LSN for the
+        // second frame: recovery must refuse, not wrap to 0 and replay
+        // with LSNs running backwards.
+        let dir = tmp_dir("lsn-overflow");
+        let mut store = WalStore::create(&dir).unwrap();
+        store.append(&rec(0), false).unwrap();
+        store.append(&rec(1), true).unwrap();
+        drop(store);
+        let mut log = std::fs::read(wal_path(&dir)).unwrap();
+        log[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        std::fs::write(wal_path(&dir), &log).unwrap();
+        let mut doc = SNAP_MAGIC.to_vec();
+        doc.extend_from_slice(&frame(&snap(u64::MAX).to_bytes(), CLASS_POLICY).unwrap());
+        std::fs::write(snapshot_path(&dir), &doc).unwrap();
+        let err = WalStore::recover(&dir).unwrap_err();
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("lsn overflows")),
+            "got {err:?}"
+        );
+
+        // With no frames the log recovers at LSN u64::MAX, and the
+        // append that would need the next LSN is refused unwritten.
+        std::fs::write(wal_path(&dir), &log[..WAL_HEADER_LEN]).unwrap();
+        let mut store = WalStore::recover(&dir).unwrap().store;
+        assert_eq!(store.next_lsn(), u64::MAX);
+        let err = store.append(&rec(2), true).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "got {err:?}");
+        assert_eq!(store.len_bytes(), WAL_HEADER_LEN as u64);
     }
 
     #[cfg(feature = "fault-injection")]

@@ -136,9 +136,9 @@ pub(crate) fn encode_dml<'a>(deltas: impl Iterator<Item = DeltaRef<'a>>, out: &m
     let mut n: u64 = 0;
     for d in deltas {
         d.encode(out);
-        n += 1;
+        n = n.saturating_add(1);
     }
-    out[at..at + 8].copy_from_slice(&n.to_le_bytes());
+    out[at..][..8].copy_from_slice(&n.to_le_bytes());
 }
 
 impl WireDecode for WalRecord {
@@ -202,7 +202,7 @@ pub fn frame(payload: &[u8], class: u8) -> Result<Vec<u8>> {
             payload.len()
         ))
     })?;
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN.saturating_add(payload.len()));
     out.extend_from_slice(&len.to_le_bytes());
     out.push(class);
     out.extend_from_slice(&crc32(payload).to_le_bytes());

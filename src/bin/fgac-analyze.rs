@@ -37,6 +37,13 @@
 //! `1` on error-severity diagnostics / unverifiable accepts, `2` when a
 //! script cannot be read or does not load.
 
+// A panic here is a failure that does not deny: outside tests, every
+// failure surfaces as an `Err` (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic,
+    clippy::unreachable, clippy::todo, clippy::unimplemented,
+))]
+
 use fgac::analyze::{certificate_to_json, diagnostics_to_json, Severity};
 use fgac::prelude::*;
 

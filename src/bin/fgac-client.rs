@@ -17,6 +17,13 @@
 //! statement's response was not `ROWS`/`AFFECTED`/`OK` (suppress with
 //! `--lax` when a rejection is the expected outcome), else 0.
 
+// A panic here is a failure that does not deny: outside tests, every
+// failure surfaces as an `Err` (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic,
+    clippy::unreachable, clippy::todo, clippy::unimplemented,
+))]
+
 use fgac_server::{AdminOp, Client, Request, Response};
 use std::time::Duration;
 

@@ -17,6 +17,13 @@
 //! settings, allowlists, the Relaxed audit ledger) lives in `lint.toml`
 //! at the workspace root.
 
+// A panic here is a failure that does not deny: outside tests, every
+// failure surfaces as an `Err` (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic,
+    clippy::unreachable, clippy::todo, clippy::unimplemented,
+))]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -27,6 +27,13 @@
 //! Anything else is executed as the current user under the Non-Truman
 //! model.
 
+// A panic here is a failure that does not deny: outside tests, every
+// failure surfaces as an `Err` (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic,
+    clippy::unreachable, clippy::todo, clippy::unimplemented,
+))]
+
 use fgac::prelude::*;
 use fgac::workload::university::{build, UniversityConfig};
 use std::io::{BufRead, Write};

@@ -23,6 +23,13 @@
 //! smoke job uses it to prove a served-then-terminated store recovers
 //! cleanly (no torn tail, same version counters).
 
+// A panic here is a failure that does not deny: outside tests, every
+// failure surfaces as an `Err` (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::unwrap_used, clippy::expect_used, clippy::panic,
+    clippy::unreachable, clippy::todo, clippy::unimplemented,
+))]
+
 use fgac_core::{Engine, SharedEngine};
 use fgac_server::{Server, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};

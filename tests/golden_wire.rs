@@ -108,13 +108,13 @@ fn report() -> Report {
         ],
         findings: vec![
             Finding::new(
-                PassCode::PanicSite,
+                PassCode::ErrorPathMustDeny,
                 "crates/core/src/engine.rs",
                 171,
                 HOSTILE,
             ),
             Finding::new(
-                PassCode::UncheckedWireArithmetic,
+                PassCode::LockOrderInversion,
                 "crates/wal/src/log.rs",
                 9,
                 "len + 4",
