@@ -4,7 +4,9 @@
 //! Usage: `cargo run -p fgac-bench --bin report --release [-- --exp e4]`
 
 use fgac_algebra::{Plan, ScalarExpr};
-use fgac_bench::{check_with, median_time, ms, pick_triple, row, university, us};
+use fgac_bench::{
+    check_with, median_time, median_time_with_setup, ms, pick_triple, row, university, us,
+};
 use fgac_core::truman::{scan_count_delta, TrumanPolicy};
 use fgac_core::{CheckOptions, Engine, Session, Validator, Verdict};
 use fgac_optimizer::{expand, extract_any, Dag, ExpandOptions, Operator};
@@ -58,34 +60,55 @@ fn banner(id: &str, title: &str) {
     println!("================================================================");
 }
 
+/// The chain join t0 ⋈ t1 ⋈ … ⋈ t(n-1) on adjacent columns.
+fn chain_join(n: usize) -> Plan {
+    let schema = Schema::new(vec![
+        Column::new("x", DataType::Int),
+        Column::new("y", DataType::Int),
+    ]);
+    let mut plan = Plan::scan("t0", schema.clone());
+    for i in 1..n {
+        let off = 2 * i;
+        plan = plan.join(
+            Plan::scan(format!("t{i}").as_str(), schema.clone()),
+            vec![ScalarExpr::eq(
+                ScalarExpr::col(off - 1),
+                ScalarExpr::col(off),
+            )],
+        );
+    }
+    plan
+}
+
 /// E1 — Figure 1: AND-OR DAG for chain joins.
 fn e1() {
     banner("E1", "Figure 1 — AND-OR DAG for A ⋈ B ⋈ C and growth with n");
-    let widths = [3, 12, 12, 14, 14, 12];
+    let widths = [3, 12, 12, 14, 14, 12, 10, 17];
     println!(
         "{}",
         row(
-            &["n", "init eq", "init op", "expanded eq", "expanded op", "join sets"],
+            &[
+                "n",
+                "init eq",
+                "init op",
+                "expanded eq",
+                "expanded op",
+                "join sets",
+                "insert µs",
+                "insert+expand µs",
+            ],
             &widths
         )
     );
     for n in 2..=6 {
+        let plan = chain_join(n);
+        let insert = median_time(9, || Dag::new().insert_plan(&plan));
+        let insert_expand = median_time(9, || {
+            let mut dag = Dag::new();
+            dag.insert_plan(&plan);
+            expand(&mut dag, &ExpandOptions::default())
+        });
         let mut dag = Dag::new();
-        let schema = Schema::new(vec![
-            Column::new("x", DataType::Int),
-            Column::new("y", DataType::Int),
-        ]);
-        let mut plan = Plan::scan("t0", schema.clone());
-        for i in 1..n {
-            let off = 2 * i;
-            plan = plan.join(
-                Plan::scan(format!("t{i}").as_str(), schema.clone()),
-                vec![ScalarExpr::eq(
-                    ScalarExpr::col(off - 1),
-                    ScalarExpr::col(off),
-                )],
-            );
-        }
         dag.insert_plan(&plan);
         let init = dag.stats();
         expand(&mut dag, &ExpandOptions::default());
@@ -118,6 +141,8 @@ fn e1() {
                     &expanded.eq_nodes.to_string(),
                     &expanded.op_nodes.to_string(),
                     &join_sets.len().to_string(),
+                    &us(insert),
+                    &us(insert_expand),
                 ],
                 &widths
             )
@@ -384,10 +409,19 @@ fn e5() {
 /// E6 — the cost and state-sensitivity of conditional validity.
 fn e6() {
     banner("E6", "C3 conditional validity: probe cost and state dependence (§4.3)");
-    let widths = [10, 12, 14, 16];
+    let widths = [10, 12, 14, 12, 16];
     println!(
         "{}",
-        row(&["students", "|registered|", "C3 check ms", "verdict"], &widths)
+        row(
+            &[
+                "students",
+                "|registered|",
+                "C3 check ms",
+                "no-C3 ms",
+                "verdict"
+            ],
+            &widths
+        )
     );
     for students in [100usize, 1_000, 5_000, 20_000] {
         let uni = university(students);
@@ -398,6 +432,15 @@ fn e6() {
             Validator::new(uni.engine.database(), uni.engine.grants())
                 .check_sql(&session, &sql)
                 .unwrap()
+        });
+        // The same machinery with C3 off: it rejects once the
+        // unconditional rules are exhausted, without a probe.
+        let no_c3 = median_time(3, || {
+            let options = CheckOptions {
+                enable_c3: false,
+                ..Default::default()
+            };
+            check_with(&uni, options, &student, &sql)
         });
         let verdict = check_with(&uni, CheckOptions::default(), &student, &sql);
         let regs = uni
@@ -413,6 +456,7 @@ fn e6() {
                     &students.to_string(),
                     &regs.to_string(),
                     &ms(t),
+                    &ms(no_c3),
                     &format!("{verdict:?}"),
                 ],
                 &widths
@@ -448,35 +492,18 @@ fn e7() {
         )
     );
     for batch in [100usize, 1_000, 5_000] {
-        // Fresh engine per batch size.
-        let mut engine = Engine::new();
-        engine
-            .admin_script(
-                "create table registered (student_id varchar not null, \
-                 course_id varchar not null);",
-            )
-            .unwrap();
-        engine
-            .grant_update_sql(
-                "u",
-                "authorize insert on registered where student_id = $user_id",
-            )
-            .unwrap();
+        // Each run inserts into a fresh engine; building it is not timed.
         let session = Session::new("u");
         let values: Vec<String> = (0..batch).map(|i| format!("('u', 'c{i}')")).collect();
         let sql = format!("insert into registered values {}", values.join(", "));
-        let t = median_time(3, || {
-            let mut e2 = engine_clone(&engine);
-            e2.execute(&session, &sql).unwrap()
-        });
+        let t = median_time_with_setup(3, e7_engine, |mut e| e.execute(&session, &sql).unwrap());
 
         // A batch whose last tuple is unauthorized: rejected atomically.
         let mut bad_values = values.clone();
         bad_values.push("('intruder', 'c0')".to_string());
         let bad_sql = format!("insert into registered values {}", bad_values.join(", "));
-        let t_bad = median_time(3, || {
-            let mut e2 = engine_clone(&engine);
-            e2.execute(&session, &bad_sql).unwrap_err()
+        let t_bad = median_time_with_setup(3, e7_engine, |mut e| {
+            e.execute(&session, &bad_sql).unwrap_err()
         });
         println!(
             "{}",
@@ -499,8 +526,8 @@ fn e7() {
     );
 }
 
-// Engine has no Clone (caches/locks); rebuild cheaply for E7 timing.
-fn engine_clone(src: &Engine) -> Engine {
+/// E7's empty `registered` table with `u`'s insert authorization.
+fn e7_engine() -> Engine {
     let mut e = Engine::new();
     e.admin_script(
         "create table registered (student_id varchar not null, \
@@ -512,7 +539,6 @@ fn engine_clone(src: &Engine) -> Engine {
         "authorize insert on registered where student_id = $user_id",
     )
     .unwrap();
-    let _ = src;
     e
 }
 

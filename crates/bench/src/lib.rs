@@ -5,16 +5,15 @@
 //!
 //! * `src/bin/report.rs` — regenerates every experiment table (E1–E8;
 //!   see DESIGN.md §4 and EXPERIMENTS.md);
-//! * `benches/e*.rs` — Criterion microbenchmarks per experiment;
-//! * the seven CI bench bins (`hotpath`, `walbench`, `certbench`,
-//!   `policybench`, `churnbench`, `flowbench`, `serverbench`; all but
-//!   `walbench` and `serverbench` gate against a baseline), which share
-//!   one scaffold defined here: [`Cli`] (the `--out` / `--check`
-//!   / `--<count> N` command line; `walbench` and `serverbench` parse it
-//!   with [`Cli::parse_report`], which refuses `--check`), [`Baseline`] (a checked-in
-//!   thresholds file read through the workspace JSON codec, keys looked
-//!   up as top-level fields), [`percentile`], and [`emit_report`] /
-//!   [`num`] (the `BENCH_*.json` report as a [`Json`] value).
+//! * the four policy-scale gate bins (`certbench`, `policybench`,
+//!   `churnbench`, `flowbench`), which share one scaffold defined here:
+//!   [`Cli`] (the `--out` / `--check` / `--<count> N` command line),
+//!   [`Baseline`] (a checked-in thresholds file read through the
+//!   workspace JSON codec, keys looked up as top-level fields),
+//!   [`percentile`], and [`emit_report`] / [`num`] (the `BENCH_*.json`
+//!   report as a [`Json`] value).
+//!
+//! The request path end to end is measured by `fgacbench/`, not here.
 
 use fgac_core::{CheckOptions, Session, Validator, Verdict};
 use fgac_types::Json;
@@ -70,27 +69,6 @@ impl Cli {
             }
         }
         (cli, values)
-    }
-
-    /// [`Cli::parse`] for a bin that only reports: it has no baseline,
-    /// so `--check` is a usage error rather than silently ignored.
-    pub fn parse_report<const N: usize>(
-        default_out: &str,
-        counts: [(&str, usize); N],
-    ) -> (Cli, [usize; N]) {
-        Cli::parse_report_from(std::env::args().skip(1), default_out, counts)
-    }
-
-    pub fn parse_report_from<const N: usize>(
-        args: impl IntoIterator<Item = String>,
-        default_out: &str,
-        counts: [(&str, usize); N],
-    ) -> (Cli, [usize; N]) {
-        let args: Vec<String> = args.into_iter().collect();
-        if args.iter().step_by(2).any(|flag| flag == "--check") {
-            panic!("--check is not accepted: this bin only reports, it has no gate");
-        }
-        Cli::parse_from(args, default_out, counts)
     }
 
     /// A gate threshold: the baseline's `key` under `--check`,
@@ -163,10 +141,21 @@ pub fn emit_report(out: &str, report: &Json) {
 
 /// Median wall time of `iters` runs of `f`.
 pub fn median_time<T>(iters: usize, mut f: impl FnMut() -> T) -> Duration {
+    median_time_with_setup(iters, || (), |()| f())
+}
+
+/// Median wall time of `iters` runs of `f`, each on a fresh `setup()`
+/// whose own time is not counted.
+pub fn median_time_with_setup<S, T>(
+    iters: usize,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(S) -> T,
+) -> Duration {
     let mut samples = Vec::with_capacity(iters);
     for _ in 0..iters {
+        let input = setup();
         let t = Instant::now();
-        std::hint::black_box(f());
+        std::hint::black_box(f(input));
         samples.push(t.elapsed());
     }
     samples.sort();
@@ -290,16 +279,6 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "--check is not accepted: this bin only reports")]
-    fn report_only_cli_rejects_check() {
-        Cli::parse_report_from(
-            args(&["--ops", "3", "--check", "wal.json"]),
-            "BENCH.json",
-            [("--ops", 100)],
-        );
-    }
-
     /// The retired `json_number` scraper matched the first textual
     /// `"key":` anywhere in the file — here, inside the comment string —
     /// and gated against 99.
@@ -348,7 +327,6 @@ mod tests {
             ("churn.json", "min_revalidation_rate"),
             ("flow.json", "max_incremental_ratio"),
             ("flow.json", "max_full_ms"),
-            ("hotpath.json", "warm_qps"),
             ("policy.json", "max_p99_growth"),
             ("policy.json", "min_hit_rate"),
         ] {

@@ -33,7 +33,7 @@
 //!
 //! The map is split into [`SHARDS`] independently-locked shards selected
 //! by the key's hash, so concurrent lookups for different keys rarely
-//! contend, and the hit/miss counters are a single packed [`AtomicU64`]
+//! contend, and each hit/miss count is its own [`AtomicU64`] (`HitMiss`)
 //! — one relaxed `fetch_add` per lookup instead of the three mutex
 //! acquisitions (entries + hits + misses) the first implementation paid.
 //! All counters are **cumulative for the life of the engine**: neither
@@ -55,10 +55,32 @@ use std::sync::Arc;
 /// selection is a mask.
 const SHARDS: usize = 16;
 
-/// One lookup outcome unit in the packed counter word: hits live in the
-/// high 32 bits, misses in the low 32.
-const HIT_UNIT: u64 = 1 << 32;
-const MISS_UNIT: u64 = 1;
+/// A hit count and a miss count, one [`AtomicU64`] each: a lookup is one
+/// relaxed `fetch_add`, and neither count can wrap or carry into the
+/// other (a 64-bit count at 10^6 lookups/s lasts half a million years).
+#[derive(Debug, Default)]
+pub(crate) struct HitMiss {
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl HitMiss {
+    /// Counts one lookup.
+    pub(crate) fn count(&self, hit: bool) {
+        let n = if hit { &self.hits } else { &self.misses };
+        n.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// (hits, misses). Each lookup bumps exactly one count, so a pair is
+    /// never a lookup half-applied; one that lands between the two loads
+    /// shows in the second only.
+    pub(crate) fn get(&self) -> (u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
+    }
+}
 
 /// Cache lookup result.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,11 +100,10 @@ pub enum CacheOutcome {
 
 /// A coherent point-in-time view of the cache counters.
 ///
-/// The hit/miss pair comes from a *single* atomic load of the packed
-/// counter word, so a snapshot can never observe a lookup half-applied
-/// (a hit counted but visible as neither hit nor miss, or vice versa);
-/// likewise the revalidation pair. Counters are cumulative across
-/// policy-change sweeps and [`ValidityCache::clear`].
+/// Each lookup bumps exactly one of a pair (`HitMiss::get`), so a
+/// snapshot never shows a lookup half-applied; likewise the
+/// revalidation pair. Counters are cumulative across policy-change
+/// sweeps and [`ValidityCache::clear`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
@@ -141,12 +162,10 @@ struct Entry {
 #[derive(Debug)]
 pub struct ValidityCache {
     shards: [Mutex<HashMap<(String, u64), Entry>>; SHARDS],
-    /// `hits << 32 | misses`, updated with one relaxed fetch_add per
-    /// lookup. Each half holds 2^32 lookups; the process-lifetime counts
-    /// this engine sees stay far below that.
-    counters: AtomicU64,
-    /// `revalidation_hits << 32 | revalidation_misses`, same packing.
-    revalidations: AtomicU64,
+    /// Lookup hits and misses.
+    counters: HitMiss,
+    /// Stale accepts that revalidated (hits) or fell back cold (misses).
+    revalidations: HitMiss,
     /// Entries dropped by sweeps/clears (satellite of the churn work:
     /// cumulative, never reset).
     invalidated: AtomicU64,
@@ -156,8 +175,8 @@ impl Default for ValidityCache {
     fn default() -> Self {
         ValidityCache {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            counters: AtomicU64::new(0),
-            revalidations: AtomicU64::new(0),
+            counters: HitMiss::default(),
+            revalidations: HitMiss::default(),
             invalidated: AtomicU64::new(0),
         }
     }
@@ -194,11 +213,11 @@ impl ValidityCache {
     }
 
     fn count_hit(&self) {
-        self.counters.fetch_add(HIT_UNIT, Ordering::Relaxed);
+        self.counters.count(true);
     }
 
     fn count_miss(&self) {
-        self.counters.fetch_add(MISS_UNIT, Ordering::Relaxed);
+        self.counters.count(false);
     }
 
     /// Looks up a verdict for (user, plan) at the given data version and
@@ -297,7 +316,7 @@ impl ValidityCache {
             }
         }
         self.count_hit();
-        self.revalidations.fetch_add(HIT_UNIT, Ordering::Relaxed);
+        self.revalidations.count(true);
     }
 
     /// Drops a stale entry whose certificate failed re-verification.
@@ -308,7 +327,7 @@ impl ValidityCache {
             .lock()
             .remove(&(user.to_string(), fingerprint));
         self.count_miss();
-        self.revalidations.fetch_add(MISS_UNIT, Ordering::Relaxed);
+        self.revalidations.count(false);
     }
 
     /// The policy-change sweep: [`Sweep::keep`] decides every entry.
@@ -348,17 +367,14 @@ impl ValidityCache {
         self.shards.iter().all(|s| s.lock().is_empty())
     }
 
-    /// (hits, misses) counters — experiment E5 instrumentation. The pair
-    /// comes from one atomic load, so it is internally consistent.
+    /// (hits, misses) counters — experiment E5 instrumentation.
     pub fn stats(&self) -> (u64, u64) {
-        let packed = self.counters.load(Ordering::Relaxed);
-        (packed >> 32, packed & 0xFFFF_FFFF)
+        self.counters.get()
     }
 
-    /// (revalidation hits, revalidation misses), one atomic load.
+    /// (revalidation hits, revalidation misses).
     pub fn revalidation_stats(&self) -> (u64, u64) {
-        let packed = self.revalidations.load(Ordering::Relaxed);
-        (packed >> 32, packed & 0xFFFF_FFFF)
+        self.revalidations.get()
     }
 
     /// Entries dropped by sweeps and clears, cumulative.
@@ -470,6 +486,32 @@ mod tests {
         // not wipe hit/miss history, and the drop itself is counted.
         assert_eq!(c.stats(), (1, 1));
         assert_eq!(c.invalidated_entries(), 1);
+    }
+
+    /// The retired packed word (`hits << 32 | misses`) wrapped the hit
+    /// count to 0 here and carried the 2^32nd miss into the hits. The
+    /// plan cache counts through the same [`HitMiss`].
+    #[test]
+    fn counts_pass_u32_max_without_wrapping_or_carrying() {
+        let max = u64::from(u32::MAX);
+        let at_max = || HitMiss {
+            hits: AtomicU64::new(max),
+            misses: AtomicU64::new(max),
+        };
+        let c = ValidityCache {
+            counters: at_max(),
+            revalidations: at_max(),
+            ..ValidityCache::default()
+        };
+        let fp = ValidityCache::fingerprint(&plan("t"));
+        c.store("11", fp, 1, 0, Verdict::Unconditional, None);
+        assert!(matches!(c.lookup("11", fp, 1, 0), CacheOutcome::Hit(_)));
+        assert_eq!(c.lookup("11", fp + 1, 1, 0), CacheOutcome::Miss);
+        assert_eq!(c.stats(), (max + 1, max + 1));
+        c.revalidated("11", fp, 0);
+        c.evict_stale("11", fp);
+        assert_eq!(c.revalidation_stats(), (max + 1, max + 1));
+        assert_eq!(c.stats(), (max + 2, max + 2));
     }
 
     #[test]

@@ -728,16 +728,7 @@ impl Engine {
     /// severity `unknown` instead of erroring — a lint must never be
     /// the thing that panics or wedges the DBA path.
     pub fn analyze_policy(&self, principal: Option<&str>) -> Vec<Diagnostic> {
-        let set = fgac_analyze::PolicySet {
-            catalog: self.db.catalog(),
-            view_grants: self.grants().view_grants(),
-            constraint_grants: self.grants().constraint_grants(),
-            role_memberships: self.grants().role_memberships(),
-            revocations: self.grants().revoked_views(),
-        };
-        let opts = fgac_analyze::AnalyzeOptions {
-            budget: self.options.budget.clone(),
-        };
+        let (set, opts) = self.analysis_inputs();
         fgac_analyze::analyze_policy_set(&set, principal, &opts)
     }
 
@@ -751,25 +742,16 @@ impl Engine {
     /// admission caches, so a single grant re-analyzes only the
     /// affected principals. Fails open like the policy lints.
     pub fn analyze_flow(&self, principal: Option<&str>) -> Vec<Diagnostic> {
-        let set = fgac_analyze::PolicySet {
-            catalog: self.db.catalog(),
-            view_grants: self.grants().view_grants(),
-            constraint_grants: self.grants().constraint_grants(),
-            role_memberships: self.grants().role_memberships(),
-            revocations: self.grants().revoked_views(),
-        };
-        let opts = fgac_analyze::AnalyzeOptions {
-            budget: self.options.budget.clone(),
-        };
+        let (set, opts) = self.analysis_inputs();
         match principal {
             Some(p) => self.policy.flow().analyze_one(&set, p, &opts),
             None => self.policy.flow().analyze_full(&set, self.policy_epoch(), &opts),
         }
     }
 
-    /// F004: what a proposed grant would newly disclose, computed
-    /// against the live policy set without applying the grant.
-    pub fn flow_diff_grant(&self, grant: &fgac_analyze::ProposedGrant) -> Vec<Diagnostic> {
+    /// The installed policy set and the budgeted options every static
+    /// analysis runs over.
+    fn analysis_inputs(&self) -> (fgac_analyze::PolicySet<'_>, fgac_analyze::AnalyzeOptions) {
         let set = fgac_analyze::PolicySet {
             catalog: self.db.catalog(),
             view_grants: self.grants().view_grants(),
@@ -780,6 +762,13 @@ impl Engine {
         let opts = fgac_analyze::AnalyzeOptions {
             budget: self.options.budget.clone(),
         };
+        (set, opts)
+    }
+
+    /// F004: what a proposed grant would newly disclose, computed
+    /// against the live policy set without applying the grant.
+    pub fn flow_diff_grant(&self, grant: &fgac_analyze::ProposedGrant) -> Vec<Diagnostic> {
+        let (set, opts) = self.analysis_inputs();
         fgac_analyze::flow_diff_grant(&set, grant, &opts)
     }
 
@@ -798,6 +787,24 @@ impl Engine {
             role_memberships: self.grants().role_memberships(),
             policy_epoch: self.policy_epoch(),
         }
+    }
+
+    /// Re-verifies `cert` with the independent checker against the live
+    /// policy; a failure is an execution error `"{prefix}: {diagnostics}"`.
+    fn verify_certificate(&self, cert: &fgac_analyze::Certificate, prefix: &str) -> Result<()> {
+        let diags = fgac_analyze::check_certificate(
+            cert,
+            &self.certificate_policy(),
+            &fgac_analyze::CheckerOptions::default(),
+        );
+        if diags.is_empty() {
+            return Ok(());
+        }
+        let msgs: Vec<String> = diags
+            .iter()
+            .map(|d| format!("{}: {}", d.code.as_str(), d.message))
+            .collect();
+        Err(Error::Execution(format!("{prefix}: {}", msgs.join("; "))))
     }
 
     /// Runs the validity check *uncached* with certificate emission
@@ -838,21 +845,7 @@ impl Engine {
                     "validator accepted without emitting a certificate".into(),
                 ));
             };
-            let diags = fgac_analyze::check_certificate(
-                cert,
-                &self.certificate_policy(),
-                &fgac_analyze::CheckerOptions::default(),
-            );
-            if !diags.is_empty() {
-                let msgs: Vec<String> = diags
-                    .iter()
-                    .map(|d| format!("{}: {}", d.code.as_str(), d.message))
-                    .collect();
-                return Err(Error::Execution(format!(
-                    "certificate failed independent verification: {}",
-                    msgs.join("; ")
-                )));
-            }
+            self.verify_certificate(cert, "certificate failed independent verification")?;
         }
         Ok(report)
     }
@@ -950,21 +943,7 @@ impl Engine {
                 #[cfg(debug_assertions)]
                 if report.is_valid() {
                     if let Some(cert) = &report.certificate {
-                        let diags = fgac_analyze::check_certificate(
-                            cert,
-                            &self.certificate_policy(),
-                            &fgac_analyze::CheckerOptions::default(),
-                        );
-                        if !diags.is_empty() {
-                            let msgs: Vec<String> = diags
-                                .iter()
-                                .map(|d| format!("{}: {}", d.code.as_str(), d.message))
-                                .collect();
-                            return Err(Error::Execution(format!(
-                                "shadow certificate check failed: {}",
-                                msgs.join("; ")
-                            )));
-                        }
+                        self.verify_certificate(cert, "shadow certificate check failed")?;
                     }
                 }
                 report

@@ -41,7 +41,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::cache::CacheStats;
+use crate::cache::{CacheStats, HitMiss};
 use crate::invalidation::Sweep;
 
 /// Default number of cached plans (per engine).
@@ -90,9 +90,8 @@ struct Inner {
 pub struct PlanCache {
     inner: Mutex<Inner>,
     capacity: usize,
-    /// `hits << 32 | misses`, one relaxed fetch_add per lookup (see
-    /// [`crate::cache::ValidityCache`] for the packing rationale).
-    counters: AtomicU64,
+    /// Lookup hits and misses, one relaxed fetch_add per lookup.
+    counters: HitMiss,
     /// Entries dropped by dependency invalidation and clears —
     /// cumulative, like every cache counter.
     invalidated: AtomicU64,
@@ -113,7 +112,7 @@ impl PlanCache {
         PlanCache {
             inner: Mutex::new(Inner::default()),
             capacity: capacity.max(1),
-            counters: AtomicU64::new(0),
+            counters: HitMiss::default(),
             invalidated: AtomicU64::new(0),
         }
     }
@@ -139,11 +138,7 @@ impl PlanCache {
             slot.value.clone()
         });
         drop(inner);
-        if found.is_some() {
-            self.counters.fetch_add(1 << 32, Ordering::Relaxed);
-        } else {
-            self.counters.fetch_add(1, Ordering::Relaxed);
-        }
+        self.counters.count(found.is_some());
         found
     }
 
@@ -207,10 +202,9 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// (hits, misses) from one atomic load — internally consistent.
+    /// (hits, misses), cumulative.
     pub fn stats(&self) -> (u64, u64) {
-        let packed = self.counters.load(Ordering::Relaxed);
-        (packed >> 32, packed & 0xFFFF_FFFF)
+        self.counters.get()
     }
 
     /// Entries dropped by dependency sweeps and clears, cumulative.

@@ -1,7 +1,7 @@
 //! A minimal blocking client for the fgac wire protocol.
 //!
 //! Used by the REPL-style tooling, the integration tests, and the
-//! `serverbench` load generator. One request in flight at a time; the
+//! `fgacbench` load generator. One request in flight at a time; the
 //! socket read timeout bounds every wait so a dead server surfaces as
 //! an error rather than a hang.
 

@@ -238,6 +238,120 @@ fn shed_under_backpressure_is_never_denied() {
 }
 
 #[test]
+fn concurrent_overload_completes_every_request_and_never_denies() {
+    // One permit and a one-place line against 4 clients: admission
+    // refuses whatever finds both taken. Clients retry refusals with
+    // bounded backoff, so every request must end in its rows — a
+    // refusal is transient, never a verdict — and the drain is clean.
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 20;
+    const MAX_ATTEMPTS: u32 = 40;
+    let engine = fixture_engine();
+    let server = Server::start(
+        engine.clone(),
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..quick_config()
+        },
+    )
+    .unwrap();
+    let refused = Arc::new(AtomicU64::new(0));
+
+    // Start overloaded: the engine's write lock is held until the first
+    // refusal, so one request holds the permit, one waits in line and
+    // the others are refused.
+    let barrier = Arc::new(std::sync::Barrier::new(2));
+    let stall = {
+        let engine = engine.clone();
+        let barrier = Arc::clone(&barrier);
+        let refused = Arc::clone(&refused);
+        std::thread::spawn(move || {
+            engine.with_write(|_| {
+                barrier.wait();
+                let t = std::time::Instant::now();
+                while refused.load(Ordering::Relaxed) == 0 && t.elapsed() < Duration::from_secs(2) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+        })
+    };
+    barrier.wait();
+
+    let addr = server.local_addr();
+    let started = std::time::Instant::now();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let refused = Arc::clone(&refused);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr, Duration::from_secs(10)).unwrap();
+                assert!(matches!(client.hello("11").unwrap(), Response::Ok(_)));
+                for i in 0..REQUESTS {
+                    // The hot text, and every fourth request a literal
+                    // variant of its own (a plan-cache miss); both
+                    // select the one grade of 90.
+                    let sql = if i % 4 == 0 {
+                        format!(
+                            "select grade from grades where student_id = '11' and grade > {}",
+                            c * REQUESTS + i
+                        )
+                    } else {
+                        "select course_id, grade from grades where student_id = '11'".to_string()
+                    };
+                    for attempt in 0.. {
+                        match client.query(&sql).unwrap() {
+                            Response::Rows { rows, .. } => {
+                                assert_eq!(rows.len(), 1, "{sql}");
+                                break;
+                            }
+                            Response::Shed(_) | Response::Unavailable(_) | Response::Timeout(_) => {
+                                refused.fetch_add(1, Ordering::Relaxed);
+                                assert!(
+                                    attempt < MAX_ATTEMPTS,
+                                    "request never admitted after {MAX_ATTEMPTS} attempts"
+                                );
+                                // Exponential backoff capped at 25 ms,
+                                // staggered per client.
+                                let base_us = (200u64 << attempt.min(7)).min(25_000);
+                                let stagger = base_us * c as u64 / CLIENTS as u64;
+                                std::thread::sleep(Duration::from_micros(base_us / 2 + stagger));
+                            }
+                            Response::Denied(m) => panic!("overload surfaced as DENIED: {m}"),
+                            other => panic!("unexpected response: {other:?}"),
+                        }
+                    }
+                }
+                client.bye().unwrap();
+            })
+        })
+        .collect();
+    for h in clients {
+        h.join().unwrap();
+    }
+    stall.join().unwrap();
+    let report = server.finish().unwrap();
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "overload run took {:?}",
+        started.elapsed()
+    );
+    assert!(
+        report.drained_cleanly,
+        "overload left work behind: {report:?}"
+    );
+    let metric = |name: &str| report.metrics.iter().find(|(k, _)| *k == name).unwrap().1;
+    assert_eq!(metric("resp_denied"), 0);
+    assert_eq!(metric("resp_rows"), (CLIENTS * REQUESTS) as u64);
+    let refused = refused.load(Ordering::Relaxed);
+    assert!(refused >= 1, "the run never overloaded");
+    assert_eq!(
+        metric("resp_shed") + metric("resp_unavailable") + metric("resp_timeout"),
+        refused,
+        "every refusal a client absorbed is one the server counted"
+    );
+}
+
+#[test]
 fn drain_refuses_the_waiting_request_and_finishes_the_running_one() {
     // workers=1 and a one-slot line, the engine stalled behind its write
     // lock: A holds the only permit, B waits for it. The drain deadline
