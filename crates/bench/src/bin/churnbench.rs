@@ -22,8 +22,8 @@
 
 use fgac_bench::{emit_report, num, percentile, Cli};
 use fgac_core::{Engine, Session, SharedEngine};
-use fgac_types::Json;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use fgac_types::{Counter, Json};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -93,8 +93,13 @@ fn main() {
     // must resolve through certificate revalidation (v_full, which
     // justifies every query, is never touched).
     let (reval_hits0, reval_misses0) = shared.with_read(|e| e.cache().revalidation_stats());
-    let stop = Arc::new(AtomicBool::new(false));
-    let flips = Arc::new(AtomicU64::new(0));
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the writer's stop flag: stored with Release after the measured rounds, \
+                  loaded with Acquire by the writer loop it ends"
+    )]
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let flips = Arc::new(Counter::new());
     let writer = {
         let shared = shared.clone();
         let stop = Arc::clone(&stop);
@@ -102,8 +107,7 @@ fn main() {
         std::thread::spawn(move || {
             let mut held = true;
             // Acquire pairs with the Release store below: the loop exit
-            // decision synchronizes with the measuring thread's state
-            // (L002 — a Relaxed load must not feed a branch).
+            // decision synchronizes with the measuring thread's state.
             while !stop.load(Ordering::Acquire) {
                 for p in 0..PRINCIPALS {
                     let user = format!("u{p}");
@@ -118,7 +122,7 @@ fn main() {
                         .expect("pad flip");
                 }
                 held = !held;
-                flips.fetch_add(1, Ordering::Relaxed);
+                flips.add(1);
                 // Let readers actually run between flips; back-to-back
                 // write-lock acquisition would measure lock starvation,
                 // not invalidation cost.
@@ -141,7 +145,7 @@ fn main() {
     stop.store(true, Ordering::Release);
     writer.join().expect("writer thread");
     let p99_churn = percentile(&mut churn, 0.99);
-    let total_flips = flips.load(Ordering::Relaxed);
+    let total_flips = flips.get();
 
     let (reval_hits1, reval_misses1) = shared.with_read(|e| e.cache().revalidation_stats());
     let reval_hits = reval_hits1 - reval_hits0;

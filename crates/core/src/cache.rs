@@ -33,7 +33,7 @@
 //!
 //! The map is split into [`SHARDS`] independently-locked shards selected
 //! by the key's hash, so concurrent lookups for different keys rarely
-//! contend, and each hit/miss count is its own [`AtomicU64`] (`HitMiss`)
+//! contend, and each hit/miss count is its own [`Counter`] (`HitMiss`)
 //! — one relaxed `fetch_add` per lookup instead of the three mutex
 //! acquisitions (entries + hits + misses) the first implementation paid.
 //! All counters are **cumulative for the life of the engine**: neither
@@ -44,41 +44,38 @@ use crate::invalidation::Sweep;
 use crate::nontruman::Verdict;
 use fgac_algebra::Plan;
 use fgac_analyze::Certificate;
+use fgac_types::Counter;
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of independently locked shards. A power of two so shard
 /// selection is a mask.
 const SHARDS: usize = 16;
 
-/// A hit count and a miss count, one [`AtomicU64`] each: a lookup is one
+/// A hit count and a miss count, one [`Counter`] each: a lookup is one
 /// relaxed `fetch_add`, and neither count can wrap or carry into the
-/// other (a 64-bit count at 10^6 lookups/s lasts half a million years).
+/// other.
 #[derive(Debug, Default)]
 pub(crate) struct HitMiss {
-    hits: AtomicU64,
-    misses: AtomicU64,
+    hits: Counter,
+    misses: Counter,
 }
 
 impl HitMiss {
     /// Counts one lookup.
     pub(crate) fn count(&self, hit: bool) {
         let n = if hit { &self.hits } else { &self.misses };
-        n.fetch_add(1, Ordering::Relaxed);
+        n.add(1);
     }
 
     /// (hits, misses). Each lookup bumps exactly one count, so a pair is
     /// never a lookup half-applied; one that lands between the two loads
     /// shows in the second only.
     pub(crate) fn get(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        (self.hits.get(), self.misses.get())
     }
 }
 
@@ -168,7 +165,7 @@ pub struct ValidityCache {
     revalidations: HitMiss,
     /// Entries dropped by sweeps/clears (satellite of the churn work:
     /// cumulative, never reset).
-    invalidated: AtomicU64,
+    invalidated: Counter,
 }
 
 impl Default for ValidityCache {
@@ -177,7 +174,7 @@ impl Default for ValidityCache {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             counters: HitMiss::default(),
             revalidations: HitMiss::default(),
-            invalidated: AtomicU64::new(0),
+            invalidated: Counter::new(),
         }
     }
 }
@@ -342,7 +339,7 @@ impl ValidityCache {
                 keep
             });
         }
-        *self.invalidated.get_mut() += dropped;
+        self.invalidated.add(dropped);
     }
 
     /// Clears every entry (recovery cold-start). Counters survive — they
@@ -355,7 +352,7 @@ impl ValidityCache {
             s.clear();
         }
         if dropped > 0 {
-            self.invalidated.fetch_add(dropped, Ordering::Relaxed);
+            self.invalidated.add(dropped);
         }
     }
 
@@ -379,7 +376,7 @@ impl ValidityCache {
 
     /// Entries dropped by sweeps and clears, cumulative.
     pub fn invalidated_entries(&self) -> u64 {
-        self.invalidated.load(Ordering::Relaxed)
+        self.invalidated.get()
     }
 
     /// A coherent snapshot of counters and occupancy.
@@ -494,9 +491,11 @@ mod tests {
     #[test]
     fn counts_pass_u32_max_without_wrapping_or_carrying() {
         let max = u64::from(u32::MAX);
-        let at_max = || HitMiss {
-            hits: AtomicU64::new(max),
-            misses: AtomicU64::new(max),
+        let at_max = || {
+            let c = HitMiss::default();
+            c.hits.add(max);
+            c.misses.add(max);
+            c
         };
         let c = ValidityCache {
             counters: at_max(),

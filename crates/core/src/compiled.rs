@@ -50,10 +50,9 @@ use crate::grants::Grants;
 use crate::invalidation::Sweep;
 use fgac_algebra::{normalize, ParamScope, Plan, ScalarExpr, SpjBlock};
 use fgac_storage::Catalog;
-use fgac_types::Ident;
+use fgac_types::{Counter, Ident};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Column-coverage summaries track at most this many columns per
@@ -66,34 +65,34 @@ const MAX_COLS: usize = 128;
 /// keeps a fast-path probe O(1) in the size of the granted view set.
 const MAX_COVERAGE_ENTRIES: usize = 32;
 
-// Process-wide observability counters, following the C3_PROBES pattern:
-// monotone, relaxed, never a correctness input. The server's `METRICS`
-// command reports all three next to the cache counters.
-static FASTPATH_HITS: AtomicU64 = AtomicU64::new(0);
-static FASTPATH_MISSES: AtomicU64 = AtomicU64::new(0);
-static COMPILE_COUNT: AtomicU64 = AtomicU64::new(0);
+// Process-wide observability counters, never a correctness input. The
+// server's `METRICS` command reports all three next to the cache
+// counters.
+static FASTPATH_HITS: Counter = Counter::new();
+static FASTPATH_MISSES: Counter = Counter::new();
+static COMPILE_COUNT: Counter = Counter::new();
 
 /// Queries admitted by the compiled fast path (all engines).
 pub fn fastpath_hit_count() -> u64 {
-    FASTPATH_HITS.load(Ordering::Relaxed)
+    FASTPATH_HITS.get()
 }
 
 /// Fast-path probes that fell through to the full prover (all engines).
 pub fn fastpath_miss_count() -> u64 {
-    FASTPATH_MISSES.load(Ordering::Relaxed)
+    FASTPATH_MISSES.get()
 }
 
 /// Per-principal compilations performed (all engines).
 pub fn compile_count() -> u64 {
-    COMPILE_COUNT.load(Ordering::Relaxed)
+    COMPILE_COUNT.get()
 }
 
 pub(crate) fn note_fastpath_hit() {
-    FASTPATH_HITS.fetch_add(1, Ordering::Relaxed);
+    FASTPATH_HITS.add(1);
 }
 
 pub(crate) fn note_fastpath_miss() {
-    FASTPATH_MISSES.fetch_add(1, Ordering::Relaxed);
+    FASTPATH_MISSES.add(1);
 }
 
 /// One unconditional covering view of a single relation.
@@ -299,7 +298,7 @@ impl CompiledPolicies {
                     .get_or_insert_with(|| Arc::new(relation_ids(catalog))),
             )
         };
-        COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
+        COMPILE_COUNT.add(1);
         let caps = Arc::new(compile_principal(user, catalog, grants, rel_ids));
         let mut st = self.inner.lock();
         let slot = st

@@ -24,29 +24,28 @@
 
 use crate::invalidation::Sweep;
 use fgac_analyze::{AnalyzeOptions, Diagnostic, FlowContext, PolicySet};
+use fgac_types::Counter;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-// Process-wide observability, following the invalidation counter
-// pattern: monotone, relaxed, never a correctness input.
-static FLOW_ANALYSES: AtomicU64 = AtomicU64::new(0);
-static FLOW_PRINCIPALS_COMPUTED: AtomicU64 = AtomicU64::new(0);
-static FLOW_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
+// Process-wide observability, never a correctness input.
+static FLOW_ANALYSES: Counter = Counter::new();
+static FLOW_PRINCIPALS_COMPUTED: Counter = Counter::new();
+static FLOW_CACHE_HITS: Counter = Counter::new();
 
 /// `ANALYZE FLOW` runs served (all engines, cached or not).
 pub fn flow_analysis_count() -> u64 {
-    FLOW_ANALYSES.load(Ordering::Relaxed)
+    FLOW_ANALYSES.get()
 }
 
 /// Per-principal lattices actually (re)computed.
 pub fn flow_principals_computed() -> u64 {
-    FLOW_PRINCIPALS_COMPUTED.load(Ordering::Relaxed)
+    FLOW_PRINCIPALS_COMPUTED.get()
 }
 
 /// Per-principal results served from the epoch-stamped cache.
 pub fn flow_cache_hits() -> u64 {
-    FLOW_CACHE_HITS.load(Ordering::Relaxed)
+    FLOW_CACHE_HITS.get()
 }
 
 #[derive(Debug, Default)]
@@ -100,7 +99,7 @@ impl FlowAnalysisCache {
         epoch: u64,
         opts: &AnalyzeOptions,
     ) -> Vec<Diagnostic> {
-        FLOW_ANALYSES.fetch_add(1, Ordering::Relaxed);
+        FLOW_ANALYSES.add(1);
         let principals = fgac_analyze::flow_principals(set, None);
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
@@ -108,12 +107,12 @@ impl FlowAnalysisCache {
         for p in &principals {
             if let Some((stamp, diags)) = inner.findings.get(p) {
                 if *stamp == epoch {
-                    FLOW_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+                    FLOW_CACHE_HITS.add(1);
                     out.extend(diags.iter().cloned());
                     continue;
                 }
             }
-            FLOW_PRINCIPALS_COMPUTED.fetch_add(1, Ordering::Relaxed);
+            FLOW_PRINCIPALS_COMPUTED.add(1);
             let flow = inner.ctx.principal_flow(set, p, &principals, opts);
             out.extend(flow.findings.iter().cloned());
             inner.findings.insert(p.clone(), (epoch, flow.findings));
@@ -136,8 +135,8 @@ impl FlowAnalysisCache {
         principal: &str,
         opts: &AnalyzeOptions,
     ) -> Vec<Diagnostic> {
-        FLOW_ANALYSES.fetch_add(1, Ordering::Relaxed);
-        FLOW_PRINCIPALS_COMPUTED.fetch_add(1, Ordering::Relaxed);
+        FLOW_ANALYSES.add(1);
+        FLOW_PRINCIPALS_COMPUTED.add(1);
         let analyzed = std::iter::once(principal.to_string()).collect();
         let mut inner = self.inner.lock();
         inner

@@ -45,25 +45,23 @@ use crate::grants::Grants;
 use crate::plancache::PlanCache;
 use fgac_sql::{Authorize, Query};
 use fgac_storage::Catalog;
-use fgac_types::Ident;
+use fgac_types::{Counter, Ident};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-// Process-wide churn observability, following the compiled fast path's
-// counter pattern: monotone, relaxed, never a correctness input.
-static POLICY_CHANGES: AtomicU64 = AtomicU64::new(0);
-static FULL_INVALIDATIONS: AtomicU64 = AtomicU64::new(0);
+// Process-wide churn observability, never a correctness input.
+static POLICY_CHANGES: Counter = Counter::new();
+static FULL_INVALIDATIONS: Counter = Counter::new();
 
 /// Policy/schema changes applied through dependency-tracked
 /// invalidation (all engines).
 pub fn policy_change_count() -> u64 {
-    POLICY_CHANGES.load(Ordering::Relaxed)
+    POLICY_CHANGES.get()
 }
 
 /// Changes that fell back to a full cold-start sweep (recovery, or an
 /// explicit [`PolicyDelta::Full`]) — all engines.
 pub fn full_invalidation_count() -> u64 {
-    FULL_INVALIDATIONS.load(Ordering::Relaxed)
+    FULL_INVALIDATIONS.get()
 }
 
 /// One policy or schema change, in just enough detail to perform its
@@ -281,10 +279,10 @@ impl PolicyState {
             | PolicyDelta::NewTable { .. }
             | PolicyDelta::NewConstraint { .. } => {}
             PolicyDelta::Full => {
-                FULL_INVALIDATIONS.fetch_add(1, Ordering::Relaxed);
+                FULL_INVALIDATIONS.add(1);
             }
         }
-        POLICY_CHANGES.fetch_add(1, Ordering::Relaxed);
+        POLICY_CHANGES.add(1);
         let from = self.epoch;
         self.epoch += 1;
         self.sweep(&delta, from);

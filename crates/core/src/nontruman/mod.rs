@@ -40,21 +40,20 @@ use fgac_algebra::{normalize, Plan, SpjBlock};
 use fgac_analyze::{CertVerdict, Certificate, RuleId, Step};
 use fgac_optimizer::{expand, mark_valid, Dag, DagStats, EqId, ExpandOptions, Marking, Operator};
 use fgac_storage::Database;
-use fgac_types::{Budget, BudgetMeter, Ident, Result, Value};
+use fgac_types::{Budget, BudgetMeter, Counter, Ident, Result, Value};
 use std::collections::BTreeSet;
 
 /// Phase label the validator's own pipeline steps charge under.
 const PHASE: &str = "inference rounds";
 
 /// Process-wide count of C3 remainder probes actually executed against
-/// the database state. Monotonic, relaxed — an observability counter
-/// (the server's `METRICS` command reports it), never a correctness
-/// input.
-static C3_PROBES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+/// the database state. An observability counter (the server's `METRICS`
+/// command reports it), never a correctness input.
+static C3_PROBES: Counter = Counter::new();
 
 /// Total C3 state probes executed by this process (all engines).
 pub fn c3_probe_count() -> u64 {
-    C3_PROBES.load(std::sync::atomic::Ordering::Relaxed)
+    C3_PROBES.get()
 }
 
 /// The outcome of a validity check.
@@ -935,7 +934,7 @@ impl<'a> Validator<'a> {
                         // …and non-empty on the current database state.
                         let vr_plan = cand.v_r.to_plan();
                         meter.charge("C3 state probe", 1)?;
-                        C3_PROBES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        C3_PROBES.add(1);
                         // Borrowed execution: the probe only needs the
                         // cardinality, so nothing is materialized.
                         let vr_rows = fgac_exec::execute_plan_cow(self.db, &vr_plan)?;

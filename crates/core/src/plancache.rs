@@ -33,12 +33,11 @@
 //! verdicts stays entirely inside the validity cache).
 
 use fgac_algebra::{BoundQuery, ParamScope, Plan};
-use fgac_types::Ident;
+use fgac_types::{Counter, Ident};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::cache::{CacheStats, HitMiss};
@@ -94,7 +93,7 @@ pub struct PlanCache {
     counters: HitMiss,
     /// Entries dropped by dependency invalidation and clears —
     /// cumulative, like every cache counter.
-    invalidated: AtomicU64,
+    invalidated: Counter,
 }
 
 impl Default for PlanCache {
@@ -113,7 +112,7 @@ impl PlanCache {
             inner: Mutex::new(Inner::default()),
             capacity: capacity.max(1),
             counters: HitMiss::default(),
-            invalidated: AtomicU64::new(0),
+            invalidated: Counter::new(),
         }
     }
 
@@ -209,7 +208,7 @@ impl PlanCache {
 
     /// Entries dropped by dependency sweeps and clears, cumulative.
     pub fn invalidated_entries(&self) -> u64 {
-        self.invalidated.load(Ordering::Relaxed)
+        self.invalidated.get()
     }
 
     /// Coherent counter + occupancy snapshot.
@@ -228,14 +227,14 @@ impl PlanCache {
 /// Drops the entries `doomed` selects and counts them as invalidated.
 fn drop_where(
     inner: &mut Inner,
-    invalidated: &AtomicU64,
+    invalidated: &Counter,
     doomed: impl Fn(&CachedPlan) -> bool,
 ) -> usize {
     let before = inner.map.len();
     inner.map.retain(|_, slot| !doomed(&slot.value));
     let dropped = before - inner.map.len();
     if dropped > 0 {
-        invalidated.fetch_add(dropped as u64, Ordering::Relaxed);
+        invalidated.add(dropped as u64);
     }
     dropped
 }

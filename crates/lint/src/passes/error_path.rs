@@ -10,12 +10,11 @@
 //!
 //! The evidence is deliberately *positive* (what acceptance looks
 //! like), not negative (absence of a deny token): an `Err` arm that
-//! logs and re-raises should not need an allowlist entry, while an arm
+//! logs and re-raises should not be flagged, while an arm
 //! that accepts should never escape because it also happened to
 //! mention a deny identifier somewhere.
 
 use super::{Pass, SourceFile};
-use crate::config::Config;
 use crate::report::{Finding, PassCode};
 use crate::source::{matching_close, receiver_before, FnWalker, Tok};
 
@@ -94,7 +93,7 @@ impl Pass for ErrorPathMustDeny {
         PassCode::ErrorPathMustDeny
     }
 
-    fn run(&self, files: &[&SourceFile], _cfg: &Config) -> Vec<Finding> {
+    fn run(&self, files: &[&SourceFile]) -> Vec<Finding> {
         let mut out = Vec::new();
         for file in files {
             let toks = &file.toks;
@@ -152,7 +151,7 @@ mod tests {
 
     fn run_on(src: &str) -> Vec<Finding> {
         let f = SourceFile::from_source("crates/x/src/a.rs", src);
-        ErrorPathMustDeny.run(&[&f], &Config::default())
+        ErrorPathMustDeny.run(&[&f])
     }
 
     #[test]

@@ -19,14 +19,13 @@
 //! no intervening `drop` (a self-deadlock on any non-reentrant RwLock,
 //! and a lost-update hazard on one that allows it).
 //!
-//! Over-approximations (each can be allowlisted with a reason): guard
-//! lifetimes are not tracked beyond `drop`, and receiver identity is
-//! textual. Under-approximation: acquisitions reached through more
+//! Over-approximations (a false positive is fixed in the code, with an
+//! explicit `drop` or a narrower block): guard lifetimes are not
+//! tracked beyond `drop`, and receiver identity is textual. Under-approximation: acquisitions reached through more
 //! than one call level are invisible — the dynamic TSan job covers
 //! that blind spot.
 
 use super::{Pass, SourceFile};
-use crate::config::Config;
 use crate::report::{Finding, PassCode};
 use crate::source::receiver_before;
 use std::collections::{BTreeMap, BTreeSet};
@@ -158,7 +157,7 @@ impl Pass for LockOrderInversion {
         PassCode::LockOrderInversion
     }
 
-    fn run(&self, files: &[&SourceFile], _cfg: &Config) -> Vec<Finding> {
+    fn run(&self, files: &[&SourceFile]) -> Vec<Finding> {
         let fns = harvest(files);
 
         // Direct acquisition/drop sequences, for one-level propagation.
@@ -364,7 +363,7 @@ mod tests {
             .map(|(p, s)| SourceFile::from_source(*p, s))
             .collect();
         let refs: Vec<&SourceFile> = files.iter().collect();
-        LockOrderInversion.run(&refs, &Config::default())
+        LockOrderInversion.run(&refs)
     }
 
     #[test]

@@ -1,22 +1,18 @@
 //! The pass registry.
 //!
-//! A pass is a pure function from (scoped file set, config) to
-//! findings. The engine, not the pass, applies scope restriction and
-//! the `[[allow]]` list, so every pass stays honest: it reports what it
-//! sees, and silencing is centralized, configuration-driven, and
-//! audited for staleness.
+//! A pass is a pure function from the file set under
+//! [`crate::SCOPE`] to findings. There is no allowlist: a finding is
+//! fixed in the code.
 //!
-//! Adding a pass (see DESIGN.md §4l): pick the next `L###` code in
-//! `report.rs`, implement [`Pass`] in a new module here, append it to
-//! [`registry`], plant its violation class in
-//! `tests/fixtures/seeded/`, and add the injection test proving the
-//! pass fires there and stays quiet on the clean fixture tree.
+//! Adding a pass (see DESIGN.md §4l): pick the next unused `L###` code
+//! in `report.rs` (a retired code is never reused), implement [`Pass`]
+//! in a new module here, append it to [`registry`], plant its violation
+//! class in `tests/fixtures/seeded/`, and add the injection test proving
+//! the pass fires there and stays quiet on the clean fixture tree.
 
 pub mod error_path;
 pub mod lock_order;
-pub mod relaxed;
 
-use crate::config::Config;
 use crate::report::{Finding, PassCode};
 use crate::source::{lex, Tok};
 
@@ -46,14 +42,13 @@ impl SourceFile {
 
 pub trait Pass {
     fn code(&self) -> PassCode;
-    /// Analyzes `files` (already restricted to this pass's scope).
-    fn run(&self, files: &[&SourceFile], cfg: &Config) -> Vec<Finding>;
+    /// Analyzes `files`.
+    fn run(&self, files: &[&SourceFile]) -> Vec<Finding>;
 }
 
 /// Every shipped pass, in code order.
 pub fn registry() -> Vec<Box<dyn Pass>> {
     vec![
-        Box::new(relaxed::RelaxedSyncDecision),
         Box::new(lock_order::LockOrderInversion),
         Box::new(error_path::ErrorPathMustDeny),
     ]

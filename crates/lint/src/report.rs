@@ -12,21 +12,15 @@ use fgac_types::Json;
 use std::fmt;
 
 /// Stable pass codes. Append-only: a code, once published, never
-/// changes meaning — allowlists and CI configurations key on them. A
-/// retired code is never reused, and parses as [`PassCode::Unrecognized`]:
+/// changes meaning — CI and archived reports key on them. A retired
+/// code is never reused, and parses as [`PassCode::Unrecognized`]:
 /// `L001` `MutationOutsideWriter` (writer-only mutation of swept policy
-/// state) is enforced by the type system; `L005`
+/// state) is enforced by the type system; `L002` `RelaxedSyncDecision`
+/// by `fgac_types::Counter` and clippy's `disallowed_types`; `L005`
 /// `UncheckedWireArithmetic` and `L006` `PanicSite` by clippy lints
 /// denied at crate roots (DESIGN.md §4l).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PassCode {
-    /// `L002`: a `Relaxed` atomic operation feeding a branch — a
-    /// verdict, a cache-serve decision, a lock-acquisition gate. Stats
-    /// counters are fine under `Relaxed`; decisions are not. Also
-    /// enforces the `[[relaxed]]` audit in `lint.toml`: every file with
-    /// `Ordering::Relaxed` in non-test code must carry a justification
-    /// with an accurate site count.
-    RelaxedSyncDecision,
     /// `L003`: the static lock-acquisition graph has a cycle, or a
     /// function upgrades a `read()` to a `write()` on the same
     /// `RwLock` while the read guard may still be live.
@@ -42,16 +36,11 @@ pub enum PassCode {
     Unrecognized,
 }
 
-pub const ALL_CODES: &[PassCode] = &[
-    PassCode::RelaxedSyncDecision,
-    PassCode::LockOrderInversion,
-    PassCode::ErrorPathMustDeny,
-];
+pub const ALL_CODES: &[PassCode] = &[PassCode::LockOrderInversion, PassCode::ErrorPathMustDeny];
 
 impl PassCode {
     pub fn as_str(&self) -> &'static str {
         match self {
-            PassCode::RelaxedSyncDecision => "L002",
             PassCode::LockOrderInversion => "L003",
             PassCode::ErrorPathMustDeny => "L004",
             PassCode::Unrecognized => "L???",
@@ -60,7 +49,6 @@ impl PassCode {
 
     pub fn name(&self) -> &'static str {
         match self {
-            PassCode::RelaxedSyncDecision => "RelaxedSyncDecision",
             PassCode::LockOrderInversion => "LockOrderInversion",
             PassCode::ErrorPathMustDeny => "ErrorPathMustDeny",
             PassCode::Unrecognized => "Unrecognized",
@@ -180,8 +168,6 @@ pub struct Report {
     pub elapsed_ms: u128,
     pub files_scanned: usize,
     pub passes: Vec<PassSummary>,
-    /// Allowlist entries that matched nothing — drift in `lint.toml`.
-    pub unused_allows: Vec<String>,
     pub findings: Vec<Finding>,
 }
 
@@ -213,10 +199,6 @@ impl Report {
             ("elapsed_ms", Json::str(self.elapsed_ms.to_string())),
             ("files_scanned", Json::str(self.files_scanned.to_string())),
             ("passes", passes),
-            (
-                "unused_allows",
-                Json::Arr(self.unused_allows.iter().map(Json::str).collect()),
-            ),
         ];
         let mut out = String::from("{\n");
         for (key, value) in header {
@@ -257,11 +239,6 @@ pub fn report_from_json(input: &str) -> Option<Report> {
             findings: count(p.field("findings")?)?,
             ms: count(p.field("ms")?)?,
         });
-    }
-    for a in array(doc.field("unused_allows"))? {
-        report
-            .unused_allows
-            .push(a.as_str("unused_allows").ok()?.into());
     }
     for f in doc.field("findings")?.as_arr("findings").ok()? {
         report.findings.push(finding_from_json(f)?);
@@ -324,7 +301,6 @@ mod tests {
                     ms: 1,
                 },
             ],
-            unused_allows: vec!["L002 crates/x.rs \"old reason\"".into()],
             findings: vec![Finding::new(
                 PassCode::ErrorPathMustDeny,
                 "crates/core/src/engine.rs",
@@ -337,18 +313,17 @@ mod tests {
     #[test]
     fn codes_are_stable() {
         for (code, s) in [
-            (PassCode::RelaxedSyncDecision, "L002"),
             (PassCode::LockOrderInversion, "L003"),
             (PassCode::ErrorPathMustDeny, "L004"),
         ] {
             assert_eq!(code.as_str(), s);
             assert_eq!(PassCode::from_str_code(s), Some(code));
         }
-        assert_eq!(ALL_CODES.len(), 3);
+        assert_eq!(ALL_CODES.len(), 2);
         // The forward-compat sentinel is parser-only, and a retired
         // code is not a live one.
         assert_eq!(PassCode::from_str_code("L???"), None);
-        for retired in ["L001", "L005", "L006"] {
+        for retired in ["L001", "L002", "L005", "L006"] {
             assert_eq!(PassCode::from_str_code(retired), None);
         }
     }
@@ -366,20 +341,21 @@ mod tests {
     fn unknown_pass_codes_parse_to_unrecognized_unknown() {
         let json = r#"{
   "tool":"fgac-lint","schema":"1","elapsed_ms":"1","files_scanned":"2",
-  "passes":[],"unused_allows":[],
+  "passes":[],
   "findings":[
     {"code":"L099","name":"FuturePass","severity":"critical","file":"a.rs","line":"7","message":"from the future"},
-    {"code":"L002","name":"RelaxedSyncDecision","severity":"error","file":"b.rs","line":"9","message":"known"},
+    {"code":"L003","name":"LockOrderInversion","severity":"error","file":"b.rs","line":"9","message":"known"},
     {"code":"L001","name":"MutationOutsideWriter","severity":"error","file":"c.rs","line":"3","message":"retired"},
+    {"code":"L002","name":"RelaxedSyncDecision","severity":"error","file":"f.rs","line":"6","message":"retired"},
     {"code":"L005","name":"Retired","severity":"error","file":"d.rs","line":"4","message":"retired"},
     {"code":"L006","name":"Retired","severity":"error","file":"e.rs","line":"5","message":"retired"}
   ]
 }"#;
         let r = report_from_json(json).expect("forward-compat parse");
-        assert_eq!(r.findings.len(), 5);
+        assert_eq!(r.findings.len(), 6);
         assert_eq!(r.findings[0].code, PassCode::Unrecognized);
         assert_eq!(r.findings[0].severity, Severity::Unknown);
-        assert_eq!(r.findings[1].code, PassCode::RelaxedSyncDecision);
+        assert_eq!(r.findings[1].code, PassCode::LockOrderInversion);
         assert_eq!(r.findings[1].severity, Severity::Error);
         // A retired code reads like one from the future.
         for f in &r.findings[2..] {

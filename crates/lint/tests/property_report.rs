@@ -67,14 +67,12 @@ fn report() -> impl Strategy<Value = Report> {
         0u64..1_000_000,
         0usize..10_000,
         vec(pass_summary(), 0..4),
-        vec(wire_string(), 0..3),
         vec(finding(), 0..6),
     )
-        .prop_map(|(elapsed_ms, files_scanned, passes, unused_allows, findings)| Report {
+        .prop_map(|(elapsed_ms, files_scanned, passes, findings)| Report {
             elapsed_ms: u128::from(elapsed_ms),
             files_scanned,
             passes,
-            unused_allows,
             findings,
         })
 }

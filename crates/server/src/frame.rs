@@ -17,9 +17,12 @@
 //! 13      len   payload
 //! ```
 
-// Lengths and offsets here come off the wire or the disk: overflow and
-// truncation are checked and surface as errors (DESIGN.md §4l).
-#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
+// Lengths and offsets here come off the wire or the disk: overflow,
+// truncation and out-of-bounds reads are checked and surface as errors
+// (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::arithmetic_side_effects, clippy::cast_possible_truncation, clippy::indexing_slicing,
+))]
 
 use fgac_types::{Error, Result};
 use fgac_wal::crc32;
@@ -58,7 +61,8 @@ pub fn encode_frame(kind: u8, payload: &[u8]) -> Result<Vec<u8>> {
     out.extend_from_slice(&len.to_le_bytes());
     out.push(kind);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
-    let header_crc = crc32(&out[..9]);
+    // `out` holds exactly the header's first nine bytes here.
+    let header_crc = crc32(&out);
     out.extend_from_slice(&header_crc.to_le_bytes());
     out.extend_from_slice(payload);
     Ok(out)
@@ -104,8 +108,8 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<()> {
     })?;
     #[cfg(feature = "fault-injection")]
     if fgac_types::faults::hit("server::write_frame_torn").is_err() {
-        let half = bytes.len() / 2;
-        let _ = w.write_all(&bytes[..half]);
+        let half = bytes.get(..bytes.len() / 2).unwrap_or_default();
+        let _ = w.write_all(half);
         let _ = w.flush();
         return Err(Error::Execution(
             "injected fault: response torn mid-write".into(),
@@ -148,8 +152,8 @@ fn read_exact_deadline(
     deadline: Instant,
 ) -> std::result::Result<(), ReadFail> {
     let mut filled = 0usize;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
+    while let Some(rest) = buf.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
             Ok(0) => return Err(ReadFail::Eof),
             Ok(n) => filled = filled.saturating_add(n),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -250,8 +254,8 @@ pub fn read_frame_deadline(
 pub fn read_frame_blocking(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>> {
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0usize;
-    while filled < HEADER_LEN {
-        match r.read(&mut header[filled..]) {
+    while let Some(rest) = header.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
             Ok(0) if filled == 0 => return Ok(None),
             Ok(0) => return Err(Error::Corrupt("EOF mid-header".into())),
             Ok(n) => filled = filled.saturating_add(n),
@@ -262,8 +266,8 @@ pub fn read_frame_blocking(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>> {
     let parsed = decode_header(&header)?;
     let mut payload = vec![0u8; parsed.len];
     let mut filled = 0usize;
-    while filled < parsed.len {
-        match r.read(&mut payload[filled..]) {
+    while let Some(rest) = payload.get_mut(filled..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
             Ok(0) => return Err(Error::Corrupt("EOF mid-payload".into())),
             Ok(n) => filled = filled.saturating_add(n),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}

@@ -1,22 +1,22 @@
 //! Server-side observability counters.
 //!
-//! Plain relaxed atomics: every counter is monotone and independently
-//! meaningful, so no cross-counter consistency is needed. The `METRICS`
-//! command renders a snapshot as a two-column result set, folding in
-//! the engine's own cache statistics and the Non-Truman C3 probe count
-//! so a load test can see cache behavior without instrumenting the
-//! engine.
+//! One [`Counter`] per named event: every count is monotone and
+//! independently meaningful, so no cross-counter consistency is needed.
+//! The `METRICS` command renders a snapshot as a two-column result set,
+//! folding in the engine's own cache statistics and the Non-Truman C3
+//! probe count so a load test can see cache behavior without
+//! instrumenting the engine.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use fgac_types::Counter;
 
 use crate::protocol::st;
 
 macro_rules! counters {
-    ($($name:ident => $label:expr),+ $(,)?) => {
-        /// All server counters; one atomic per named event.
+    ($($name:ident),+ $(,)?) => {
+        /// All server counters; one [`Counter`] per named event.
         #[derive(Debug, Default)]
         pub struct Metrics {
-            $(pub $name: AtomicU64,)+
+            $(pub $name: Counter,)+
         }
 
         impl Metrics {
@@ -24,33 +24,34 @@ macro_rules! counters {
                 Self::default()
             }
 
-            /// (label, value) pairs in declaration order.
+            /// (label, value) pairs in declaration order; each label is
+            /// its field's name.
             pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-                vec![$(($label, self.$name.load(Ordering::Relaxed)),)+]
+                vec![$((stringify!($name), self.$name.get()),)+]
             }
         }
     };
 }
 
 counters! {
-    conns_accepted => "conns_accepted",
-    conns_refused => "conns_refused",
-    conns_panicked => "conns_panicked",
-    conns_idle_timeout => "conns_idle_timeout",
-    conns_stalled => "conns_stalled",
-    frames_corrupt => "frames_corrupt",
-    requests => "requests",
-    resp_rows => "resp_rows",
-    resp_affected => "resp_affected",
-    resp_ok => "resp_ok",
-    resp_denied => "resp_denied",
-    resp_error => "resp_error",
-    resp_shed => "resp_shed",
-    resp_timeout => "resp_timeout",
-    resp_unavailable => "resp_unavailable",
-    resp_protocol => "resp_protocol",
-    worker_panics => "worker_panics",
-    drain_shed => "drain_shed",
+    conns_accepted,
+    conns_refused,
+    conns_panicked,
+    conns_idle_timeout,
+    conns_stalled,
+    frames_corrupt,
+    requests,
+    resp_rows,
+    resp_affected,
+    resp_ok,
+    resp_denied,
+    resp_error,
+    resp_shed,
+    resp_timeout,
+    resp_unavailable,
+    resp_protocol,
+    worker_panics,
+    drain_shed,
 }
 
 /// The compiled-authorization fast-path rows for the `METRICS` result
@@ -99,14 +100,6 @@ pub fn flow_rows(e: &fgac_core::Engine) -> Vec<(&'static str, u64)> {
 }
 
 impl Metrics {
-    pub fn bump(counter: &AtomicU64) {
-        Self::add(counter, 1);
-    }
-
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Counts one outgoing response by its wire status. Called exactly
     /// once per response frame written, so the `resp_*` counters sum to
     /// the number of answers clients actually received.
@@ -123,11 +116,7 @@ impl Metrics {
             st::PROTOCOL => &self.resp_protocol,
             _ => &self.resp_error,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn get(&self, counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
+        counter.add(1);
     }
 }
 
@@ -142,16 +131,16 @@ mod tests {
         m.record_status(st::SHED);
         m.record_status(st::SHED);
         m.record_status(st::DENIED);
-        assert_eq!(m.get(&m.resp_rows), 1);
-        assert_eq!(m.get(&m.resp_shed), 2);
-        assert_eq!(m.get(&m.resp_denied), 1);
-        assert_eq!(m.get(&m.resp_timeout), 0);
+        assert_eq!(m.resp_rows.get(), 1);
+        assert_eq!(m.resp_shed.get(), 2);
+        assert_eq!(m.resp_denied.get(), 1);
+        assert_eq!(m.resp_timeout.get(), 0);
     }
 
     #[test]
     fn snapshot_carries_every_counter() {
         let m = Metrics::new();
-        Metrics::bump(&m.requests);
+        m.requests.add(1);
         let snap = m.snapshot();
         assert!(snap.iter().any(|(k, v)| *k == "requests" && *v == 1));
         assert!(snap.iter().any(|(k, _)| *k == "drain_shed"));

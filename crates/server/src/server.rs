@@ -45,7 +45,7 @@ use fgac_core::{Session, SharedEngine};
 use fgac_types::{Error, Ident, Result, Row, Value};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -208,9 +208,19 @@ impl Drop for Permit<'_> {
 struct Shared {
     engine: SharedEngine,
     config: ServerConfig,
-    state: AtomicU8,
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the lifecycle gate, not a count: finish() stores DRAINING and STOPPED with Release; \
+                  the accept loop and every connection thread load it with Acquire"
+    )]
+    state: std::sync::atomic::AtomicU8,
     metrics: Metrics,
-    conns: AtomicUsize,
+    #[allow(
+        clippy::disallowed_types,
+        reason = "a gauge that gates accept against max_connections and the drain wait: \
+                  AcqRel fetch_add/fetch_sub, Acquire loads"
+    )]
+    conns: std::sync::atomic::AtomicUsize,
     admission: Admission,
 }
 
@@ -256,9 +266,17 @@ impl Server {
             admission: Admission::new(config.workers, config.queue_capacity),
             engine,
             config,
-            state: AtomicU8::new(RUNNING),
+            #[allow(
+                clippy::disallowed_types,
+                reason = "the lifecycle gate; orderings at Shared::state"
+            )]
+            state: std::sync::atomic::AtomicU8::new(RUNNING),
             metrics: Metrics::new(),
-            conns: AtomicUsize::new(0),
+            #[allow(
+                clippy::disallowed_types,
+                reason = "the connection gauge; orderings at Shared::conns"
+            )]
+            conns: std::sync::atomic::AtomicUsize::new(0),
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -317,7 +335,7 @@ impl Server {
         // Whoever still waits is answered, not dropped: closing wakes
         // each waiter, which writes `UNAVAILABLE` to its own client.
         let refused_jobs = admission.close();
-        Metrics::add(&self.shared.metrics.drain_shed, refused_jobs as u64);
+        self.shared.metrics.drain_shed.add(refused_jobs as u64);
         // Requests already executing finish before the engine closes.
         while admission.counts().0 > 0 {
             std::thread::sleep(Duration::from_millis(5));
@@ -344,12 +362,12 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             Ok((stream, _peer)) => {
                 let open = shared.conns.load(Ordering::Acquire);
                 if open >= shared.config.max_connections {
-                    Metrics::bump(&shared.metrics.conns_refused);
+                    shared.metrics.conns_refused.add(1);
                     refuse_connection(stream, shared);
                     continue;
                 }
                 shared.conns.fetch_add(1, Ordering::AcqRel);
-                Metrics::bump(&shared.metrics.conns_accepted);
+                shared.metrics.conns_accepted.add(1);
                 let conn_shared = Arc::clone(shared);
                 let spawned = std::thread::Builder::new()
                     .name("fgac-conn".into())
@@ -358,7 +376,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                             serve_connection(stream, &conn_shared)
                         }));
                         if outcome.is_err() {
-                            Metrics::bump(&conn_shared.metrics.conns_panicked);
+                            conn_shared.metrics.conns_panicked.add(1);
                         }
                         conn_shared.conns.fetch_sub(1, Ordering::AcqRel);
                     });
@@ -427,7 +445,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             Some(r) => r,
             None => return,
         };
-        Metrics::bump(&shared.metrics.requests);
+        shared.metrics.requests.add(1);
         match request {
             Request::Hello { .. } => {
                 let resp = Response::Protocol("session already open (duplicate HELLO)".into());
@@ -487,15 +505,15 @@ fn next_request(
             None
         }
         FrameEvent::IdleTimeout => {
-            Metrics::bump(&shared.metrics.conns_idle_timeout);
+            shared.metrics.conns_idle_timeout.add(1);
             None
         }
         FrameEvent::Stalled => {
-            Metrics::bump(&shared.metrics.conns_stalled);
+            shared.metrics.conns_stalled.add(1);
             None
         }
         FrameEvent::Corrupt(_) => {
-            Metrics::bump(&shared.metrics.frames_corrupt);
+            shared.metrics.frames_corrupt.add(1);
             let resp = Response::Protocol("corrupt frame; closing".into());
             send_response(stream, shared, &resp);
             None
@@ -546,7 +564,7 @@ fn process(
     match outcome {
         Ok(resp) => resp,
         Err(_) => {
-            Metrics::bump(&shared.metrics.worker_panics);
+            shared.metrics.worker_panics.add(1);
             Response::Error(
                 "internal error: request handler panicked (isolated; connection intact)".into(),
             )

@@ -22,6 +22,7 @@
 ))]
 
 mod budget;
+mod counter;
 mod error;
 #[cfg(feature = "fault-injection")]
 pub mod faults;
@@ -33,6 +34,7 @@ mod value;
 pub mod wire;
 
 pub use budget::{Budget, BudgetMeter};
+pub use counter::Counter;
 pub use error::{Error, Result};
 pub use ident::Ident;
 pub use json::Json;

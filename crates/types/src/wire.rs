@@ -8,9 +8,12 @@
 //! decoder is total: malformed input yields [`Error::Corrupt`], never a
 //! panic, because recovery code runs on whatever bytes survived a crash.
 
-// Lengths and offsets here come off the wire or the disk: overflow and
-// truncation are checked and surface as errors (DESIGN.md §4l).
-#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects, clippy::cast_possible_truncation))]
+// Lengths and offsets here come off the wire or the disk: overflow,
+// truncation and out-of-bounds reads are checked and surface as errors
+// (DESIGN.md §4l).
+#![cfg_attr(not(test), deny(
+    clippy::arithmetic_side_effects, clippy::cast_possible_truncation, clippy::indexing_slicing,
+))]
 
 use crate::{Column, DataType, Error, Ident, Result, Row, Schema, Value};
 
@@ -57,27 +60,34 @@ impl<'a> Reader<'a> {
         let end = self
             .pos
             .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
             .ok_or_else(|| Self::corrupt("bytes"))?;
-        let s = &self.buf[self.pos..end];
+        let s = self
+            .buf
+            .get(self.pos..end)
+            .ok_or_else(|| Self::corrupt("bytes"))?;
         self.pos = end;
         Ok(s)
     }
 
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let b = self.take(N)?;
+        b.first_chunk()
+            .copied()
+            .ok_or_else(|| Self::corrupt("bytes"))
+    }
+
     pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        let [b] = self.array()?;
+        Ok(b)
     }
 
     pub fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// A `u64` length field validated against the bytes actually

@@ -573,9 +573,13 @@ fn load_snapshot(dir: &Path) -> Result<Option<SnapshotState>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
+    #[allow(
+        clippy::disallowed_types,
+        reason = "a temp-dir id source: the name needs fetch_add's return value, which a Counter does not give"
+    )]
     fn tmp_dir(tag: &str) -> PathBuf {
+        use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
         let d = std::env::temp_dir().join(format!(
             "fgac-wal-{tag}-{}-{}",

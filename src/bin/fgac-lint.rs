@@ -1,5 +1,6 @@
-//! fgac-lint CLI: runs the `crates/lint` multi-pass engine over the
-//! workspace and reports findings.
+//! fgac-lint CLI: runs the `crates/lint` passes (L003, L004) over the
+//! engine's and the server's sources (`fgac_lint::SCOPE`) and reports
+//! findings.
 //!
 //! ```text
 //! fgac-lint [--json] [--out FILE] [--root DIR] [--max-ms N]
@@ -12,10 +13,9 @@
 //! - `--max-ms N` — fail if the whole run took longer than N ms — CI's
 //!   guarantee that the analyzer never becomes the slow step
 //!
-//! Exit codes: 0 clean, 1 findings / stale allowlist entries / runtime
-//! gate exceeded, 2 usage or I/O error. Configuration (scope, per-pass
-//! settings, allowlists, the Relaxed audit ledger) lives in `lint.toml`
-//! at the workspace root.
+//! Exit codes: 0 clean, 1 findings / runtime gate exceeded, 2 usage or
+//! I/O error. There is no configuration file: the scope is a constant
+//! and there is no allowlist.
 
 // A panic here is a failure that does not deny: outside tests, every
 // failure surfaces as an `Err` (DESIGN.md §4l).
@@ -75,23 +75,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let config_path = args.root.join("lint.toml");
-    let config_text = match std::fs::read_to_string(&config_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fgac-lint: cannot read {}: {e}", config_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let cfg = match fgac_lint::config::Config::parse(&config_text) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("fgac-lint: {}: {e}", config_path.display());
-            return ExitCode::from(2);
-        }
-    };
-
-    let report = match fgac_lint::run(&args.root, &cfg) {
+    let report = match fgac_lint::run(&args.root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("fgac-lint: {e}");
@@ -111,9 +95,6 @@ fn main() -> ExitCode {
         for f in &report.findings {
             println!("{f}");
         }
-        for a in &report.unused_allows {
-            println!("lint.toml: unused allowlist entry: {a}");
-        }
         println!(
             "fgac-lint: {} file(s), {} pass(es), {} finding(s), {} ms",
             report.files_scanned,
@@ -126,15 +107,8 @@ fn main() -> ExitCode {
     let mut failed = false;
     if !report.findings.is_empty() {
         eprintln!(
-            "fgac-lint: {} finding(s) — fix them or add a justified [[allow]] to lint.toml",
+            "fgac-lint: {} finding(s) — fix them in the code",
             report.findings.len()
-        );
-        failed = true;
-    }
-    if !report.unused_allows.is_empty() {
-        eprintln!(
-            "fgac-lint: {} unused allowlist entr(ies) in lint.toml — remove the stale entries",
-            report.unused_allows.len()
         );
         failed = true;
     }

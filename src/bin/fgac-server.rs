@@ -32,10 +32,15 @@
 
 use fgac_core::{Engine, SharedEngine};
 use fgac_server::{Server, ServerConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+#[allow(
+    clippy::disallowed_types,
+    reason = "the shutdown flag, not a count: the signal handler stores it and the main loop \
+              loads it, both SeqCst"
+)]
+static SHUTDOWN: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 extern "C" fn on_signal(_sig: i32) {
     SHUTDOWN.store(true, Ordering::SeqCst);

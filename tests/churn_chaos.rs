@@ -7,6 +7,11 @@
 //! request, whether that request rides a warm cache, a certificate
 //! revalidation, or a recovered engine. No stale verdict, ever.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "test harness: temp-dir ids need fetch_add's return value, and the readers' stop flag is a test signal whose threads are joined before any assertion"
+)]
+
 use fgac::prelude::*;
 use fgac_core::SharedEngine;
 use std::path::PathBuf;

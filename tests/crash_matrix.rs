@@ -17,6 +17,11 @@
 //!
 //! The cell outcomes are appended to `target/crash-matrix-report.txt`
 //! so CI can publish the matrix.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "test harness: temp-dir ids need fetch_add's return value, which a Counter does not give"
+)]
 #![cfg(feature = "fault-injection")]
 
 use fgac::prelude::*;

@@ -3,6 +3,11 @@
 //! catalog, grants, and validator verdicts — and must fail closed when
 //! the durable policy state is damaged.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "test harness: temp-dir ids need fetch_add's return value, which a Counter does not give"
+)]
+
 use fgac::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -102,10 +102,6 @@ fn report() -> Report {
                 ms: 0,
             },
         ],
-        unused_allows: vec![
-            "L002 crates/x.rs \"old reason\"".into(),
-            "L006 src/bin".into(),
-        ],
         findings: vec![
             Finding::new(
                 PassCode::ErrorPathMustDeny,

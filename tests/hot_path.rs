@@ -2,6 +2,11 @@
 //! keying, prepared-statement integration, and validity-cache coherence
 //! under concurrent readers and a DML writer.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "test harness: the published data version is the Release/Acquire pair under test; the stop flag and allow/deny tallies are read after join"
+)]
+
 use fgac::prelude::*;
 use fgac_core::{CacheOutcome, ValidityCache};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

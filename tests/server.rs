@@ -6,6 +6,11 @@
 //! `tests/server_faults.rs` — those tests arm the process-global fault
 //! registry, which must not race the servers started here.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "test harness: temp-dir ids need fetch_add's return value, and the refusal tally gates a client loop; every assertion reads it after join"
+)]
+
 use fgac_core::{DurabilityOptions, Engine, SharedEngine};
 use fgac_server::{AdminOp, Client, Response, Server, ServerConfig};
 use std::io::Write as _;

@@ -16,6 +16,11 @@
 //! thread's thread-local arming), so they live in their own test binary
 //! and serialize on a file-local mutex: a globally armed wire fault
 //! hitting some other test's server would be cross-test sabotage.
+
+#![allow(
+    clippy::disallowed_types,
+    reason = "test harness: temp-dir ids need fetch_add's return value, which a Counter does not give"
+)]
 #![cfg(feature = "fault-injection")]
 
 use fgac::types::faults::{self, Fault};
