@@ -259,6 +259,19 @@ pub struct Certificate {
     pub steps: Vec<Step>,
 }
 
+impl Certificate {
+    /// The remainder probe `v_r` a conditional accept rests on: the
+    /// block of premise 1 of its C3a/C3b goal, the position the checker
+    /// reads it at. `None` for every other derivation.
+    pub fn remainder_probe(&self) -> Option<&SpjBlock> {
+        let goal = self.steps.last()?;
+        if !goal.rule.is_conditional() {
+            return None;
+        }
+        self.steps.get(*goal.premises.get(1)?)?.block.as_ref()
+    }
+}
+
 /// The policy state the checker verifies a certificate against: the
 /// catalog plus the *raw* grant tables (principal → grants) and the
 /// current epoch. Built from engine state by the caller; the checker

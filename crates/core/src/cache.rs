@@ -11,10 +11,17 @@
 //! parameter values, and re-binding with different `$user_id` produces a
 //! different fingerprint (a different instantiated query).
 //!
-//! Conditional verdicts (rule C3) depend on the database *state*, so
-//! they carry the data version they were computed at and expire on any
-//! mutation; unconditional verdicts and rejections survive data changes
-//! (they quantify over all states).
+//! Unconditional verdicts quantify over all states and survive data
+//! changes. Conditional accepts and denials carry the data version
+//! they were computed at, and a lookup at any other version misses.
+//! A conditional accept (rule C3a/C3b) depends on the state only
+//! through one fact: its remainder probe `v_r`, a single-relation
+//! selection, is non-empty. So at each data commit its owner runs
+//! [`ValidityCache::restamp`]: an accept stamped at the pre-commit
+//! version moves to the new one unless the statement removed a row that
+//! may have been a witness of its probe ([`DataCommit`]). The probe is
+//! read from the accept's certificate; an accept with none, and every
+//! denial, stays pinned and expires on any commit.
 //!
 //! ## Policy churn
 //!
@@ -42,9 +49,11 @@
 
 use crate::invalidation::Sweep;
 use crate::nontruman::Verdict;
-use fgac_algebra::Plan;
+use fgac_algebra::{Plan, ScalarExpr, SpjBlock};
 use fgac_analyze::Certificate;
-use fgac_types::Counter;
+use fgac_exec::eval_predicate;
+use fgac_storage::{Database, Mark};
+use fgac_types::{Counter, Ident, Row};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -155,10 +164,72 @@ struct Entry {
     cert: Option<Arc<Certificate>>,
 }
 
+/// One data commit as the validity cache sees it: the rows the
+/// statement took out of their tables, read from its journal while the
+/// undo images are still there, and the data-version bump `from → to`.
+///
+/// The rule (`DataCommit::keeps`): a non-empty single-relation probe
+/// `σ_P(R)` stays non-empty unless the statement removed a row of `R`
+/// that satisfies `P`. Rows inserted and new update images only add
+/// to the witness set, so they are not read. Each removed row is judged
+/// with the evaluator the probe itself ran, and an evaluation error
+/// fails closed. Judging every removed row, not the statement's net
+/// change, only ever pins more.
+#[derive(Debug)]
+pub struct DataCommit<'a> {
+    /// Old update images and deleted rows, with their tables.
+    removed: Vec<(&'a Ident, &'a Row)>,
+    from: u64,
+    to: u64,
+}
+
+impl<'a> DataCommit<'a> {
+    /// The commit of everything `db` journaled since `since`, bumping
+    /// the data version `from → to`. Build it before the journal is
+    /// committed: [`Database::commit`] drops the undo images.
+    pub fn new(db: &'a Database, since: Mark, from: u64, to: u64) -> Self {
+        DataCommit {
+            removed: db.removed(since).collect(),
+            from,
+            to,
+        }
+    }
+
+    /// Does `probe` provably stay non-empty across this commit? `true`
+    /// only for a single-relation probe when every row the statement
+    /// removed from that relation is ruled out as a witness.
+    fn keeps(&self, probe: &SpjBlock) -> bool {
+        let [(table, _)] = &probe.scans[..] else {
+            return false;
+        };
+        self.removed
+            .iter()
+            .all(|&(t, row)| t != table || rules_out(&probe.conjuncts, row))
+    }
+}
+
+/// Is `row` provably not a witness of the conjunction: does every
+/// conjunct evaluate, and one of them not to TRUE? An evaluation error
+/// answers no.
+fn rules_out(conjuncts: &[ScalarExpr], row: &Row) -> bool {
+    let mut ruled_out = false;
+    for c in conjuncts {
+        match eval_predicate(c, row) {
+            Ok(holds) => ruled_out |= !holds,
+            Err(_) => return false,
+        }
+    }
+    ruled_out
+}
+
+/// One shard: user → fingerprint → entry. Keyed by user first so a
+/// lookup borrows the user's `&str` instead of allocating a key.
+type Shard = HashMap<String, HashMap<u64, Entry>>;
+
 /// A concurrent, sharded validity cache.
 #[derive(Debug)]
 pub struct ValidityCache {
-    shards: [Mutex<HashMap<(String, u64), Entry>>; SHARDS],
+    shards: [Mutex<Shard>; SHARDS],
     /// Lookup hits and misses.
     counters: HitMiss,
     /// Stale accepts that revalidated (hits) or fell back cold (misses).
@@ -202,7 +273,7 @@ impl ValidityCache {
         h.finish()
     }
 
-    fn shard(&self, user: &str, fingerprint: u64) -> &Mutex<HashMap<(String, u64), Entry>> {
+    fn shard(&self, user: &str, fingerprint: u64) -> &Mutex<Shard> {
         let mut h = DefaultHasher::new();
         user.hash(&mut h);
         fingerprint.hash(&mut h);
@@ -227,12 +298,14 @@ impl ValidityCache {
         policy_epoch: u64,
     ) -> CacheOutcome {
         let shard = self.shard(user, fingerprint).lock();
-        match shard.get(&(user.to_string(), fingerprint)) {
+        match shard.get(user).and_then(|m| m.get(&fingerprint)) {
             Some(e) => {
                 // Conditional verdicts are state-dependent; Invalid
                 // verdicts may become Conditional after inserts (the C3
                 // probe can flip from empty to non-empty). Both are
-                // state-pinned; only Unconditional survives data changes.
+                // state-pinned — a conditional accept is carried forward
+                // only by `restamp` — and only Unconditional survives
+                // data changes.
                 if e.verdict != Verdict::Unconditional && e.data_version != data_version {
                     drop(shard);
                     self.count_miss();
@@ -283,15 +356,21 @@ impl ValidityCache {
         verdict: Verdict,
         cert: Option<Arc<Certificate>>,
     ) {
-        self.shard(user, fingerprint).lock().insert(
-            (user.to_string(), fingerprint),
-            Entry {
-                verdict,
-                data_version,
-                policy_epoch,
-                cert,
-            },
-        );
+        let entry = Entry {
+            verdict,
+            data_version,
+            policy_epoch,
+            cert,
+        };
+        let mut shard = self.shard(user, fingerprint).lock();
+        match shard.get_mut(user) {
+            Some(m) => {
+                m.insert(fingerprint, entry);
+            }
+            None => {
+                shard.insert(user.to_string(), HashMap::from([(fingerprint, entry)]));
+            }
+        }
     }
 
     /// Restamps a stale entry whose certificate just re-verified against
@@ -302,7 +381,8 @@ impl ValidityCache {
         if let Some(e) = self
             .shard(user, fingerprint)
             .lock()
-            .get_mut(&(user.to_string(), fingerprint))
+            .get_mut(user)
+            .and_then(|m| m.get_mut(&fingerprint))
         {
             // Only move the stamp forward; a concurrent writer sweep may
             // already have re-staled the entry under a newer epoch, in
@@ -320,9 +400,14 @@ impl ValidityCache {
     /// Counts as both a cache miss and a revalidation miss; the caller
     /// falls through to a cold check (fail closed).
     pub fn evict_stale(&self, user: &str, fingerprint: u64) {
-        self.shard(user, fingerprint)
-            .lock()
-            .remove(&(user.to_string(), fingerprint));
+        let mut shard = self.shard(user, fingerprint).lock();
+        if let Some(m) = shard.get_mut(user) {
+            m.remove(&fingerprint);
+            if m.is_empty() {
+                shard.remove(user);
+            }
+        }
+        drop(shard);
         self.count_miss();
         self.revalidations.count(false);
     }
@@ -332,14 +417,39 @@ impl ValidityCache {
     pub fn sweep(&mut self, sweep: &Sweep) {
         let mut dropped = 0u64;
         for shard in &mut self.shards {
-            shard.get_mut().retain(|(user, _), e| {
-                let revalidatable = e.verdict != Verdict::Invalid && e.cert.is_some();
-                let keep = sweep.keep(user, &mut e.policy_epoch, revalidatable);
-                dropped += u64::from(!keep);
-                keep
+            shard.get_mut().retain(|user, m| {
+                m.retain(|_, e| {
+                    let revalidatable = e.verdict != Verdict::Invalid && e.cert.is_some();
+                    let keep = sweep.keep(user, &mut e.policy_epoch, revalidatable);
+                    dropped += u64::from(!keep);
+                    keep
+                });
+                !m.is_empty()
             });
         }
         self.invalidated.add(dropped);
+    }
+
+    /// The data-commit restamp: the [`DataCommit`] rule decides every
+    /// conditional accept stamped at the pre-commit version, by the
+    /// remainder probe its certificate records. Everything else keeps
+    /// its stamp. `&mut self` keeps it inside the writer's critical
+    /// section, like [`ValidityCache::sweep`].
+    pub fn restamp(&mut self, commit: &DataCommit<'_>) {
+        let entries = self
+            .shards
+            .iter_mut()
+            .flat_map(|s| s.get_mut().values_mut());
+        for e in entries.flat_map(HashMap::values_mut) {
+            if e.verdict != Verdict::Conditional || e.data_version != commit.from {
+                continue;
+            }
+            if let Some(probe) = e.cert.as_deref().and_then(Certificate::remainder_probe) {
+                if commit.keeps(probe) {
+                    e.data_version = commit.to;
+                }
+            }
+        }
     }
 
     /// Clears every entry (recovery cold-start). Counters survive — they
@@ -348,7 +458,7 @@ impl ValidityCache {
         let mut dropped = 0u64;
         for shard in &self.shards {
             let mut s = shard.lock();
-            dropped += s.len() as u64;
+            dropped += s.values().map(|m| m.len() as u64).sum::<u64>();
             s.clear();
         }
         if dropped > 0 {
@@ -357,7 +467,10 @@ impl ValidityCache {
     }
 
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().values().map(HashMap::len).sum::<usize>())
+            .sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -400,7 +513,8 @@ impl ValidityCache {
     pub(crate) fn stamp_of(&self, user: &str, fingerprint: u64) -> Option<u64> {
         self.shard(user, fingerprint)
             .lock()
-            .get(&(user.to_string(), fingerprint))
+            .get(user)
+            .and_then(|m| m.get(&fingerprint))
             .map(|e| e.policy_epoch)
     }
 }
@@ -408,8 +522,9 @@ impl ValidityCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fgac_analyze::{CertVerdict, Certificate};
-    use fgac_types::Schema;
+    use fgac_algebra::{ArithOp, CmpOp};
+    use fgac_analyze::{CertVerdict, Certificate, RuleId, Step};
+    use fgac_types::{Column, DataType, Ident, Schema, Value};
 
     fn plan(table: &str) -> Plan {
         Plan::scan(table, Schema::new(vec![]))
@@ -553,6 +668,106 @@ mod tests {
         let snap = c.snapshot();
         assert_eq!(snap.revalidation_misses, 1);
         assert_eq!(snap.entries, 0);
+    }
+
+    /// `t(a int, b int)` holding a witness `(1, 5)`, a non-witness
+    /// `(2, -5)` and `(3, 0)`, on which the probe's conjunct errors.
+    fn probed_table() -> Database {
+        let mut db = Database::new();
+        let schema = Schema::new(vec![
+            Column::new("a", DataType::Int),
+            Column::new("b", DataType::Int),
+        ]);
+        db.create_table("t", schema, None).unwrap();
+        for (a, b) in [(1, 5), (2, -5), (3, 0)] {
+            db.insert(&Ident::new("t"), Row(vec![Value::Int(a), Value::Int(b)]))
+                .unwrap();
+        }
+        db.commit();
+        db
+    }
+
+    /// A conditional accept whose C3a goal rests on the remainder probe
+    /// `σ_{100 / b > 0}(t)` (premise 1, as the validator emits it).
+    fn conditional_cert(db: &Database) -> Arc<Certificate> {
+        let schema = db.table_meta(&Ident::new("t")).unwrap().schema.clone();
+        let quotient = ScalarExpr::Arith {
+            op: ArithOp::Div,
+            left: Box::new(ScalarExpr::lit(100)),
+            right: Box::new(ScalarExpr::col(1)),
+        };
+        let mut probe = Step::new(RuleId::U2Match);
+        probe.block = Some(SpjBlock {
+            scans: vec![(Ident::new("t"), schema)],
+            conjuncts: vec![ScalarExpr::cmp(CmpOp::Gt, quotient, ScalarExpr::lit(0))],
+            projection: vec![ScalarExpr::col(0)],
+            distinct: true,
+        });
+        let mut goal = Step::new(RuleId::C3a);
+        goal.premises = vec![0, 1];
+        goal.probe_rows = Some(1);
+        Arc::new(Certificate {
+            verdict: CertVerdict::Conditional,
+            steps: vec![Step::new(RuleId::U1), probe, goal],
+            ..(*cert(0)).clone()
+        })
+    }
+
+    /// Runs `statement` against [`probed_table`] as one commit `1 → 2`
+    /// and reports whether a conditional accept stamped 1 is served at
+    /// version 2.
+    fn served_after(statement: impl FnOnce(&mut Database)) -> bool {
+        let mut db = probed_table();
+        let cert = conditional_cert(&db);
+        let mark = db.mark();
+        statement(&mut db);
+        let mut c = ValidityCache::new();
+        c.store("11", 7, 1, 0, Verdict::Conditional, Some(cert));
+        c.restamp(&DataCommit::new(&db, mark, 1, 2));
+        c.lookup("11", 7, 2, 0) == CacheOutcome::Hit(Verdict::Conditional)
+    }
+
+    #[test]
+    fn restamp_keeps_an_accept_unless_a_removed_row_may_be_a_witness() {
+        let t = Ident::new("t");
+        let row = |a, b| Row(vec![Value::Int(a), Value::Int(b)]);
+        assert!(served_after(|db| {
+            db.delete_at(&t, &[1]).unwrap();
+        }));
+        assert!(served_after(|db| db.insert(&t, row(4, 7)).unwrap()));
+        assert!(served_after(|db| {
+            db.apply_row_updates(&t, vec![(1, row(2, -9))]).unwrap();
+        }));
+        // The witness leaves, by delete or by update.
+        assert!(!served_after(|db| {
+            db.delete_at(&t, &[0]).unwrap();
+        }));
+        assert!(!served_after(|db| {
+            db.apply_row_updates(&t, vec![(0, row(1, -5))]).unwrap();
+        }));
+        // The conjunct errors on the removed row: fail closed.
+        assert!(!served_after(|db| {
+            db.delete_at(&t, &[2]).unwrap();
+        }));
+    }
+
+    #[test]
+    fn restamp_moves_only_conditional_accepts_stamped_at_the_pre_commit_version() {
+        let mut db = probed_table();
+        let cert = conditional_cert(&db);
+        let mark = db.mark();
+        db.delete_at(&Ident::new("t"), &[1]).unwrap();
+        let mut c = ValidityCache::new();
+        c.store("11", 1, 0, 0, Verdict::Conditional, Some(Arc::clone(&cert)));
+        c.store("11", 2, 1, 0, Verdict::Invalid, None);
+        c.store("11", 3, 1, 0, Verdict::Conditional, None);
+        c.store("11", 4, 1, 0, Verdict::Conditional, Some(cert));
+        c.restamp(&DataCommit::new(&db, mark, 1, 2));
+        let at_2 = |fp| c.lookup("11", fp, 2, 0);
+        assert_eq!(at_2(1), CacheOutcome::Miss, "already behind: stays behind");
+        assert_eq!(at_2(2), CacheOutcome::Miss, "denials stay pinned");
+        assert_eq!(at_2(3), CacheOutcome::Miss, "no certificate, no probe");
+        assert_eq!(at_2(4), CacheOutcome::Hit(Verdict::Conditional));
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! fsync: set [`DurabilityOptions::sync_on_commit`], or call
 //! [`Engine::sync`] / [`Engine::close`] at a boundary you choose.
 
+use crate::cache::DataCommit;
 use crate::engine::Engine;
 use crate::grants::Grants;
 use crate::invalidation::PolicyDelta;
@@ -230,9 +231,10 @@ impl Engine {
     }
 
     /// Commits a successful DML statement: logs the redo journaled since
-    /// `mark` (durable engines), commits the journal and bumps the data
-    /// version. On WAL failure the statement is rolled back to `mark` and
-    /// fails — the database never runs ahead of the log.
+    /// `mark` (durable engines), then commits it
+    /// ([`Engine::commit_data`]). On WAL failure the statement is rolled
+    /// back to `mark` and fails — the database never runs ahead of the
+    /// log.
     pub(crate) fn commit_dml(&mut self, mark: Mark) -> Result<()> {
         if let Some(d) = self.durability.as_mut() {
             let sync = d.opts.sync_on_commit;
@@ -241,10 +243,22 @@ impl Engine {
                 return Err(e);
             }
         }
-        self.db.commit();
-        self.bump();
+        self.commit_data(mark);
         self.maybe_snapshot();
         Ok(())
+    }
+
+    /// The one data commit point, shared by the live statement path and
+    /// replay: bumps the data version, restamps the validity cache
+    /// against the rows journaled since `mark` ([`DataCommit`]), then
+    /// commits the journal — which drops the undo images the restamp
+    /// reads.
+    fn commit_data(&mut self, mark: Mark) {
+        let from = self.data_version;
+        self.bump();
+        let commit = DataCommit::new(&self.db, mark, from, self.data_version);
+        self.policy.restamp_data(&commit);
+        self.db.commit();
     }
 
     /// Installs a snapshot when the log has grown past the configured
@@ -431,11 +445,11 @@ impl Engine {
                 self.apply_ddl(&stmt)
             }
             WalRecord::Dml { deltas } => {
+                let mark = self.db.mark();
                 for delta in deltas {
                     self.db.apply_delta(delta)?;
                 }
-                self.db.commit();
-                self.bump();
+                self.commit_data(mark);
                 Ok(())
             }
             WalRecord::GrantUpdate { principal, sql } => match fgac_sql::parse_statement(&sql)? {

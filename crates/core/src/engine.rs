@@ -63,7 +63,8 @@ pub struct Engine {
     /// change only through [`PolicyState::apply`] and its siblings.
     pub(crate) policy: PolicyState,
     options: CheckOptions,
-    /// Bumped on every successful DML — versions conditional verdicts.
+    /// Bumped on every successful DML — versions conditional verdicts
+    /// and denials.
     pub(crate) data_version: u64,
     /// `Some` when the engine writes a WAL (see [`Engine::open`]).
     pub(crate) durability: Option<Durability>,

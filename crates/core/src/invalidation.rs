@@ -5,10 +5,11 @@
 //! caches derived from them: the [`ValidityCache`], the [`PlanCache`],
 //! the [`CompiledPolicies`] and the [`FlowAnalysisCache`]. They are
 //! private fields, and the only mutators are [`PolicyState::apply`],
-//! [`PolicyState::grant_update`] and [`PolicyState::restore`]. A grant
-//! therefore cannot change without its sweep, and because the sweeps
-//! take `&mut` to a cache that no one outside `PolicyState` can borrow
-//! mutably, the borrow checker — not a lint — keeps them inside the
+//! [`PolicyState::grant_update`], [`PolicyState::restore`] and, for a
+//! data commit, [`PolicyState::restamp_data`]. A grant therefore cannot
+//! change without its sweep, and because the sweeps and the data
+//! restamp take `&mut` to a cache that no one outside `PolicyState` can
+//! borrow mutably, the borrow checker — not a lint — keeps them inside the
 //! writer's critical section (`&mut Engine` / the
 //! [`crate::SharedEngine`] write lock). A reader sees the pre-change
 //! grants with the pre-change caches, or the post-change grants with
@@ -38,7 +39,7 @@
 //! behind the epoch it is looked up at — falls closed to a full cold
 //! check.
 
-use crate::cache::ValidityCache;
+use crate::cache::{DataCommit, ValidityCache};
 use crate::compiled::CompiledPolicies;
 use crate::flowcache::FlowAnalysisCache;
 use crate::grants::Grants;
@@ -220,6 +221,39 @@ impl<'a> Sweep<'a> {
 /// let engine = fgac_core::Engine::new();
 /// engine.grants().clone().grant_view("alice", "v");
 /// ```
+///
+/// The data-commit restamp is fenced the same way. A reader holding
+/// `&PolicyState` cannot run it:
+///
+/// ```compile_fail,E0596
+/// use fgac_core::invalidation::PolicyState;
+/// use fgac_core::DataCommit;
+/// fn reader(state: &PolicyState, commit: &DataCommit<'_>) {
+///     state.restamp_data(commit);
+/// }
+/// ```
+///
+/// nor through the engine's validity cache:
+///
+/// ```compile_fail,E0596
+/// use fgac_core::{DataCommit, Engine};
+/// let engine = Engine::new();
+/// let mut db = fgac_storage::Database::new();
+/// let mark = db.mark();
+/// engine.cache().restamp(&DataCommit::new(&db, mark, 0, 1));
+/// ```
+///
+/// while the owner, and a cache the caller owns, can:
+///
+/// ```
+/// use fgac_core::invalidation::PolicyState;
+/// use fgac_core::{DataCommit, ValidityCache};
+/// let mut db = fgac_storage::Database::new();
+/// let mark = db.mark();
+/// let commit = DataCommit::new(&db, mark, 0, 1);
+/// PolicyState::new().restamp_data(&commit);
+/// ValidityCache::new().restamp(&commit);
+/// ```
 #[derive(Debug, Default)]
 pub struct PolicyState {
     grants: Grants,
@@ -302,6 +336,13 @@ impl PolicyState {
         self.grants = grants;
         self.epoch = epoch;
         self.sweep(&PolicyDelta::Full, epoch);
+    }
+
+    /// A data commit: restamps the validity cache's conditional accepts
+    /// whose remainder probe the commit cannot have emptied
+    /// ([`ValidityCache::restamp`]). Grants and the epoch do not move.
+    pub fn restamp_data(&mut self, commit: &DataCommit<'_>) {
+        self.validity.restamp(commit);
     }
 
     fn sweep(&mut self, delta: &PolicyDelta, from: u64) {

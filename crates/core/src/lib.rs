@@ -58,7 +58,7 @@ pub mod truman;
 mod updates;
 
 pub use authview::AuthorizationView;
-pub use cache::{CacheOutcome, CacheStats, ValidityCache};
+pub use cache::{CacheOutcome, CacheStats, DataCommit, ValidityCache};
 pub use compiled::{CompiledPolicies, PrincipalCaps};
 pub use fgac_analyze::{
     check_certificate, certificate_from_json, certificate_to_json, CertPolicy, CertVerdict,

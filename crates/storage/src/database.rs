@@ -14,6 +14,7 @@
 //! ... primitives ...          // each journals, then maintains indexes
 //! db.rollback_to(m);          // failure: invert entries after m, newest first
 //! db.pending(m)               // success: the redo, borrowed (what a WAL logs)
+//! db.removed(m)               //   and the rows it took out (undo images)
 //! db.commit();                // then drop the journal
 //! ```
 //!
@@ -476,6 +477,28 @@ impl Database {
             })
     }
 
+    /// Every row a write journaled after `since` took out of its table,
+    /// with that table: the old image of each updated row and each
+    /// deleted row, borrowed from the undo images. A row appended and
+    /// then removed in the same statement is lent too.
+    pub fn removed(&self, since: Mark) -> impl Iterator<Item = (&Ident, &Row)> + '_ {
+        self.journal
+            .get(since.0..)
+            .unwrap_or_default()
+            .iter()
+            .flat_map(|entry| {
+                let (old, removed): (&[Row], &[(usize, Row)]) = match entry {
+                    Entry::Append { .. } => (&[], &[]),
+                    Entry::Update { old, .. } => (old, &[]),
+                    Entry::Delete { removed, .. } => (&[], removed),
+                };
+                let table = entry.table();
+                old.iter()
+                    .chain(removed.iter().map(|(_, row)| row))
+                    .map(move |row| (table, row))
+            })
+    }
+
     /// Ends the statement: drops the journal, undo images included.
     /// Every outstanding mark becomes a no-op.
     pub fn commit(&mut self) {
@@ -723,6 +746,32 @@ mod tests {
         );
         d.commit();
         assert_eq!(d.pending(Mark(0)).count(), 0);
+    }
+
+    #[test]
+    fn removed_lends_old_images_and_deleted_rows_since_the_mark() {
+        let mut d = db();
+        let s = Ident::new("students");
+        d.insert(&s, student("10", "zed")).unwrap();
+        d.insert(&s, student("11", "ann")).unwrap();
+        d.commit();
+        let m = d.mark();
+        d.insert(&s, student("12", "bob")).unwrap();
+        d.apply_row_updates(&s, vec![(0, student("10", "zoe"))])
+            .unwrap();
+        // The row this statement appended is lent when it leaves again.
+        d.delete_at(&s, &[1, 2]).unwrap();
+        let out: Vec<(&Ident, &Row)> = d.removed(m).collect();
+        assert_eq!(
+            out,
+            vec![
+                (&s, &student("10", "zed")),
+                (&s, &student("11", "ann")),
+                (&s, &student("12", "bob")),
+            ]
+        );
+        d.commit();
+        assert_eq!(d.removed(m).count(), 0);
     }
 
     #[test]
