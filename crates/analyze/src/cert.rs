@@ -284,7 +284,7 @@ pub struct CertPolicy<'a> {
     /// principal → visible integrity constraints.
     pub constraint_grants: &'a BTreeMap<String, BTreeSet<Ident>>,
     /// user → roles.
-    pub role_memberships: &'a BTreeMap<String, BTreeSet<String>>,
+    pub role_memberships: &'a BTreeMap<String, Vec<String>>,
     pub policy_epoch: u64,
 }
 
@@ -1134,7 +1134,7 @@ struct ApCap {
 /// The user's effective grants: direct plus role-carried.
 fn effective(
     map: &BTreeMap<String, BTreeSet<Ident>>,
-    roles: &BTreeMap<String, BTreeSet<String>>,
+    roles: &BTreeMap<String, Vec<String>>,
     user: &str,
 ) -> BTreeSet<Ident> {
     let mut out = map.get(user).cloned().unwrap_or_default();
@@ -1333,7 +1333,7 @@ mod tests {
         cat: &'a Catalog,
         views: &'a BTreeMap<String, BTreeSet<Ident>>,
         constraints: &'a BTreeMap<String, BTreeSet<Ident>>,
-        roles: &'a BTreeMap<String, BTreeSet<String>>,
+        roles: &'a BTreeMap<String, Vec<String>>,
         epoch: u64,
     ) -> CertPolicy<'a> {
         CertPolicy {

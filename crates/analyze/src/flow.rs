@@ -798,10 +798,11 @@ pub fn flow_diff_grant(
                 .insert(grant.object.clone());
         }
         GrantKind::Role => {
-            role_memberships
-                .entry(grant.principal.clone())
-                .or_default()
-                .insert(grant.object.as_str().to_string());
+            let roles = role_memberships.entry(grant.principal.clone()).or_default();
+            let role = grant.object.as_str().to_string();
+            if let Err(at) = roles.binary_search(&role) {
+                roles.insert(at, role);
+            }
         }
     }
     let after = PolicySet {
@@ -1106,11 +1107,8 @@ mod tests {
         add_view(&mut c, "v_diag", "select id, diagnosis from patients");
         let views = grants(&[("staff", "v_names"), ("staff", "v_diag")]);
         let constraints = BTreeMap::new();
-        let mut roles: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        roles
-            .entry("alice".to_string())
-            .or_default()
-            .insert("staff".to_string());
+        let mut roles: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        roles.insert("alice".to_string(), vec!["staff".to_string()]);
         let empty_rev = BTreeMap::new();
         let set = PolicySet {
             catalog: &c,

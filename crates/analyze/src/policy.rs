@@ -19,7 +19,7 @@ pub struct PolicySet<'a> {
     /// principal -> visible integrity constraint names.
     pub constraint_grants: &'a BTreeMap<String, BTreeSet<Ident>>,
     /// user -> roles.
-    pub role_memberships: &'a BTreeMap<String, BTreeSet<String>>,
+    pub role_memberships: &'a BTreeMap<String, Vec<String>>,
     /// principal -> views revoked from that principal (tombstones kept
     /// for the `P003` shadowed-revocation lint).
     pub revocations: &'a BTreeMap<String, BTreeSet<Ident>>,
@@ -216,7 +216,7 @@ pub(crate) fn effective_constraints(set: &PolicySet, user: &str) -> BTreeMap<Ide
 
 fn effective_grants(
     grants: &BTreeMap<String, BTreeSet<Ident>>,
-    roles: &BTreeMap<String, BTreeSet<String>>,
+    roles: &BTreeMap<String, Vec<String>>,
     user: &str,
 ) -> BTreeMap<Ident, String> {
     let mut out: BTreeMap<Ident, String> = BTreeMap::new();

@@ -355,7 +355,7 @@ impl Engine {
                 .grants()
                 .role_memberships()
                 .iter()
-                .map(|(u, rs)| (u.clone(), rs.iter().cloned().collect()))
+                .map(|(u, rs)| (u.clone(), rs.clone()))
                 .collect(),
         };
         SnapshotState {
@@ -389,10 +389,7 @@ impl Engine {
                 .create_table(t.name.clone(), t.schema.clone(), t.primary_key.clone())?;
         }
         for t in snap.tables {
-            self.db.reserve(&t.name, t.rows.len())?;
-            for row in t.rows {
-                self.db.insert_unchecked(&t.name, row)?;
-            }
+            self.db.load(&t.name, t.rows)?;
             self.db.commit();
         }
         for fk in snap.foreign_keys {
@@ -446,9 +443,7 @@ impl Engine {
             }
             WalRecord::Dml { deltas } => {
                 let mark = self.db.mark();
-                for delta in deltas {
-                    self.db.apply_delta(delta)?;
-                }
+                self.db.apply_deltas(deltas)?;
                 self.commit_data(mark);
                 Ok(())
             }

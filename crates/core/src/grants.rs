@@ -22,8 +22,9 @@ pub struct Grants {
     constraints: BTreeMap<String, BTreeSet<Ident>>,
     /// principal -> update authorizations (Section 4.4).
     update_auths: BTreeMap<String, Vec<Authorize>>,
-    /// user -> roles.
-    roles: BTreeMap<String, BTreeSet<String>>,
+    /// user -> roles, sorted and unique: one vector per user, not a
+    /// B-tree node.
+    roles: BTreeMap<String, Vec<String>>,
     /// principal -> views revoked from that principal. Advisory
     /// tombstones for the policy analyzer's `P003` lint (a revocation
     /// that a role grant still shadows); not part of durable state and
@@ -85,7 +86,10 @@ impl Grants {
     /// views ... and then run our inferencing techniques on the resulting
     /// set".
     pub fn add_role(&mut self, user: impl Into<String>, role: impl Into<String>) {
-        self.roles.entry(user.into()).or_default().insert(role.into());
+        let (roles, role) = (self.roles.entry(user.into()).or_default(), role.into());
+        if let Err(at) = roles.binary_search(&role) {
+            roles.insert(at, role);
+        }
     }
 
     fn principals_of<'a>(&'a self, user: &'a str) -> Vec<&'a str> {
@@ -146,8 +150,8 @@ impl Grants {
         &self.update_auths
     }
 
-    /// The raw role-membership table (user -> roles).
-    pub fn role_memberships(&self) -> &BTreeMap<String, BTreeSet<String>> {
+    /// The raw role-membership table (user -> roles, sorted).
+    pub fn role_memberships(&self) -> &BTreeMap<String, Vec<String>> {
         &self.roles
     }
 

@@ -3,10 +3,12 @@
 //! These are the *unchecked* engine primitives; per-tuple authorization
 //! of updates (Section 4.4) wraps them in `fgac-core`.
 
+use crate::access::for_each_candidate;
 use crate::eval::{eval, eval_predicate};
+use crate::exec::flatten_ands;
 use fgac_algebra::{bind_table_expr, ParamScope, ScalarExpr};
 use fgac_sql::{self as sql};
-use fgac_storage::{Database, InclusionDependency};
+use fgac_storage::{Database, InclusionDependency, Table};
 use fgac_types::{Error, Ident, Result, Row, Value};
 
 /// Result of a DML statement.
@@ -154,16 +156,8 @@ pub fn update_matching(
     assignments: &[(usize, ScalarExpr)],
     mut check: impl FnMut(&Row, &Row) -> Result<()>,
 ) -> Result<usize> {
-    let t = db.table_required(table)?;
     let mut updates = Vec::new();
-    for (i, row) in t.rows().iter().enumerate() {
-        let hit = match filter {
-            None => true,
-            Some(f) => eval_predicate(f, row)?,
-        };
-        if !hit {
-            continue;
-        }
+    for_each_match(db.table_required(table)?, filter, |i, row| {
         #[cfg(feature = "fault-injection")]
         fgac_types::faults::hit("exec::update_row")?;
         let mut new = row.clone();
@@ -172,7 +166,8 @@ pub fn update_matching(
         }
         check(row, &new)?;
         updates.push((i, new));
-    }
+        Ok(())
+    })?;
     db.apply_row_updates(table, updates)
 }
 
@@ -199,22 +194,36 @@ pub fn delete_matching(
     filter: Option<&ScalarExpr>,
     mut check: impl FnMut(&Row) -> Result<()>,
 ) -> Result<usize> {
-    let t = db.table_required(table)?;
     let mut victims = Vec::new();
-    for (i, row) in t.rows().iter().enumerate() {
-        let hit = match filter {
-            None => true,
-            Some(f) => eval_predicate(f, row)?,
-        };
-        if !hit {
-            continue;
-        }
+    for_each_match(db.table_required(table)?, filter, |i, row| {
         #[cfg(feature = "fault-injection")]
         fgac_types::faults::hit("exec::delete_row")?;
         check(row)?;
         victims.push(i);
-    }
+        Ok(())
+    })?;
     db.delete_at(table, &victims)
+}
+
+/// Calls `hit` with each row of `t` the filter holds on, and its
+/// position, in table order. The filter runs on every row, or on an
+/// index's equal range when one serves a conjunct of it (see
+/// [`crate::access`]): the same rows, order and errors either way.
+fn for_each_match(
+    t: &Table,
+    filter: Option<&ScalarExpr>,
+    mut hit: impl FnMut(usize, &Row) -> Result<()>,
+) -> Result<()> {
+    let Some(f) = filter else {
+        return t.rows().iter().enumerate().try_for_each(|(i, row)| hit(i, row));
+    };
+    let conjuncts = flatten_ands(std::slice::from_ref(f));
+    for_each_candidate(t, &conjuncts, true, |i, row| {
+        if eval_predicate(f, row)? {
+            hit(i, row)?;
+        }
+        Ok(())
+    })
 }
 
 /// Audits a (possibly conditional) inclusion dependency against the
@@ -444,6 +453,57 @@ mod tests {
         let err = execute_delete(&mut d, &del, &ParamScope::new()).unwrap_err();
         assert!(matches!(err, Error::Execution(_)));
         assert_eq!(d.table(&t).unwrap().rows(), &before[..]);
+    }
+
+    #[test]
+    fn delete_by_key_visits_only_the_equal_range() {
+        let reg = Ident::new("registered");
+        let rows: Vec<Row> = [("x", "c1"), ("y", "c1"), ("x", "c2"), ("z", "c3"), ("x", "c3")]
+            .iter()
+            .map(|&(s, c)| Row(vec![s.into(), c.into()]))
+            .collect();
+        // `keyed` indexes the child side of its foreign key; `plain`
+        // declares none and scans.
+        let mut keyed = db();
+        keyed
+            .add_foreign_key(fgac_storage::ForeignKey {
+                name: Ident::new("fk_reg"),
+                child_table: reg.clone(),
+                child_columns: vec![Ident::new("student_id")],
+                parent_table: Ident::new("students"),
+                parent_columns: vec![Ident::new("student_id")],
+            })
+            .unwrap();
+        let mut plain = db();
+        let Statement::Delete(del) = stmt("delete from registered where student_id = 'x'") else {
+            panic!()
+        };
+        let filter = bind_table_expr(
+            keyed.catalog(),
+            &reg,
+            del.filter.as_ref().unwrap(),
+            &ParamScope::new(),
+        )
+        .unwrap();
+        let (mut seen, mut visited) = (Vec::new(), Vec::new());
+        for d in [&mut keyed, &mut plain] {
+            d.load(&reg, rows.clone()).unwrap();
+            d.commit();
+            let t = d.table(&reg).unwrap();
+            visited.push(crate::access::index_positions(t, &[&filter], true));
+            let mut checked = Vec::new();
+            let n = delete_matching(d, &reg, Some(&filter), |row| {
+                checked.push(row.clone());
+                Ok(())
+            });
+            assert_eq!(n, Ok(3));
+            assert_eq!(d.table(&reg).unwrap().len(), 2);
+            seen.push(checked);
+        }
+        // The keyed delete visits the equal range and nothing else.
+        assert_eq!(visited, vec![Some(vec![0, 2, 4]), None]);
+        assert_eq!(seen[0], seen[1], "the check sees the same rows in the same order");
+        assert_eq!(seen[0], vec![rows[0].clone(), rows[2].clone(), rows[4].clone()]);
     }
 
     #[test]

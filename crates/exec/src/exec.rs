@@ -20,12 +20,13 @@
 //! rows would fail, the error reported is that of the first failing row
 //! in scan order, not of the lowest failing operator.
 
+use crate::access::for_each_candidate;
 use crate::eval::{eval_predicate, eval_ref};
 use fgac_algebra::{
     is_identity_projection, AggExpr, AggFunc, BoundQuery, CmpOp, OrderKey, ParamScope, Plan,
     ScalarExpr,
 };
-use fgac_storage::Database;
+use fgac_storage::{Database, Table};
 use fgac_types::{Error, Ident, Result, Row, Value};
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -185,10 +186,15 @@ fn run<'a>(db: &'a Database, plan: &Plan, keep: usize) -> Result<Cow<'a, [Row]>>
 /// scan under nothing but identity projections (the binder's shape for
 /// `select * from t`).
 fn table_slice<'a>(db: &'a Database, plan: &Plan) -> Result<Option<&'a [Row]>> {
+    Ok(scanned_table(db, plan)?.map(Table::rows))
+}
+
+/// The table behind [`table_slice`].
+fn scanned_table<'a>(db: &'a Database, plan: &Plan) -> Result<Option<&'a Table>> {
     match plan {
-        Plan::Scan { table, .. } => Ok(Some(db.table_required(table)?.rows())),
+        Plan::Scan { table, .. } => Ok(Some(db.table_required(table)?)),
         Plan::Project { input, exprs } if is_identity_projection(exprs, input.arity()) => {
-            table_slice(db, input)
+            scanned_table(db, input)
         }
         _ => Ok(None),
     }
@@ -215,9 +221,12 @@ fn stream<'a>(db: &'a Database, plan: &Plan, sink: Sink<'_, 'a>) -> Result<()> {
                 Ok(())
             };
             // Fused with a scan below it, the filter runs in the scan
-            // loop itself and only survivors reach the sink.
-            match table_slice(db, input)? {
-                Some(rows) => rows.iter().try_for_each(|row| keep(Cow::Borrowed(row))),
+            // loop itself, over an index's equal range when one serves a
+            // conjunct, and only survivors reach the sink.
+            match scanned_table(db, input)? {
+                Some(t) => for_each_candidate(t, &conjuncts, false, |_, row| {
+                    keep(Cow::Borrowed(row))
+                }),
                 None => stream(db, input, &mut keep),
             }
         }
@@ -277,7 +286,7 @@ fn stream<'a>(db: &'a Database, plan: &Plan, sink: Sink<'_, 'a>) -> Result<()> {
 /// `where a and b` as one `AND` conjunct and plans are not normalized
 /// before they run; as a list, the scan of a row stops at the first
 /// member that is not TRUE.
-fn flatten_ands(conjuncts: &[ScalarExpr]) -> Vec<&ScalarExpr> {
+pub(crate) fn flatten_ands(conjuncts: &[ScalarExpr]) -> Vec<&ScalarExpr> {
     fn splice<'e>(conjuncts: &'e [ScalarExpr], flat: &mut Vec<&'e ScalarExpr>) {
         for c in conjuncts {
             match c {

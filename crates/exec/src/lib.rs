@@ -29,6 +29,7 @@
     clippy::unreachable, clippy::todo, clippy::unimplemented,
 ))]
 
+mod access;
 #[cfg(test)]
 mod differential;
 mod dml;

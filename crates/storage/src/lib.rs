@@ -1,6 +1,6 @@
 //! # fgac-storage
 //!
-//! In-memory relational storage engine: multiset tables with hash key
+//! In-memory relational storage engine: multiset tables with ordered key
 //! indexes, a catalog of schemas/views/constraints, and the [`Database`]
 //! facade with its per-statement journal (undo, WAL redo and replay are
 //! one [`TableDelta`] stream — see `database.rs`).

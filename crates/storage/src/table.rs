@@ -1,13 +1,13 @@
 //! Multiset tables and their key indexes.
 
-use crate::index::{KeyIndex, MAX_ROWS};
+use crate::index::{cmp_key, KeyIndex, MAX_ROWS};
 use fgac_types::{Error, Ident, Result, Row, Schema, Value};
 
 /// An in-memory table holding a multiset of rows.
 ///
 /// Rows are kept in insertion order; duplicates are allowed (SQL bag
 /// semantics). Type checking against the schema happens on every write.
-/// Each declared key (see `Database`) has a [`KeyIndex`]; the row
+/// Each column list of the database's index set has a [`KeyIndex`]; the row
 /// mutators below leave index maintenance to their callers, which
 /// journal the row write first (see `Database`'s module docs).
 #[derive(Debug, Clone)]
@@ -107,8 +107,9 @@ impl Table {
 
     /// True if some row other than `except` has, at `cols`, the values
     /// `probe` has at `probe_cols` (`Value::eq`, column by column): one
-    /// hash probe of the index on `cols`. Every key the database checks
-    /// is indexed, so a missing index is an internal error.
+    /// range probe of an index whose columns start with `cols`. Every
+    /// key the database checks is indexed, so a missing index is an
+    /// internal error.
     pub(crate) fn holds_key(
         &self,
         cols: &[usize],
@@ -116,22 +117,43 @@ impl Table {
         probe_cols: &[usize],
         except: Option<usize>,
     ) -> Result<bool> {
-        let ix = self.indexes.iter().find(|ix| ix.cols() == cols).ok_or_else(|| {
-            Error::Internal(format!("no index on columns {cols:?} of {}", self.name))
-        })?;
-        Ok(ix.find(probe, probe_cols, |p| {
-            Some(p) != except
-                && self.rows.get(p).is_some_and(|r| {
-                    cols.iter()
-                        .zip(probe_cols)
-                        .all(|(&c, &k)| r.get(c) == probe.get(k))
-                })
-        }))
+        let ix = self
+            .indexes
+            .iter()
+            .find(|ix| ix.cols().starts_with(cols))
+            .ok_or_else(|| {
+                Error::Internal(format!("no index on columns {cols:?} of {}", self.name))
+            })?;
+        Ok(ix
+            .range(&self.rows, |r| cmp_key(r, ix.cols(), probe, probe_cols))
+            .iter()
+            .any(|&p| Some(p as usize) != except))
+    }
+
+    /// The positions of the rows whose column `col` equals `value`
+    /// (`Value::eq`), ascending — or `None` when no index leads with
+    /// `col`. The index with the fewest columns serves: its run is
+    /// already in position order.
+    pub fn positions_eq(&self, col: usize, value: &Value) -> Option<Vec<usize>> {
+        let ix = self
+            .indexes
+            .iter()
+            .filter(|ix| ix.cols().first() == Some(&col))
+            .min_by_key(|ix| ix.cols().len())?;
+        let mut out: Vec<usize> = ix
+            .range(&self.rows, |r| r.get(col).cmp(value))
+            .iter()
+            .map(|&p| p as usize)
+            .collect();
+        if ix.cols().len() > 1 {
+            out.sort_unstable();
+        }
+        Some(out)
     }
 
     // ---------------- row writes (callers journal, then index) ----------------
 
-    /// Appends a prepared row; not yet indexed (see [`Table::index_last`]).
+    /// Appends a prepared row; not yet indexed (see [`Table::index_from`]).
     pub(crate) fn push(&mut self, row: Row) -> Result<()> {
         if self.rows.len() >= MAX_ROWS {
             return Err(Error::Execution(format!(
@@ -143,12 +165,11 @@ impl Table {
         Ok(())
     }
 
-    /// Indexes the last row.
-    pub(crate) fn index_last(&mut self) {
-        if let Some((pos, row)) = self.rows.len().checked_sub(1).zip(self.rows.last()) {
-            for ix in &mut self.indexes {
-                ix.insert(row, pos);
-            }
+    /// Indexes the rows from `from` on: one search for one row, one
+    /// sort and merge per index for several.
+    pub(crate) fn index_from(&mut self, from: usize) {
+        for ix in &mut self.indexes {
+            ix.add(&self.rows, from..self.rows.len());
         }
     }
 
@@ -165,14 +186,25 @@ impl Table {
         std::mem::replace(&mut self.rows[pos], row)
     }
 
-    /// Moves an index entry from `old` to `new` at `pos`, for every
-    /// index whose key differs between the two.
-    pub(crate) fn reindex(&mut self, pos: usize, old: &Row, new: &Row) {
+    /// Re-sorts the entries of the rows at the positions of `images`
+    /// whose key differs from the image (the values the entry was
+    /// sorted by): they leave by position, in one integer pass, and come
+    /// back by key once every row holds its new values.
+    pub(crate) fn reindex<'r>(&mut self, images: impl Iterator<Item = (usize, &'r Row)> + Clone) {
         for ix in &mut self.indexes {
-            if ix.cols().iter().any(|&c| old.get(c) != new.get(c)) {
-                ix.remove(old, pos);
-                ix.insert(new, pos);
-            }
+            let mut moved: Vec<usize> = images
+                .clone()
+                .filter(|&(pos, image)| {
+                    self.rows.get(pos).is_some_and(|row| {
+                        ix.cols().iter().any(|&c| row.get(c) != image.get(c))
+                    })
+                })
+                .map(|(pos, _)| pos)
+                .collect();
+            moved.sort_unstable();
+            moved.dedup();
+            ix.remove(&moved, false);
+            ix.add(&self.rows, moved);
         }
     }
 
@@ -197,10 +229,12 @@ impl Table {
         removed
     }
 
-    /// Index half of a delete: see [`KeyIndex::after_delete`].
+    /// Index half of a delete: the removed rows' entries go and the
+    /// other positions close up (see [`KeyIndex::remove`]).
     pub(crate) fn index_after_delete(&mut self, removed: &[(usize, Row)]) {
+        let gone: Vec<usize> = removed.iter().map(|(pos, _)| *pos).collect();
         for ix in &mut self.indexes {
-            ix.after_delete(removed);
+            ix.remove(&gone, true);
         }
     }
 
@@ -209,36 +243,25 @@ impl Table {
     /// Undoes appends: truncates the table to `from` rows (and, with
     /// `reindex`, drops the removed rows' index entries).
     pub(crate) fn undo_append(&mut self, from: usize, reindex: bool) {
-        while self.rows.len() > from {
-            let pos = self.rows.len() - 1;
-            let Some(row) = self.rows.pop() else {
-                break;
-            };
-            if reindex {
-                for ix in &mut self.indexes {
-                    ix.remove(&row, pos);
-                }
+        if reindex {
+            let gone: Vec<usize> = (from..self.rows.len()).collect();
+            for ix in &mut self.indexes {
+                ix.remove(&gone, false);
             }
         }
+        self.rows.truncate(from);
     }
 
     /// Undoes an update: puts `old[k]` back at `updates[k].0`, last
     /// replacement first.
     pub(crate) fn undo_update(&mut self, updates: &[(usize, Row)], old: Vec<Row>, reindex: bool) {
         for ((pos, _), old) in updates.iter().zip(old).rev() {
-            if *pos >= self.rows.len() {
-                continue;
+            if *pos < self.rows.len() {
+                self.replace(*pos, old);
             }
-            let cur = self.replace(*pos, old);
-            if reindex {
-                let old = &self.rows[*pos];
-                for ix in &mut self.indexes {
-                    if ix.cols().iter().any(|&c| old.get(c) != cur.get(c)) {
-                        ix.remove(&cur, *pos);
-                        ix.insert(old, *pos);
-                    }
-                }
-            }
+        }
+        if reindex {
+            self.reindex(updates.iter().map(|(pos, new)| (*pos, new)));
         }
     }
 
@@ -263,11 +286,7 @@ impl Table {
         if reindex {
             for ix in &mut self.indexes {
                 ix.before_undelete(&victims);
-                for &p in &victims {
-                    if let Some(row) = self.rows.get(p) {
-                        ix.insert(row, p);
-                    }
-                }
+                ix.add(&self.rows, victims.iter().copied());
             }
         }
     }
@@ -301,12 +320,10 @@ impl Table {
     /// Each index's entries next to those of one rebuilt from the rows,
     /// for the indexes where the two differ.
     #[cfg(test)]
-    pub(crate) fn index_drift(&self) -> Vec<[Vec<(u32, u32)>; 2]> {
+    pub(crate) fn index_drift(&self) -> Vec<[Vec<u32>; 2]> {
         self.indexes
             .iter()
-            .map(|ix| {
-                [ix.entries(), ix.rebuilt(&self.rows).entries()]
-            })
+            .map(|ix| [ix.entries().to_vec(), ix.rebuilt(&self.rows).entries().to_vec()])
             .filter(|[live, fresh]| live != fresh)
             .collect()
     }
@@ -338,7 +355,7 @@ mod tests {
     fn put(t: &mut Table, row: Row) -> Result<()> {
         let row = t.prepare(row)?;
         t.push(row)?;
-        t.index_last();
+        t.index_from(t.len() - 1);
         Ok(())
     }
 
@@ -390,6 +407,20 @@ mod tests {
             t.holds_key(&[1], &Row(vec![Value::Int(90)]), &[0], None),
             Err(Error::Internal(_))
         ));
+    }
+
+    #[test]
+    fn positions_eq_serves_a_leading_column_in_position_order() {
+        let mut t = table();
+        t.set_keys(&[vec![0, 1].into()]);
+        for (s, g) in [("b", 3), ("a", 2), ("b", 1), ("b", 2)] {
+            put(&mut t, Row(vec![s.into(), Value::Int(g)])).unwrap();
+        }
+        assert_eq!(t.positions_eq(0, &"b".into()), Some(vec![0, 2, 3]));
+        assert_eq!(t.positions_eq(0, &"z".into()), Some(vec![]));
+        assert_eq!(t.positions_eq(1, &Value::Int(2)), None, "not a leading column");
+        t.set_keys(&[vec![0, 1].into(), vec![1].into()]);
+        assert_eq!(t.positions_eq(1, &Value::Int(2)), Some(vec![1, 3]));
     }
 
     #[test]
