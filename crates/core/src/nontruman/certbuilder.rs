@@ -94,8 +94,87 @@ impl CertBuilder {
         out
     }
 
-    /// Consumes the builder, yielding the accumulated steps.
+    /// Consumes the builder, yielding the steps the goal (the last step)
+    /// rests on, transitively through premises, in their order and with
+    /// their premises renumbered. A view root or a probe the derivation
+    /// never cites proves nothing about the query; kept, it would be
+    /// stored with every cached accept and re-verified on every
+    /// revalidation.
     pub fn take(self) -> Vec<Step> {
-        self.steps
+        let mut steps = self.steps;
+        let n = steps.len();
+        // Every premise is an index `push` returned before its step was
+        // built, so it precedes that step: one backward pass marks them.
+        let mut keep = vec![false; n];
+        if let Some(goal) = keep.last_mut() {
+            *goal = true;
+        }
+        for i in (0..n).rev() {
+            if keep[i] {
+                for &p in &steps[i].premises {
+                    keep[p] = true;
+                }
+            }
+        }
+        let mut renumbered = Vec::with_capacity(n);
+        let mut kept = 0;
+        for &k in &keep {
+            renumbered.push(kept);
+            kept += usize::from(k);
+        }
+        let mut k = keep.iter();
+        steps.retain(|_| k.next().copied().unwrap_or(false));
+        for s in &mut steps {
+            for p in &mut s.premises {
+                *p = renumbered[*p];
+            }
+        }
+        steps
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fgac_analyze::RuleId;
+    use fgac_types::Ident;
+
+    fn step(rule: RuleId, view: &str, premises: Vec<usize>) -> Step {
+        Step {
+            view: Some(Ident::new(view)),
+            premises,
+            ..Step::new(rule)
+        }
+    }
+
+    #[test]
+    fn take_keeps_only_the_steps_the_goal_rests_on() {
+        let mut b = CertBuilder::new(true);
+        for v in ["a", "b", "c", "d"] {
+            b.push_root(step(RuleId::U1, v, vec![]));
+        }
+        b.push(step(RuleId::U2Match, "m", vec![3]));
+        b.push(step(RuleId::C3a, "goal", vec![4, 1]));
+        let kept: Vec<(String, Vec<usize>)> = b
+            .take()
+            .into_iter()
+            .map(|s| {
+                (
+                    s.view.map(|v| v.to_string()).unwrap_or_default(),
+                    s.premises,
+                )
+            })
+            .collect();
+        let want = [
+            ("b", vec![]),
+            ("d", vec![]),
+            ("m", vec![1]),
+            ("goal", vec![2, 0]),
+        ];
+        assert_eq!(
+            kept,
+            want.map(|(v, p)| (v.to_string(), p)).to_vec(),
+            "uncited roots a and c go; premises follow their steps"
+        );
     }
 }

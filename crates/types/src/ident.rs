@@ -1,18 +1,28 @@
 //! Case-insensitive SQL identifiers.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A SQL identifier, normalized to lowercase at construction.
 ///
 /// SQL identifiers are case-insensitive; normalizing once keeps every
 /// downstream comparison (catalog lookups, column resolution, DAG
 /// signatures) a plain string comparison.
+///
+/// The text is shared: a clone is a reference-count increment, so the
+/// schemas, plans and certificates that copy a name do not copy its
+/// bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
-pub struct Ident(String);
+pub struct Ident(Arc<str>);
 
 impl Ident {
     pub fn new(name: impl AsRef<str>) -> Self {
-        Ident(name.as_ref().to_ascii_lowercase())
+        let name = name.as_ref();
+        if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            Ident(name.to_ascii_lowercase().into())
+        } else {
+            Ident(name.into())
+        }
     }
 
     pub fn as_str(&self) -> &str {
@@ -46,7 +56,8 @@ impl AsRef<str> for Ident {
 
 impl PartialEq<str> for Ident {
     fn eq(&self, other: &str) -> bool {
-        self.0 == other.to_ascii_lowercase()
+        // `self` is lowercase already.
+        self.0.eq_ignore_ascii_case(other)
     }
 }
 
@@ -70,5 +81,12 @@ mod tests {
     #[test]
     fn display_is_lowercase() {
         assert_eq!(Ident::new("MyGrades").to_string(), "mygrades");
+    }
+
+    #[test]
+    fn clones_share_the_text() {
+        let id = Ident::new("student_id");
+        assert!(std::ptr::eq(id.as_str(), id.clone().as_str()));
+        assert_eq!(format!("{id:?}"), r#"Ident("student_id")"#);
     }
 }
