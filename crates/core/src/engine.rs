@@ -13,6 +13,7 @@
 //! over borrowed scans (clones only the surviving rows). See
 //! DESIGN.md "Hot path & caching layers".
 
+use crate::admitted::Admitted;
 use crate::cache::{CacheOutcome, ValidityCache};
 use crate::durability::Durability;
 use crate::grants::Grants;
@@ -22,6 +23,7 @@ use crate::plancache::{CachedPlan, PlanCache};
 use crate::session::Session;
 use crate::truman::TrumanPolicy;
 use crate::updates::UpdateAuthorizer;
+use fgac_algebra::{BoundQuery, Plan};
 use fgac_analyze::Diagnostic;
 use fgac_exec::QueryResult;
 use fgac_sql::{GrantKind, Statement};
@@ -436,12 +438,12 @@ impl Engine {
         self.ensure_open()?;
         check_deadline(deadline)?;
         if let Some(cached) = self.plan_cache().get(sql, session.params()) {
-            return self.execute_cached_query_at(session, &cached, deadline);
+            return self.run_query(session, &cached, deadline);
         }
         let stmt = fgac_sql::parse_statement(sql)?;
         if let Statement::Query(q) = &stmt {
-            let cached = self.admit_query(session, sql, q)?;
-            return self.execute_cached_query_at(session, &cached, deadline);
+            let cached = self.plan_query(session, sql, q)?;
+            return self.run_query(session, &cached, deadline);
         }
         self.execute_statement(session, &stmt)
     }
@@ -467,7 +469,7 @@ impl Engine {
             return Some(Err(e));
         }
         if let Some(cached) = self.plan_cache().get(sql, session.params()) {
-            return Some(self.execute_cached_query_at(session, &cached, deadline));
+            return Some(self.run_query(session, &cached, deadline));
         }
         let stmt = match fgac_sql::parse_statement(sql) {
             Ok(stmt) => stmt,
@@ -475,8 +477,8 @@ impl Engine {
         };
         match stmt {
             Statement::Query(q) => Some(
-                self.admit_query(session, sql, &q)
-                    .and_then(|cached| self.execute_cached_query_at(session, &cached, deadline)),
+                self.plan_query(session, sql, &q)
+                    .and_then(|cached| self.run_query(session, &cached, deadline)),
             ),
             Statement::AnalyzePolicy(a) => Some(self.analyze_policy_session(session, &a)),
             Statement::AnalyzeFlow(a) => Some(self.analyze_flow_session(session, &a)),
@@ -539,7 +541,7 @@ impl Engine {
     /// Binds, normalizes, and fingerprints a parsed query, publishing
     /// the result in the plan cache under the current policy epoch.
     /// Bind failures are returned (and not cached).
-    pub(crate) fn admit_query(
+    pub(crate) fn plan_query(
         &self,
         session: &Session,
         sql: &str,
@@ -563,55 +565,32 @@ impl Engine {
         Ok(cached)
     }
 
-    /// Validity-checks and runs an admitted query. Panic-isolated like
-    /// [`Engine::execute_statement`]; queries never mutate tables, so
-    /// there is nothing to roll back.
-    pub(crate) fn execute_cached_query(
-        &self,
-        session: &Session,
-        cached: &CachedPlan,
-    ) -> Result<EngineResponse> {
-        self.execute_cached_query_at(session, cached, None)
-    }
-
-    /// [`Engine::execute_cached_query`] under a request deadline.
-    pub(crate) fn execute_cached_query_at(
+    /// Admits and runs a planned query (the text paths), under a request
+    /// deadline. Panic-isolated like [`Engine::execute_statement`];
+    /// queries never mutate tables, so there is nothing to roll back.
+    pub(crate) fn run_query(
         &self,
         session: &Session,
         cached: &CachedPlan,
         deadline: Option<Instant>,
     ) -> Result<EngineResponse> {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.execute_cached_query_inner(session, cached, deadline)
+            let admitted = self.admit(
+                session,
+                &cached.bound,
+                &cached.normalized,
+                cached.validity_fp,
+                deadline,
+            )?;
+            admitted.execute()
         }));
         match outcome {
-            Ok(result) => result,
+            Ok(result) => result.map(EngineResponse::Rows),
             Err(payload) => Err(Error::Internal(format!(
                 "statement execution panicked: {}",
                 panic_message(payload)
             ))),
         }
-    }
-
-    fn execute_cached_query_inner(
-        &self,
-        session: &Session,
-        cached: &CachedPlan,
-        deadline: Option<Instant>,
-    ) -> Result<EngineResponse> {
-        match self.admit_plan(session, &cached.normalized, cached.validity_fp, deadline)? {
-            Admission::Cached(Verdict::Invalid) => {
-                return Err(deny_error(ValidityReport::cache_hit(Verdict::Invalid)))
-            }
-            Admission::Checked(report) if !report.is_valid() => return Err(deny_error(*report)),
-            _ => {}
-        }
-        // Valid: execute the ORIGINAL query, unmodified.
-        let rows = fgac_exec::execute_bound(&self.db, &cached.bound)?;
-        Ok(EngineResponse::Rows(QueryResult {
-            names: cached.bound.output_names.clone(),
-            rows,
-        }))
     }
 
     /// Executes an already-parsed statement (the prepared-statement
@@ -673,16 +652,8 @@ impl Engine {
                 let bound = fgac_algebra::bind_query(self.db.catalog(), q, session.params())?;
                 let normalized = fgac_algebra::normalize(&bound.plan);
                 let fp = ValidityCache::fingerprint_in_session(&normalized, session.params());
-                let report = self.check_admitted(session, &normalized, fp)?;
-                if !report.is_valid() {
-                    return Err(deny_error(report));
-                }
-                // Valid: execute the ORIGINAL query, unmodified.
-                let rows = fgac_exec::execute_bound(&self.db, &bound)?;
-                Ok(EngineResponse::Rows(QueryResult {
-                    names: bound.output_names,
-                    rows,
-                }))
+                let admitted = self.admit(session, &bound, &normalized, fp, None)?;
+                Ok(EngineResponse::Rows(admitted.execute()?))
             }
             // DML arms do not bump the data version themselves: the
             // commit point (log + bump) lives in `execute_statement`,
@@ -858,56 +829,57 @@ impl Engine {
             Some(c) => c,
             None => {
                 let q = fgac_sql::parse_query(sql)?;
-                self.admit_query(session, sql, &q)?
+                self.plan_query(session, sql, &q)?
             }
         };
-        self.check_admitted(session, &cached.normalized, cached.validity_fp)
-    }
-
-    /// Validity check of an admitted (bound + normalized) plan through
-    /// the validity cache.
-    fn check_admitted(
-        &self,
-        session: &Session,
-        plan: &fgac_algebra::Plan,
-        fp: u64,
-    ) -> Result<ValidityReport> {
-        self.check_admitted_at(session, plan, fp, None)
-    }
-
-    /// [`Engine::check_admitted`] under a request deadline: the
-    /// remaining wall-clock time is clamped onto the configured
-    /// [`fgac_types::Budget`], so the validator's own meter enforces it
-    /// mid-inference. An already-expired deadline denies *before* the
-    /// cache lookup — nothing is read, nothing is stored.
-    fn check_admitted_at(
-        &self,
-        session: &Session,
-        plan: &fgac_algebra::Plan,
-        fp: u64,
-        deadline: Option<Instant>,
-    ) -> Result<ValidityReport> {
-        Ok(match self.admit_plan(session, plan, fp, deadline)? {
-            Admission::Cached(verdict) => ValidityReport::cache_hit(verdict),
-            Admission::Checked(report) => *report,
+        let decision = self.decide(session, &cached.normalized, cached.validity_fp, None)?;
+        Ok(match decision {
+            Decision::Cached(verdict) => ValidityReport::cache_hit(verdict),
+            Decision::Checked(report) => *report,
         })
     }
 
-    /// [`Engine::check_admitted_at`] without building a report for a
-    /// cached verdict, so a warm query allocates nothing to be admitted.
-    fn admit_plan(
-        &self,
+    /// Admission, the one place a verdict becomes permission to run:
+    /// the token for `bound` when its normalized `plan` (fingerprint
+    /// `fp`) is valid for the session, its deny error otherwise.
+    fn admit<'a>(
+        &'a self,
         session: &Session,
-        plan: &fgac_algebra::Plan,
+        bound: &'a BoundQuery,
+        plan: &Plan,
         fp: u64,
         deadline: Option<Instant>,
-    ) -> Result<Admission> {
+    ) -> Result<Admitted<'a>> {
+        match self.decide(session, plan, fp, deadline)? {
+            Decision::Cached(Verdict::Invalid) => {
+                Err(deny_error(ValidityReport::cache_hit(Verdict::Invalid)))
+            }
+            Decision::Checked(report) if !report.is_valid() => Err(deny_error(*report)),
+            Decision::Cached(_) | Decision::Checked(_) => Ok(Admitted::new(&self.db, bound)),
+        }
+    }
+
+    /// The validity verdict for a plan, through the validity cache: a
+    /// cached verdict without building a report, so a warm query
+    /// allocates nothing to be admitted, or the report of a revalidation
+    /// or a cold check. Under a request deadline the remaining
+    /// wall-clock time is clamped onto the configured
+    /// [`fgac_types::Budget`], so the validator's own meter enforces it
+    /// mid-inference; an already-expired deadline denies *before* the
+    /// cache lookup — nothing is read, nothing is stored.
+    fn decide(
+        &self,
+        session: &Session,
+        plan: &Plan,
+        fp: u64,
+        deadline: Option<Instant>,
+    ) -> Result<Decision> {
         check_deadline(deadline)?;
         match self
             .cache()
             .lookup(session.user(), fp, self.data_version, self.policy_epoch())
         {
-            CacheOutcome::Hit(verdict) => return Ok(Admission::Cached(verdict)),
+            CacheOutcome::Hit(verdict) => return Ok(Decision::Cached(verdict)),
             // Computed under an older grant state but the accept carries
             // its derivation: re-verify the certificate against the
             // *current* grants (same independent checker, epoch pin
@@ -925,7 +897,7 @@ impl Engine {
                 );
                 if diags.is_empty() {
                     self.cache().revalidated(session.user(), fp, self.policy_epoch());
-                    return Ok(Admission::Checked(Box::new(ValidityReport::revalidated(
+                    return Ok(Decision::Checked(Box::new(ValidityReport::revalidated(
                         verdict,
                     ))));
                 }
@@ -969,7 +941,7 @@ impl Engine {
                 // Fail closed: an interrupted check denies. The verdict is
                 // NOT cached — a retry under a larger budget (or a calmer
                 // system) may legitimately accept the same query.
-                return Ok(Admission::Checked(Box::new(ValidityReport::exhausted(phase))));
+                return Ok(Decision::Checked(Box::new(ValidityReport::exhausted(phase))));
             }
             Err(e) => return Err(e),
         };
@@ -985,7 +957,7 @@ impl Engine {
             report.verdict,
             cert,
         );
-        Ok(Admission::Checked(Box::new(report)))
+        Ok(Decision::Checked(Box::new(report)))
     }
 
     /// Executes under the **Truman model** baseline for comparison.
@@ -1003,9 +975,9 @@ impl Engine {
     }
 }
 
-/// What admission decided for a plan: the verdict the validity cache
-/// held, or the report of a revalidation or a cold check.
-enum Admission {
+/// What [`Engine::decide`] found for a plan: the verdict the validity
+/// cache held, or the report of a revalidation or a cold check.
+enum Decision {
     Cached(Verdict),
     Checked(Box<ValidityReport>),
 }

@@ -31,6 +31,8 @@
 //! * [`invalidation::PolicyState`] — the one owner of the grants, the
 //!   policy epoch and the four caches derived from them; a policy change
 //!   is one `apply(PolicyDelta)` with one restamp rule (DESIGN.md §4j).
+//! * [`Admitted`] — the token an accepted query runs through; a denial
+//!   is an `Err` and mints none.
 //! * [`Engine`] — the façade a downstream application uses: DDL, grants,
 //!   policy setup, and `execute` which enforces the chosen model.
 
@@ -41,6 +43,7 @@
     clippy::unreachable, clippy::todo, clippy::unimplemented,
 ))]
 
+mod admitted;
 mod authview;
 mod cache;
 pub mod compiled;
@@ -57,6 +60,7 @@ mod shared;
 pub mod truman;
 mod updates;
 
+pub use admitted::Admitted;
 pub use authview::AuthorizationView;
 pub use cache::{CacheOutcome, CacheStats, DataCommit, ValidityCache};
 pub use compiled::{CompiledPolicies, PrincipalCaps};

@@ -66,9 +66,9 @@ impl Engine {
             Statement::Query(q) => {
                 let cached = match self.plan_cache().get(&prepared.text, session.params()) {
                     Some(c) => c,
-                    None => self.admit_query(session, &prepared.text, q)?,
+                    None => self.plan_query(session, &prepared.text, q)?,
                 };
-                self.execute_cached_query(session, &cached)
+                self.run_query(session, &cached, None)
             }
             // DML re-dispatches on the stored statement; parsing is
             // skipped, per-tuple authorization runs every time.

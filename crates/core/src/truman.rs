@@ -19,6 +19,7 @@
 //! 3.3) and introduces redundant joins/predicates that cost execution
 //! time (experiment E4).
 
+use crate::admitted::Admitted;
 use crate::session::Session;
 use fgac_sql::{Expr, Query, TableRef};
 use fgac_storage::Database;
@@ -142,7 +143,8 @@ fn qualify(e: &Expr, binding: &Ident) -> Expr {
 
 /// Executes `sql` under the Truman model: rewrite transparently, then
 /// run the *modified* query. The caller never learns the query was
-/// changed — hence "Truman's world".
+/// changed — hence "Truman's world". The rewrite is the admission, so
+/// the rewritten query is admitted without a validity check.
 pub fn truman_execute(
     db: &Database,
     policy: &TrumanPolicy,
@@ -155,11 +157,7 @@ pub fn truman_execute(
     };
     let rewritten = policy.rewrite(&query)?;
     let bound = fgac_algebra::bind_query(db.catalog(), &rewritten, session.params())?;
-    let rows = fgac_exec::execute_bound(db, &bound)?;
-    Ok(fgac_exec::QueryResult {
-        names: bound.output_names,
-        rows,
-    })
+    Admitted::new(db, &bound).execute()
 }
 
 /// The rewritten SQL text (for inspection / the E4 bench's redundancy

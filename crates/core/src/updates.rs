@@ -12,7 +12,8 @@
 //! A DML statement is authorized iff **every** affected tuple satisfies
 //! at least one granted condition for that (action, table). For UPDATE,
 //! a condition with a column list applies only when the statement
-//! assigns a subset of those columns.
+//! assigns a subset of those columns. A denial names the statement,
+//! never the tuple: the tuple may be one the principal cannot read.
 
 use crate::grants::Grants;
 use crate::session::Session;
@@ -43,16 +44,10 @@ impl<'a> UpdateAuthorizer<'a> {
         let conds = self.conditions(db, session, DmlAction::Insert, &stmt.table, &[])?;
         for row in &rows {
             // INSERT: bare columns = the new tuple; OLD is meaningless.
-            let env = Env {
+            conds.authorize(&Env {
                 old: None,
                 new: Some(row),
-            };
-            if !satisfies_any(&conds, &env)? {
-                return Err(Error::Unauthorized(format!(
-                    "insert into {} of tuple {row} is not authorized",
-                    stmt.table
-                )));
-            }
+            })?;
         }
         // Every tuple is authorized: apply all-or-nothing so a
         // constraint failure on a later row cannot strand earlier ones.
@@ -76,18 +71,10 @@ impl<'a> UpdateAuthorizer<'a> {
         fgac_exec::delete_matching(db, &stmt.table, filter.as_ref(), |row| {
             // DELETE has no after-image: bare columns (bound to the
             // "new" slots) and OLD() both refer to the deleted tuple.
-            let env = Env {
+            conds.authorize(&Env {
                 old: Some(row),
                 new: Some(row),
-            };
-            if satisfies_any(&conds, &env)? {
-                Ok(())
-            } else {
-                Err(Error::Unauthorized(format!(
-                    "delete from {} of tuple {row} is not authorized",
-                    stmt.table
-                )))
-            }
+            })
         })
     }
 
@@ -104,32 +91,24 @@ impl<'a> UpdateAuthorizer<'a> {
         // One pass computes each old/new image pair and authorizes it
         // before any row is written.
         fgac_exec::update_matching(db, &stmt.table, filter.as_ref(), &assignments, |old, new| {
-            let env = Env {
+            conds.authorize(&Env {
                 old: Some(old),
                 new: Some(new),
-            };
-            if satisfies_any(&conds, &env)? {
-                Ok(())
-            } else {
-                Err(Error::Unauthorized(format!(
-                    "update of {} tuple {old} is not authorized",
-                    stmt.table
-                )))
-            }
+            })
         })
     }
 
     /// Collects and binds the conditions applicable to (action, table)
     /// for this user. For UPDATE, conditions with a column list apply
     /// only when the assigned columns are a subset of the list.
-    fn conditions(
+    fn conditions<'s>(
         &self,
         db: &Database,
-        session: &Session,
+        session: &'s Session,
         action: DmlAction,
-        table: &Ident,
+        table: &'s Ident,
         assigned: &[Ident],
-    ) -> Result<Vec<BoundCondition>> {
+    ) -> Result<Conditions<'s>> {
         let mut out = Vec::new();
         for auth in self.grants.update_auths_for(session.user()) {
             if auth.action != action || &auth.table != table {
@@ -149,7 +128,47 @@ impl<'a> UpdateAuthorizer<'a> {
                 session.user()
             )));
         }
-        Ok(out)
+        Ok(Conditions {
+            conds: out,
+            action,
+            table,
+            user: session.user(),
+        })
+    }
+}
+
+/// The bound conditions one statement's tuples are checked against,
+/// and what its denial names.
+struct Conditions<'s> {
+    conds: Vec<BoundCondition>,
+    action: DmlAction,
+    table: &'s Ident,
+    user: &'s str,
+}
+
+impl Conditions<'_> {
+    /// `Ok` when the tuple images satisfy at least one condition. The
+    /// denial's text depends on the statement's action and table and on
+    /// the user, never on the tuple.
+    fn authorize(&self, env: &Env<'_>) -> Result<()> {
+        for c in &self.conds {
+            let mut vals = Vec::with_capacity(2 * c.width);
+            match env.old {
+                Some(r) => vals.extend(r.values().iter().cloned()),
+                None => vals.extend(std::iter::repeat_n(Value::Null, c.width)),
+            }
+            match env.new {
+                Some(r) => vals.extend(r.values().iter().cloned()),
+                None => vals.extend(std::iter::repeat_n(Value::Null, c.width)),
+            }
+            if fgac_exec::eval_predicate(&c.expr, &Row(vals))? {
+                return Ok(());
+            }
+        }
+        Err(Error::Unauthorized(format!(
+            "{} on {} is not authorized for user {}: a tuple it affects satisfies no granted condition",
+            self.action, self.table, self.user
+        )))
     }
 }
 
@@ -163,24 +182,6 @@ struct BoundCondition {
 struct Env<'a> {
     old: Option<&'a Row>,
     new: Option<&'a Row>,
-}
-
-fn satisfies_any(conds: &[BoundCondition], env: &Env<'_>) -> Result<bool> {
-    for c in conds {
-        let mut vals = Vec::with_capacity(2 * c.width);
-        match env.old {
-            Some(r) => vals.extend(r.values().iter().cloned()),
-            None => vals.extend(std::iter::repeat_n(Value::Null, c.width)),
-        }
-        match env.new {
-            Some(r) => vals.extend(r.values().iter().cloned()),
-            None => vals.extend(std::iter::repeat_n(Value::Null, c.width)),
-        }
-        if fgac_exec::eval_predicate(&c.expr, &Row(vals))? {
-            return Ok(true);
-        }
-    }
-    Ok(false)
 }
 
 /// Binds an `AUTHORIZE` condition over `[old row ++ new row]`:
@@ -521,6 +522,58 @@ mod tests {
         let err = auth.delete(&mut db, &session, &parse_delete("delete from registered"));
         assert!(err.is_err());
         assert_eq!(db.table(&Ident::new("registered")).unwrap().len(), 1);
+    }
+
+    /// Two states that differ only in the values of a row the principal
+    /// cannot read give byte-identical denials.
+    #[test]
+    fn a_denial_names_the_statement_never_a_hidden_row() {
+        let denial = |hidden_grade: i64, sql: &str| {
+            let mut db = Database::new();
+            db.create_table(
+                "grades",
+                Schema::new(vec![
+                    Column::new("student_id", DataType::Str),
+                    Column::new("course_id", DataType::Str),
+                    Column::new("grade", DataType::Int),
+                ]),
+                None,
+            )
+            .unwrap();
+            for (student, grade) in [("11", 90), ("12", hidden_grade)] {
+                db.insert(
+                    &Ident::new("grades"),
+                    Row(vec![student.into(), "cs101".into(), Value::Int(grade)]),
+                )
+                .unwrap();
+            }
+            let mut grants = Grants::new();
+            for action in ["update", "delete"] {
+                let sql::Statement::Authorize(a) = fgac_sql::parse_statement(&format!(
+                    "authorize {action} on grades where student_id = $user_id"
+                ))
+                .unwrap() else {
+                    panic!()
+                };
+                grants.grant_update("11", a);
+            }
+            let auth = UpdateAuthorizer::new(&grants);
+            let session = Session::new("11");
+            let outcome = match fgac_sql::parse_statement(sql).unwrap() {
+                sql::Statement::Update(u) => auth.update(&mut db, &session, &u),
+                sql::Statement::Delete(d) => auth.delete(&mut db, &session, &d),
+                _ => panic!("{sql}"),
+            };
+            outcome.unwrap_err()
+        };
+        for sql in [
+            "update grades set grade = grade where student_id <> '11'",
+            "delete from grades where grade < 100",
+        ] {
+            let (a, b) = (denial(70, sql), denial(60, sql));
+            assert!(matches!(a, Error::Unauthorized(_)), "{sql}: {a:?}");
+            assert_eq!(a.to_string(), b.to_string(), "{sql}");
+        }
     }
 
     #[test]

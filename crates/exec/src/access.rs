@@ -12,8 +12,7 @@
 //! * the equality is FALSE or UNKNOWN exactly off its equal range. So
 //!   the literal is non-NULL and of the column's own type (an `Int`
 //!   literal on a `Double` column compares numerically, the index does
-//!   not), and an `Int` literal is below 2^53 in magnitude (SQL compares
-//!   integers as doubles, and above that two integers can compare equal);
+//!   not);
 //! * every conjunct evaluated before it on a skipped row cannot error,
 //!   so it is the first conjunct or is preceded only by comparisons and
 //!   `IS NULL` tests of columns and literals of comparable types;
@@ -95,8 +94,7 @@ fn equality<'e>(c: &'e ScalarExpr, schema: &Schema) -> Option<(usize, &'e Value)
         }
         _ => return None,
     };
-    let exact = !matches!(v, Value::Int(i) if i.unsigned_abs() >= 1 << 53);
-    (exact && v.data_type() == Some(schema.columns().get(col)?.ty)).then_some((col, v))
+    (v.data_type() == Some(schema.columns().get(col)?.ty)).then_some((col, v))
 }
 
 /// Whether `c` is a boolean combination of comparisons and `IS NULL`

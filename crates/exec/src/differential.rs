@@ -37,6 +37,32 @@ use std::cmp::Ordering;
 // The reference interpreter.
 // ---------------------------------------------------------------------
 
+/// An integer against a double, exactly, by the double's integral part
+/// and its fraction; `-0.0` sorts below `0` and NaN by its sign, as
+/// under `f64::total_cmp`.
+fn reference_int_cmp_double(a: i64, b: f64) -> Ordering {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if b.is_nan() {
+        return if b.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    if b >= TWO_63 {
+        return Ordering::Less;
+    }
+    if b < -TWO_63 {
+        return Ordering::Greater;
+    }
+    let whole = b.trunc();
+    match i128::from(a).cmp(&(whole as i128)) {
+        Ordering::Equal if b > whole => Ordering::Less,
+        Ordering::Equal if b < whole || (b.is_sign_negative() && a == 0) => Ordering::Greater,
+        ord => ord,
+    }
+}
+
 fn reference_eval(expr: &ScalarExpr, row: &Row) -> Result<Value> {
     let truth = |es: &[ScalarExpr], absorbing: bool| -> Result<Value> {
         let mut saw_null = false;
@@ -70,10 +96,11 @@ fn reference_eval(expr: &ScalarExpr, row: &Row) -> Result<Value> {
             let ord = match (&l, &r) {
                 (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
                 (Value::Str(a), Value::Str(b)) => a.cmp(b),
-                _ => match (l.as_f64(), r.as_f64()) {
-                    (Some(a), Some(b)) => a.total_cmp(&b),
-                    _ => return Err(Error::Type(format!("cannot compare {l} with {r}"))),
-                },
+                (Value::Int(a), Value::Int(b)) => a.cmp(b),
+                (Value::Double(a), Value::Double(b)) => a.total_cmp(b),
+                (Value::Int(a), Value::Double(b)) => reference_int_cmp_double(*a, *b),
+                (Value::Double(a), Value::Int(b)) => reference_int_cmp_double(*b, *a).reverse(),
+                _ => return Err(Error::Type(format!("cannot compare {l} with {r}"))),
             };
             Ok(Value::Bool(op.test(ord)))
         }
@@ -745,15 +772,16 @@ fn generated_cases_cover_the_interesting_shapes() {
 // the same answer on both: rows, order, and `Result` down to the error
 // text — and, for DML, the same rows handed to the per-tuple check.
 
-/// 2^53 and its neighbour compare equal in SQL (as doubles) but not in
-/// `Value`'s order: a literal here must never take the index path.
+/// 2^53 and its neighbour are one apart but round to the same double:
+/// rows holding both must give the scan's answer on the index path.
 const BIG: i64 = 1 << 53;
 
 impl Gen {
     /// `c<col> = literal`, either way round, with a literal that the
     /// path must take (the column's own type, mostly a value the table
-    /// holds) or must refuse (NULL, an `Int` on the `Double` column,
-    /// 2^53, a string against an integer when type errors are allowed).
+    /// holds, or 2^53) or must refuse (NULL, an `Int` on the `Double`
+    /// column, a string against an integer when type errors are
+    /// allowed).
     fn key_equality(&mut self) -> ScalarExpr {
         let col = [0, 1, 2, 3][self.pick(4)];
         let lit = match self.pick(10) {
@@ -959,6 +987,33 @@ fn keyed_cases_cover_the_index_path() {
     }
 }
 
+/// `Value::sql_cmp` between an integer and a double agrees with the
+/// reference on integers and doubles around every rounding edge.
+#[test]
+fn exact_numeric_comparison_matches_the_reference() {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    let ints = [0, 1, -1, BIG - 1, BIG, BIG + 1, BIG + 3, -BIG - 1, i64::MAX, i64::MIN];
+    let mut doubles = vec![0.0, -0.0, 0.5, -0.5, TWO_63, -TWO_63, f64::INFINITY, f64::NEG_INFINITY];
+    doubles.extend([f64::NAN, -f64::NAN, f64::MAX, f64::MIN_POSITIVE]);
+    for &a in &ints {
+        for d in [a as f64, (a as f64).next_up(), (a as f64).next_down(), -(a as f64)] {
+            doubles.push(d);
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(11);
+    for _ in 0..500 {
+        doubles.push(rng.gen_range(i64::MIN..=i64::MAX) as f64);
+        doubles.push(rng.gen_range(-1000..=1000i64) as f64 / 8.0);
+    }
+    for &a in &ints {
+        for &b in &doubles {
+            let want = reference_int_cmp_double(a, b);
+            assert_eq!(Value::Int(a).sql_cmp(&Value::Double(b)), Some(want), "{a} vs {b}");
+            assert_eq!(Value::Double(b).sql_cmp(&Value::Int(a)), Some(want.reverse()), "{b} vs {a}");
+        }
+    }
+}
+
 #[test]
 fn a_conjunct_that_can_error_before_the_equality_forces_the_scan() {
     let mut g = Gen {
@@ -975,19 +1030,18 @@ fn a_conjunct_that_can_error_before_the_equality_forces_the_scan() {
     assert!(path(&[&eq, &bad]));
     assert!(path(&[&safe, &eq]));
     assert!(!path(&[&bad, &eq]));
-    // Int on the Double column, NULL, and 2^53 fall back to the scan.
+    // Int on the Double column and NULL fall back to the scan; an
+    // integer of any magnitude takes the index.
     for lit in [Value::Int(1), Value::Null] {
         assert!(!path(&[&ScalarExpr::eq(
             ScalarExpr::col(1),
             ScalarExpr::Lit(lit)
         )]));
     }
-    assert!(!path(&[&ScalarExpr::eq(
-        ScalarExpr::col(3),
-        ScalarExpr::lit(BIG)
-    )]));
-    assert!(path(&[&ScalarExpr::eq(
-        ScalarExpr::col(3),
-        ScalarExpr::lit(BIG - 1)
-    )]));
+    for lit in [BIG - 1, BIG, BIG + 1] {
+        assert!(path(&[&ScalarExpr::eq(
+            ScalarExpr::col(3),
+            ScalarExpr::lit(lit)
+        )]));
+    }
 }

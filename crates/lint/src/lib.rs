@@ -7,19 +7,18 @@
 //! monotone count is an `fgac_types::Counter` and every other atomic
 //! states its orderings against clippy's `disallowed_types` ban;
 //! panic-freedom and checked wire arithmetic are clippy lints denied at
-//! crate roots (DESIGN.md §4l). The rest neither checks, and one
-//! inverted lock pair or one error arm that accepts breaks it silently.
-//! This crate checks it statically — two passes (L003, L004, see
-//! `report.rs`) over a shared token/function-stack source model
-//! (`source.rs`), emitting JSON diagnostics in the same
-//! forward-compatible wire shape as `crates/analyze/src/diag.rs`
-//! (`report.rs`). The dynamic counterpart — ThreadSanitizer over the
-//! churn/server tests and Miri over the wal/frame tests — runs in CI
-//! and covers the passes' blind spots.
+//! crate roots (DESIGN.md §4l); an error arm cannot accept, because
+//! only an `fgac_core::Admitted` token runs a query. The rest neither
+//! checks, and one inverted lock pair breaks it silently. This crate
+//! checks it statically — one pass (L003, see `report.rs`) over a
+//! token/function-stack source model (`source.rs`), emitting JSON
+//! diagnostics in the same forward-compatible wire shape as
+//! `crates/analyze/src/diag.rs` (`report.rs`). The dynamic counterpart
+//! — ThreadSanitizer over the churn/server tests and Miri over the
+//! wal/frame tests — runs in CI and covers the pass's blind spots.
 //!
-//! Both passes read the same constant [`SCOPE`]: the engine and the
-//! server, where guards from both layers nest and where every admission
-//! and request decision is made.
+//! The pass reads a constant [`SCOPE`]: the engine and the server,
+//! where guards from both layers nest.
 
 pub mod passes;
 pub mod report;
@@ -31,7 +30,7 @@ use std::io;
 use std::path::Path;
 use std::time::Instant;
 
-/// The workspace-relative directories both passes scan, recursively.
+/// The workspace-relative directories the pass scans, recursively.
 pub const SCOPE: &[&str] = &["crates/core/src", "crates/server/src"];
 
 /// Workspace-relative paths (sorted, `/`-separated) of every `.rs`

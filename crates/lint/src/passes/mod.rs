@@ -10,7 +10,6 @@
 //! class in `tests/fixtures/seeded/`, and add the injection test proving
 //! the pass fires there and stays quiet on the clean fixture tree.
 
-pub mod error_path;
 pub mod lock_order;
 
 use crate::report::{Finding, PassCode};
@@ -48,8 +47,5 @@ pub trait Pass {
 
 /// Every shipped pass, in code order.
 pub fn registry() -> Vec<Box<dyn Pass>> {
-    vec![
-        Box::new(lock_order::LockOrderInversion),
-        Box::new(error_path::ErrorPathMustDeny),
-    ]
+    vec![Box::new(lock_order::LockOrderInversion)]
 }

@@ -16,7 +16,8 @@ use std::fmt;
 /// code is never reused, and parses as [`PassCode::Unrecognized`]:
 /// `L001` `MutationOutsideWriter` (writer-only mutation of swept policy
 /// state) is enforced by the type system; `L002` `RelaxedSyncDecision`
-/// by `fgac_types::Counter` and clippy's `disallowed_types`; `L005`
+/// by `fgac_types::Counter` and clippy's `disallowed_types`; `L004`
+/// `ErrorPathMustDeny` by the `fgac_core::Admitted` token; `L005`
 /// `UncheckedWireArithmetic` and `L006` `PanicSite` by clippy lints
 /// denied at crate roots (DESIGN.md §4l).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -25,24 +26,18 @@ pub enum PassCode {
     /// function upgrades a `read()` to a `write()` on the same
     /// `RwLock` while the read guard may still be live.
     LockOrderInversion,
-    /// `L004`: an error arm in an admission/validator/server decision
-    /// path produces an accept-like outcome, caches a verdict, or
-    /// swallows the error — fail-closed means every `Err` path must
-    /// deny, uncached.
-    ErrorPathMustDeny,
     /// A pass code this build does not know. Never emitted by the
     /// analyzer; produced only by the wire parser so a newer writer's
     /// report still loads. Always [`Severity::Unknown`].
     Unrecognized,
 }
 
-pub const ALL_CODES: &[PassCode] = &[PassCode::LockOrderInversion, PassCode::ErrorPathMustDeny];
+pub const ALL_CODES: &[PassCode] = &[PassCode::LockOrderInversion];
 
 impl PassCode {
     pub fn as_str(&self) -> &'static str {
         match self {
             PassCode::LockOrderInversion => "L003",
-            PassCode::ErrorPathMustDeny => "L004",
             PassCode::Unrecognized => "L???",
         }
     }
@@ -50,7 +45,6 @@ impl PassCode {
     pub fn name(&self) -> &'static str {
         match self {
             PassCode::LockOrderInversion => "LockOrderInversion",
-            PassCode::ErrorPathMustDeny => "ErrorPathMustDeny",
             PassCode::Unrecognized => "Unrecognized",
         }
     }
@@ -287,22 +281,14 @@ mod tests {
         Report {
             elapsed_ms: 42,
             files_scanned: 87,
-            passes: vec![
-                PassSummary {
-                    code: "L004".into(),
-                    name: "ErrorPathMustDeny".into(),
-                    findings: 1,
-                    ms: 3,
-                },
-                PassSummary {
-                    code: "L003".into(),
-                    name: "LockOrderInversion".into(),
-                    findings: 0,
-                    ms: 1,
-                },
-            ],
+            passes: vec![PassSummary {
+                code: "L003".into(),
+                name: "LockOrderInversion".into(),
+                findings: 1,
+                ms: 1,
+            }],
             findings: vec![Finding::new(
-                PassCode::ErrorPathMustDeny,
+                PassCode::LockOrderInversion,
                 "crates/core/src/engine.rs",
                 171,
                 "weird \"quotes\"\nand\tlines",
@@ -312,18 +298,16 @@ mod tests {
 
     #[test]
     fn codes_are_stable() {
-        for (code, s) in [
-            (PassCode::LockOrderInversion, "L003"),
-            (PassCode::ErrorPathMustDeny, "L004"),
-        ] {
-            assert_eq!(code.as_str(), s);
-            assert_eq!(PassCode::from_str_code(s), Some(code));
-        }
-        assert_eq!(ALL_CODES.len(), 2);
+        assert_eq!(PassCode::LockOrderInversion.as_str(), "L003");
+        assert_eq!(
+            PassCode::from_str_code("L003"),
+            Some(PassCode::LockOrderInversion)
+        );
+        assert_eq!(ALL_CODES.len(), 1);
         // The forward-compat sentinel is parser-only, and a retired
         // code is not a live one.
         assert_eq!(PassCode::from_str_code("L???"), None);
-        for retired in ["L001", "L002", "L005", "L006"] {
+        for retired in ["L001", "L002", "L004", "L005", "L006"] {
             assert_eq!(PassCode::from_str_code(retired), None);
         }
     }

@@ -16,7 +16,7 @@
 //! 3. [`strip_test_tokens`] removes every `#[cfg(test)]`-gated item, so
 //!    test code is exempt from every pass by construction.
 //! 4. [`FnWalker`] tracks the enclosing named-function stack as a pass
-//!    scans, so L003 and L004 can attribute a token to its function.
+//!    scans, so L003 can attribute a token to its function.
 //!
 //! Known (documented) approximations: macro bodies are scanned as
 //! ordinary tokens, closures do not open a named scope, and types are
@@ -337,11 +337,6 @@ impl FnWalker {
         Self::default()
     }
 
-    /// The innermost enclosing named function.
-    pub fn current(&self) -> Option<&str> {
-        self.stack.last().map(|(n, _)| n.as_str())
-    }
-
     /// The outermost (item-level) enclosing named function.
     pub fn outermost(&self) -> Option<&str> {
         self.stack.first().map(|(n, _)| n.as_str())
@@ -405,30 +400,6 @@ pub fn receiver_before(toks: &[Tok], dot: usize) -> Option<&str> {
     } else {
         None
     }
-}
-
-/// Index of the matching close delimiter for the open delimiter at `i`.
-pub fn matching_close(toks: &[Tok], i: usize) -> Option<usize> {
-    let (open, close) = match toks[i].text.as_str() {
-        "(" => ("(", ")"),
-        "[" => ("[", "]"),
-        "{" => ("{", "}"),
-        _ => return None,
-    };
-    let mut depth = 1usize;
-    let mut j = i + 1;
-    while j < toks.len() {
-        if toks[j].is(open) {
-            depth += 1;
-        } else if toks[j].is(close) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-        j += 1;
-    }
-    None
 }
 
 #[cfg(test)]
@@ -508,19 +479,20 @@ fn prod2() { z.frob(); }
     fn fn_walker_tracks_nesting() {
         let toks = lex("fn outer() { fn inner() { body(); } tail(); }");
         let mut w = FnWalker::new();
-        let mut at_body = (None::<String>, None::<String>);
-        let mut at_tail = (None::<String>, None::<String>);
+        let (mut at_body, mut at_tail, mut after) = (None, None, Some(String::new()));
         for i in 0..toks.len() {
             w.step(&toks, i);
             if toks[i].is("body") {
-                at_body = (w.outermost().map(String::from), w.current().map(String::from));
+                at_body = w.outermost().map(String::from);
             }
             if toks[i].is("tail") {
-                at_tail = (w.outermost().map(String::from), w.current().map(String::from));
+                at_tail = w.outermost().map(String::from);
             }
+            after = w.outermost().map(String::from);
         }
-        assert_eq!(at_body, (Some("outer".into()), Some("inner".into())));
-        assert_eq!(at_tail, (Some("outer".into()), Some("outer".into())));
+        assert_eq!(at_body.as_deref(), Some("outer"));
+        assert_eq!(at_tail.as_deref(), Some("outer"));
+        assert_eq!(after, None, "the stack empties after the outer body");
     }
 
     #[test]

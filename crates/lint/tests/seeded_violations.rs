@@ -85,16 +85,6 @@ fn l003_lock_order_inversion_is_load_bearing() {
 }
 
 #[test]
-fn l004_error_path_must_deny_is_load_bearing() {
-    assert_pass_is_load_bearing(
-        PassCode::ErrorPathMustDeny,
-        "l004",
-        include_str!("fixtures/seeded/l004.rs"),
-        2, // accepting Err arm + unwrap_or(true)
-    );
-}
-
-#[test]
 fn clean_fixture_stays_clean_under_every_pass() {
     let root = scratch("clean", include_str!("fixtures/clean/ok.rs"));
     let report = run(&root).expect("lint clean tree");

@@ -93,17 +93,20 @@ impl Value {
     /// SQL comparison: `None` when either side is NULL (unknown), or when
     /// the types are incomparable.
     ///
-    /// Ints and doubles compare numerically across types.
+    /// Ints and doubles compare numerically across types, and exactly:
+    /// no two distinct integers are equal, so SQL equality is transitive
+    /// (the prover's constant comparisons rely on that). Doubles compare
+    /// by `f64::total_cmp`.
     #[inline]
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
-            (a, b) => {
-                let (x, y) = (a.as_f64()?, b.as_f64()?);
-                Some(x.total_cmp(&y))
-            }
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+            (Value::Double(a), Value::Double(b)) => Some(a.total_cmp(b)),
+            (Value::Int(a), Value::Double(b)) => Some(int_cmp_double(*a, *b)),
+            (Value::Double(a), Value::Int(b)) => Some(int_cmp_double(*b, *a).reverse()),
+            _ => None,
         }
     }
 
@@ -111,6 +114,18 @@ impl Value {
     /// family, neither NULL).
     pub fn sql_comparable(&self, other: &Value) -> bool {
         self.sql_cmp(other).is_some()
+    }
+}
+
+/// `a` against `b` exactly. Rounding `a` to the nearest double is
+/// monotone, so a strict result of the rounded comparison is exact; a
+/// tie means `b` is that rounding, an integral double of magnitude at
+/// most 2^63, which `i128` holds exactly. `-0.0` stays below `0`, as
+/// under `total_cmp`, so equal values keep equal `f64` bits.
+fn int_cmp_double(a: i64, b: f64) -> Ordering {
+    match (a as f64).total_cmp(&b) {
+        Ordering::Equal => i128::from(a).cmp(&(b as i128)),
+        unequal => unequal,
     }
 }
 
@@ -273,6 +288,22 @@ mod tests {
         );
         assert_eq!(
             Value::Int(2).sql_cmp(&Value::Double(2.5)),
+            Some(Ordering::Less)
+        );
+    }
+
+    #[test]
+    fn sql_cmp_is_exact_past_2_pow_53() {
+        let (big, next) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
+        assert_eq!(next.sql_cmp(&big), Some(Ordering::Greater));
+        assert_eq!(big.sql_cmp(&next), Some(Ordering::Less));
+        // Both round to the same double, which equals only one of them.
+        let double = Value::Double(9_007_199_254_740_992.0);
+        assert_eq!(big.sql_cmp(&double), Some(Ordering::Equal));
+        assert_eq!(next.sql_cmp(&double), Some(Ordering::Greater));
+        assert_eq!(double.sql_cmp(&next), Some(Ordering::Less));
+        assert_eq!(
+            Value::Int(i64::MAX).sql_cmp(&Value::Double(9_223_372_036_854_775_808.0)),
             Some(Ordering::Less)
         );
     }

@@ -8,7 +8,8 @@
 #[allow(
     clippy::arithmetic_side_effects,
     clippy::cast_possible_truncation,
-    reason = "compile-time loop counters bounded by 256 and 8"
+    clippy::indexing_slicing,
+    reason = "compile-time loop counters bounded by 256 and 8; `i` indexes the 256-entry table"
 )]
 const fn make_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -36,7 +37,9 @@ static TABLE: [u32; 256] = make_table();
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        let [low, ..] = (crc ^ u32::from(b)).to_le_bytes();
+        // A byte indexes the 256-entry table, so the entry is present.
+        crc = (crc >> 8) ^ TABLE.get(usize::from(low)).copied().unwrap_or_default();
     }
     !crc
 }

@@ -22,12 +22,14 @@
 //! owns what gets logged and how records replay into an engine
 //! (`Engine::open`). See DESIGN.md §Durability for the full scheme.
 
-// A panic or a wrapped length here is a failure that does not deny:
-// outside tests, every failure surfaces as an `Err` (DESIGN.md §4l).
+// A panic, a wrapped length or an out-of-range slice of a malformed log
+// here is a failure that does not deny: outside tests, every failure
+// surfaces as an `Err` (DESIGN.md §4l).
 #![cfg_attr(not(test), deny(
     clippy::unwrap_used, clippy::expect_used, clippy::panic,
     clippy::unreachable, clippy::todo, clippy::unimplemented,
     clippy::arithmetic_side_effects, clippy::cast_possible_truncation,
+    clippy::indexing_slicing,
 ))]
 
 mod crc;

@@ -54,7 +54,9 @@
 //!   orphaned inode would acknowledge unrecoverable writes.
 
 use crate::crc::crc32;
-use crate::record::{encode_dml, frame, WalRecord, CLASS_DATA, CLASS_POLICY, FRAME_HEADER_LEN};
+use crate::record::{
+    encode_dml, frame, FrameHeader, WalRecord, CLASS_DATA, CLASS_POLICY, FRAME_HEADER_LEN,
+};
 use crate::snapshot::SnapshotState;
 use fgac_types::wire::{Reader, WireDecode, WireEncode};
 use fgac_types::{Error, Result};
@@ -196,15 +198,13 @@ impl WalStore {
 
         let path = wal_path(dir);
         let bytes = std::fs::read(&path).map_err(|e| io_err("read", e))?;
-        if bytes.len() < WAL_HEADER_LEN || &bytes[..8] != WAL_MAGIC {
-            return Err(Error::Corrupt(format!(
-                "wal header invalid in {}",
-                path.display()
-            )));
+        // `rest` is the unscanned suffix of `bytes`; a frame starts at its head.
+        let (base_lsn, mut rest) = match bytes.split_first_chunk::<8>() {
+            Some((magic, rest)) if magic == WAL_MAGIC => rest.split_first_chunk::<8>(),
+            _ => None,
         }
-        let base_lsn = u64::from_le_bytes([
-            bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15],
-        ]);
+        .ok_or_else(|| Error::Corrupt(format!("wal header invalid in {}", path.display())))?;
+        let base_lsn = u64::from_le_bytes(*base_lsn);
 
         // LSN continuity: a rotated log (base_lsn > 0) promises that a
         // snapshot covers every record below base_lsn. If the snapshot
@@ -220,54 +220,43 @@ impl WalStore {
         }
 
         let mut records = Vec::new();
-        let mut pos = WAL_HEADER_LEN;
         let mut truncate_at: Option<usize> = None;
-        while pos < bytes.len() {
+        while !rest.is_empty() {
             // Crash-during-recovery fault site: fires before anything in
             // this frame is trusted, so an aborted recovery changes no
             // state and a rerun sees the same bytes.
             #[cfg(feature = "fault-injection")]
             fgac_types::faults::hit("wal::recover")?;
-            let header_end = match pos.checked_add(FRAME_HEADER_LEN) {
-                Some(e) if e <= bytes.len() => e,
+            let pos = bytes.len().saturating_sub(rest.len());
+            let Some((header, after)) = rest.split_first_chunk::<FRAME_HEADER_LEN>() else {
                 // Not even a full frame header: torn tail.
-                _ => {
-                    truncate_at = Some(pos);
-                    break;
-                }
+                truncate_at = Some(pos);
+                break;
             };
-            let header = &bytes[pos..header_end];
-            let plen = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-            let class = header[4];
-            let stored_pcrc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
-            let stored_hcrc = u32::from_le_bytes([header[9], header[10], header[11], header[12]]);
             let lsn = lsn_at(base_lsn, records.len())?;
             // A torn write lands a strict prefix of a valid frame, so
             // thirteen present-but-inconsistent header bytes can only be
             // corruption — and with an untrusted header neither `len`
             // nor `class` means anything. Fail closed before using them.
-            if crc32(&header[..9]) != stored_hcrc {
-                return Err(Error::Corrupt(format!(
-                    "wal record {lsn}: frame header checksum mismatch"
-                )));
-            }
+            let FrameHeader {
+                len,
+                class,
+                payload_crc,
+            } = FrameHeader::parse(header).ok_or_else(|| {
+                Error::Corrupt(format!("wal record {lsn}: frame header checksum mismatch"))
+            })?;
             if class != CLASS_POLICY && class != CLASS_DATA {
                 return Err(Error::Corrupt(format!(
                     "wal record {lsn}: unknown frame class {class:#x}"
                 )));
             }
-            let end = match header_end.checked_add(plen) {
-                Some(e) if e <= bytes.len() => e,
-                // Valid header, payload runs past EOF (or a hostile
-                // `len` would overflow the offset): torn tail.
-                _ => {
-                    truncate_at = Some(pos);
-                    break;
-                }
+            let Some((payload, next)) = after.split_at_checked(len) else {
+                // Valid header, payload runs past EOF: torn tail.
+                truncate_at = Some(pos);
+                break;
             };
-            let payload = &bytes[header_end..end];
-            if crc32(payload) != stored_pcrc {
-                let is_final = end == bytes.len();
+            if crc32(payload) != payload_crc {
+                let is_final = next.is_empty();
                 if is_final && class == CLASS_DATA {
                     // A torn write that happened to complete its header:
                     // data record at the tail, truncate. The class comes
@@ -295,7 +284,7 @@ impl WalStore {
                 )));
             }
             records.push((lsn, record));
-            pos = end;
+            rest = next;
         }
 
         if let Some(at) = truncate_at {
@@ -399,7 +388,7 @@ impl WalStore {
         if let Err(e) = fgac_types::faults::hit("wal::append_torn") {
             // Power cut mid-record: half the frame lands, the writer dies.
             let half = framed.len() / 2;
-            let _ = self.file.write_all(&framed[..half]);
+            let _ = self.file.write_all(framed.get(..half).unwrap_or_default());
             let _ = self.file.sync_data();
             self.poison("torn append");
             return Err(e);
@@ -543,26 +532,20 @@ fn load_snapshot(dir: &Path) -> Result<Option<SnapshotState>> {
         Err(e) => return Err(io_err("snapshot read", e)),
     };
     let corrupt = |what: &str| Error::Corrupt(format!("snapshot {}: {what}", path.display()));
-    let header_len = 8 + FRAME_HEADER_LEN;
-    if bytes.len() < header_len || &bytes[..8] != SNAP_MAGIC {
-        return Err(corrupt("bad magic or truncated header"));
+    let (header, payload) = match bytes.split_first_chunk::<8>() {
+        Some((magic, rest)) if magic == SNAP_MAGIC => rest.split_first_chunk::<FRAME_HEADER_LEN>(),
+        _ => None,
     }
-    let header = &bytes[8..header_len];
-    let plen = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let class = header[4];
-    let stored_pcrc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
-    let stored_hcrc = u32::from_le_bytes([header[9], header[10], header[11], header[12]]);
-    if crc32(&header[..9]) != stored_hcrc {
-        return Err(corrupt("frame header checksum mismatch"));
-    }
-    if class != CLASS_POLICY {
+    .ok_or_else(|| corrupt("bad magic or truncated header"))?;
+    let header =
+        FrameHeader::parse(header).ok_or_else(|| corrupt("frame header checksum mismatch"))?;
+    if header.class != CLASS_POLICY {
         return Err(corrupt("frame class is not policy"));
     }
-    if bytes.len().checked_sub(header_len) != Some(plen) {
+    if payload.len() != header.len {
         return Err(corrupt("length mismatch"));
     }
-    let payload = &bytes[header_len..];
-    if crc32(payload) != stored_pcrc {
+    if crc32(payload) != header.payload_crc {
         return Err(corrupt("checksum mismatch"));
     }
     let mut r = Reader::new(payload);

@@ -65,6 +65,28 @@ pub const CLASS_DATA: u8 = 0x02;
 /// header crc`.
 pub const FRAME_HEADER_LEN: usize = 13;
 
+/// A frame header whose own checksum holds, so its `len` and `class`
+/// can be trusted; its payload is not checked yet.
+pub(crate) struct FrameHeader {
+    pub(crate) len: usize,
+    pub(crate) class: u8,
+    pub(crate) payload_crc: u32,
+}
+
+impl FrameHeader {
+    /// Parses a header written by [`frame`]; `None` when its checksum
+    /// fails.
+    pub(crate) fn parse(bytes: &[u8; FRAME_HEADER_LEN]) -> Option<FrameHeader> {
+        let [l0, l1, l2, l3, class, p0, p1, p2, p3, h0, h1, h2, h3] = *bytes;
+        let checked = [l0, l1, l2, l3, class, p0, p1, p2, p3];
+        (crc32(&checked) == u32::from_le_bytes([h0, h1, h2, h3])).then(|| FrameHeader {
+            len: u32::from_le_bytes([l0, l1, l2, l3]) as usize,
+            class,
+            payload_crc: u32::from_le_bytes([p0, p1, p2, p3]),
+        })
+    }
+}
+
 impl WalRecord {
     /// Policy records fail closed on corruption; data records at the log
     /// tail are treated as torn writes.
@@ -138,7 +160,10 @@ pub(crate) fn encode_dml<'a>(deltas: impl Iterator<Item = DeltaRef<'a>>, out: &m
         d.encode(out);
         n = n.saturating_add(1);
     }
-    out[at..][..8].copy_from_slice(&n.to_le_bytes());
+    // `put_u64` wrote the count's eight bytes at `at`.
+    if let Some(count) = out.get_mut(at..).and_then(<[u8]>::first_chunk_mut) {
+        *count = n.to_le_bytes();
+    }
 }
 
 impl WireDecode for WalRecord {
@@ -202,12 +227,12 @@ pub fn frame(payload: &[u8], class: u8) -> Result<Vec<u8>> {
             payload.len()
         ))
     })?;
+    let [l0, l1, l2, l3] = len.to_le_bytes();
+    let [p0, p1, p2, p3] = crc32(payload).to_le_bytes();
+    let checked = [l0, l1, l2, l3, class, p0, p1, p2, p3];
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN.saturating_add(payload.len()));
-    out.extend_from_slice(&len.to_le_bytes());
-    out.push(class);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    let hcrc = crc32(&out[..9]);
-    out.extend_from_slice(&hcrc.to_le_bytes());
+    out.extend_from_slice(&checked);
+    out.extend_from_slice(&crc32(&checked).to_le_bytes());
     out.extend_from_slice(payload);
     Ok(out)
 }

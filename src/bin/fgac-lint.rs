@@ -1,6 +1,5 @@
-//! fgac-lint CLI: runs the `crates/lint` passes (L003, L004) over the
-//! engine's and the server's sources (`fgac_lint::SCOPE`) and reports
-//! findings.
+//! fgac-lint CLI: runs the `crates/lint` pass (L003) over the engine's
+//! and the server's sources (`fgac_lint::SCOPE`) and reports findings.
 //!
 //! ```text
 //! fgac-lint [--json] [--out FILE] [--root DIR] [--max-ms N]

@@ -104,7 +104,7 @@ fn report() -> Report {
         ],
         findings: vec![
             Finding::new(
-                PassCode::ErrorPathMustDeny,
+                PassCode::LockOrderInversion,
                 "crates/core/src/engine.rs",
                 171,
                 HOSTILE,
