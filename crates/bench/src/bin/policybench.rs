@@ -8,15 +8,21 @@
 //! of a U1/U2-unconditional workload (distinct query texts, so neither
 //! the plan cache nor the validity cache can absorb the check).
 //!
+//! A second query set, the *prover column*, misses the fast path on
+//! purpose: it selects more strictly than the one predicated view over
+//! `rel_p` (granted at every size, beside the N above), so only the
+//! prover's U2 selection-subsumption derivation admits it. Its latency
+//! is the cold prover's at N granted views; it is reported, not gated.
+//!
 //! ```text
 //! policybench [--queries N] [--out PATH] [--check BASELINE.json]
 //! ```
 //!
 //! Emits `BENCH_policy.json`. With `--check`, exits non-zero when the
-//! p99 growth factor from the smallest to the largest policy set
-//! exceeds the baseline's `max_p99_growth` (sub-linearity gate: 5000x
-//! more policies must cost far less than 5000x the latency), or when
-//! the fast-path hit rate over the measured workload falls below
+//! fast-path set's p99 growth factor from the smallest to the largest
+//! policy set exceeds the baseline's `max_p99_growth` (sub-linearity
+//! gate: 5000x more policies must cost far less than 5000x the
+//! latency), or when its fast-path hit rate falls below
 //! `min_hit_rate`.
 
 use fgac_bench::{emit_report, num, percentile, Cli};
@@ -30,11 +36,17 @@ const SIZES: [usize; 5] = [10, 100, 1_000, 10_000, 50_000];
 /// full-width.
 const RELATIONS: usize = 16;
 
+/// The prover column's relation and its one view, which no compiled
+/// capability covers: the view is predicated.
+const PROVER_DDL: &str = "create table rel_p (id varchar not null, a int, b varchar, \
+     primary key (id));
+     create authorization view pad_p as select * from rel_p where a > 0;";
+
 /// Engine with `covered` full-width views plus pad views up to `total`
-/// grants for principal `u`.
+/// grants for principal `u`, and the prover column's `pad_p`.
 fn build(total: usize) -> (Engine, usize) {
     let covered = total.min(RELATIONS);
-    let mut ddl = String::new();
+    let mut ddl = String::from(PROVER_DDL);
     for r in 0..RELATIONS {
         ddl.push_str(&format!(
             "create table rel_{r} (id varchar not null, a int, b varchar, \
@@ -62,7 +74,35 @@ fn build(total: usize) -> (Engine, usize) {
     for i in covered..total {
         e.grant_view("u", &format!("pad_{i}")).expect("grant");
     }
+    e.grant_view("u", "pad_p").expect("grant");
     (e, covered)
+}
+
+/// Fast-path hits and probes so far, process-wide.
+fn fastpath_counts() -> (u64, u64) {
+    let hits = fgac_core::compiled::fastpath_hit_count();
+    (hits, hits + fgac_core::compiled::fastpath_miss_count())
+}
+
+/// Times one cold `check` per text, asserting each is admitted; returns
+/// the latencies (µs) and the fast-path hit rate over the set.
+fn admit_all(
+    e: &Engine,
+    session: &Session,
+    texts: impl Iterator<Item = String>,
+) -> (Vec<f64>, f64) {
+    let (hits0, probes0) = fastpath_counts();
+    let mut samples = Vec::new();
+    for sql in texts {
+        let t = Instant::now();
+        let report = e.check(session, &sql).expect("admission");
+        samples.push(t.elapsed().as_secs_f64() * 1e6);
+        assert!(report.is_valid(), "workload query denied: {sql}");
+    }
+    let (hits1, probes1) = fastpath_counts();
+    let (hits, probes) = (hits1 - hits0, probes1 - probes0);
+    let rate = if probes == 0 { 0.0 } else { hits as f64 / probes as f64 };
+    (samples, rate)
 }
 
 fn main() {
@@ -71,6 +111,8 @@ fn main() {
     let mut p99s: Vec<(usize, f64)> = Vec::new();
     let mut hit_rate_min = f64::INFINITY;
     let mut compile_us_max = 0f64;
+    let mut provers: Vec<(usize, f64, f64)> = Vec::new();
+    let mut prover_rate_max = 0f64;
 
     for n in SIZES {
         let (e, covered) = build(n);
@@ -82,34 +124,28 @@ fn main() {
         let compile_us = t.elapsed().as_secs_f64() * 1e6;
         compile_us_max = compile_us_max.max(compile_us);
 
-        let hits0 = fgac_core::compiled::fastpath_hit_count();
-        let probes0 = hits0 + fgac_core::compiled::fastpath_miss_count();
-        let mut samples = Vec::with_capacity(queries);
-        for q in 0..queries {
-            // Distinct texts over the covered relations: plan-cache and
-            // validity-cache misses every time, U1/U2-unconditional by
-            // construction (full-width coverage of the scanned relation).
-            let sql = format!(
-                "select a, b from rel_{} where id = 'k{q}'",
-                q % covered
-            );
-            let t = Instant::now();
-            let report = e.check(&session, &sql).expect("admission");
-            samples.push(t.elapsed().as_secs_f64() * 1e6);
-            assert!(report.is_valid(), "workload query denied: {sql}");
-        }
-        let hits = fgac_core::compiled::fastpath_hit_count() - hits0;
-        let probes =
-            fgac_core::compiled::fastpath_hit_count() + fgac_core::compiled::fastpath_miss_count()
-                - probes0;
-        let rate = if probes == 0 { 0.0 } else { hits as f64 / probes as f64 };
+        // Distinct texts over the covered relations: plan-cache and
+        // validity-cache misses every time, U1/U2-unconditional by
+        // construction (full-width coverage of the scanned relation).
+        let fast = (0..queries)
+            .map(|q| format!("select a, b from rel_{} where id = 'k{q}'", q % covered));
+        let (mut samples, rate) = admit_all(&e, &session, fast);
         hit_rate_min = hit_rate_min.min(rate);
         let p = percentile(&mut samples, 0.99);
+        // Stricter than pad_p's `a > 0`: a fast-path miss, admitted by
+        // the prover through selection subsumption.
+        let strict = (0..queries).map(|q| format!("select a, b from rel_p where a > {}", q + 1));
+        let (mut prover, prover_rate) = admit_all(&e, &session, strict);
+        prover_rate_max = prover_rate_max.max(prover_rate);
+        let prover_p50 = percentile(&mut prover, 0.50);
+        let prover_p99 = percentile(&mut prover, 0.99);
         eprintln!(
-            "n={n}: p99 {p:.1}µs, fast-path {hits}/{probes} ({:.1}%), \
-             compile+first-check {compile_us:.0}µs",
-            rate * 100.0
+            "n={n}: p99 {p:.1}µs, fast-path {:.1}%, compile+first-check {compile_us:.0}µs; \
+             prover p50 {prover_p50:.1}µs p99 {prover_p99:.1}µs, fast-path {:.1}%",
+            rate * 100.0,
+            prover_rate * 100.0
         );
+        provers.push((n, prover_p50, prover_p99));
         p99s.push((n, p));
     }
 
@@ -131,9 +167,14 @@ fn main() {
     for (n, p) in &p99s {
         report.push((format!("p99_us_{n}"), num(*p, 1)));
     }
+    for (n, p50, p99) in &provers {
+        report.push((format!("prover_p50_us_{n}"), num(*p50, 1)));
+        report.push((format!("prover_p99_us_{n}"), num(*p99, 1)));
+    }
     report.extend([
         ("growth_p99".to_string(), num(growth, 2)),
         ("hit_rate".to_string(), num(hit_rate_min, 4)),
+        ("prover_hit_rate".to_string(), num(prover_rate_max, 4)),
         (
             "compile_first_check_us_max".to_string(),
             num(compile_us_max, 0),

@@ -630,20 +630,22 @@ impl<'a> Validator<'a> {
                         .filter(|d| visible.contains(&d.name))
                         .map(|d| d.dst_table)
                         .collect();
-                    let fits_budget = |composed: &SpjBlock| -> bool {
-                        let mut budget: std::collections::BTreeMap<Ident, isize> =
+                    // A composition scans `a.scans ++ b.scans` in either
+                    // order, so both tests read the pair before composing.
+                    let useful = |a: &SpjBlock, b: &SpjBlock| -> bool {
+                        let scans = || a.scans.iter().chain(&b.scans).map(|(t, _)| t);
+                        let covers = qb.scans.iter().all(|(t, _)| scans().any(|ct| ct == t));
+                        let mut budget: std::collections::BTreeMap<&Ident, isize> =
                             std::collections::BTreeMap::new();
-                        for (t, _) in &qb.scans {
-                            *budget.entry(t.clone()).or_insert(0) += 1;
+                        for t in qb.scans.iter().map(|(t, _)| t).chain(&remainder_tables) {
+                            *budget.entry(t).or_insert(0) += 1;
                         }
-                        for t in &remainder_tables {
-                            *budget.entry(t.clone()).or_insert(0) += 1;
-                        }
-                        composed.scans.iter().all(|(t, _)| {
-                            let slot = budget.entry(t.clone()).or_insert(0);
-                            *slot -= 1;
-                            *slot >= 0
-                        })
+                        covers
+                            && scans().all(|t| {
+                                let slot = budget.entry(t).or_insert(0);
+                                *slot -= 1;
+                                *slot >= 0
+                            })
                     };
                     let snapshot: Vec<ValidBlock> = valid_blocks.blocks.clone();
                     for (i, a) in snapshot.iter().enumerate() {
@@ -653,17 +655,15 @@ impl<'a> Validator<'a> {
                             {
                                 continue;
                             }
+                            // Must cover the query's tables and stay
+                            // within the multiset budget.
+                            let useful = useful(&a.block, &b.block);
                             for (x, y) in [(a, b), (b, a)] {
                                 meter.charge(PHASE, 1)?;
+                                if !useful {
+                                    continue;
+                                }
                                 if let Some(composed) = strengthen::compose(&x.block, &y.block) {
-                                    // Must cover the query's tables and
-                                    // stay within the multiset budget.
-                                    let covers = qb.scans.iter().all(|(t, _)| {
-                                        composed.scans.iter().any(|(ct, _)| ct == t)
-                                    });
-                                    if !covers || !fits_budget(&composed) {
-                                        continue;
-                                    }
                                     let origin =
                                         format!("U2 join of {} and {}", x.origin, y.origin);
                                     let mut compose_step = None;

@@ -94,6 +94,8 @@ pub struct Dag {
     index: HashMap<(Operator, Vec<EqId>), OpId>,
     /// Classes whose parents must be re-canonicalized.
     dirty: Vec<EqId>,
+    /// Number of canonical classes: +1 per new class, −1 per union.
+    live: usize,
 }
 
 impl Dag {
@@ -123,11 +125,8 @@ impl Dag {
 
     /// Number of live (canonical) equivalence nodes and operation nodes.
     pub fn stats(&self) -> DagStats {
-        let eq_nodes = (0..self.uf.len())
-            .filter(|&i| self.uf[i] == i as u32)
-            .count();
         DagStats {
-            eq_nodes,
+            eq_nodes: self.live,
             op_nodes: self.ops.len(),
         }
     }
@@ -177,6 +176,7 @@ impl Dag {
             parents: Vec::new(),
             arity,
         });
+        self.live += 1;
         id
     }
 
@@ -228,9 +228,14 @@ impl Dag {
                     children: children.clone(),
                     class,
                 });
+                // `op_id` is the newest op, so these lists stay sorted; a
+                // join of a class with itself lists its parent once.
                 self.eqs[class.0 as usize].ops.push(op_id);
                 for &c in &children {
-                    self.eqs[c.0 as usize].parents.push(op_id);
+                    let parents = &mut self.eqs[c.0 as usize].parents;
+                    if parents.last() != Some(&op_id) {
+                        parents.push(op_id);
+                    }
                 }
                 class
             }
@@ -249,8 +254,15 @@ impl Dag {
             self.eqs[a.0 as usize].arity, self.eqs[b.0 as usize].arity,
             "cannot merge classes of different arity"
         );
-        // Union: b -> a.
+        self.union(a, b);
+        self.rebuild();
+    }
+
+    /// Makes canonical `b` a member of canonical `a`, moving its op and
+    /// parent lists, and queues `a` for re-canonicalization.
+    fn union(&mut self, a: EqId, b: EqId) {
         self.uf[b.0 as usize] = a.0;
+        self.live -= 1;
         let b_data = std::mem::take(&mut self.eqs[b.0 as usize]);
         for &op in &b_data.ops {
             self.ops[op.0 as usize].class = a;
@@ -258,13 +270,16 @@ impl Dag {
         self.eqs[a.0 as usize].ops.extend(b_data.ops);
         self.eqs[a.0 as usize].parents.extend(b_data.parents);
         self.dirty.push(a);
-        self.rebuild();
     }
 
     /// Restores the hash-consing invariant after merges.
     fn rebuild(&mut self) {
+        // Only a union extends a class's lists out of order: sort and
+        // dedup the classes that took one, not every class.
+        let mut touched: Vec<EqId> = Vec::new();
         while let Some(class) = self.dirty.pop() {
             let class = self.find_compress(class);
+            touched.push(class);
             let parents = self.eqs[class.0 as usize].parents.clone();
             for op_id in parents {
                 let (op, old_children) = {
@@ -287,14 +302,7 @@ impl Dag {
                             let (ca, cb) = (self.class_of(op_id), self.class_of(other));
                             if ca != cb {
                                 let (ca, cb) = (self.find_compress(ca), self.find_compress(cb));
-                                self.uf[cb.0 as usize] = ca.0;
-                                let b_data = std::mem::take(&mut self.eqs[cb.0 as usize]);
-                                for &op in &b_data.ops {
-                                    self.ops[op.0 as usize].class = ca;
-                                }
-                                self.eqs[ca.0 as usize].ops.extend(b_data.ops);
-                                self.eqs[ca.0 as usize].parents.extend(b_data.parents);
-                                self.dirty.push(ca);
+                                self.union(ca, cb);
                             }
                         }
                     }
@@ -304,14 +312,15 @@ impl Dag {
                 }
             }
         }
-        // Deduplicate op/parent lists of canonical classes lazily.
-        for i in 0..self.eqs.len() {
-            if self.uf[i] == i as u32 {
-                self.eqs[i].ops.sort_unstable();
-                self.eqs[i].ops.dedup();
-                self.eqs[i].parents.sort_unstable();
-                self.eqs[i].parents.dedup();
+        for class in touched {
+            if self.find(class) != class {
+                continue;
             }
+            let data = &mut self.eqs[class.0 as usize];
+            data.ops.sort_unstable();
+            data.ops.dedup();
+            data.parents.sort_unstable();
+            data.parents.dedup();
         }
     }
 
@@ -454,6 +463,8 @@ mod tests {
         assert_ne!(dag.find(fx), dag.find(fy));
         dag.merge(x, y);
         assert_eq!(dag.find(fx), dag.find(fy));
+        // The kept count agrees with a walk of the union-find.
+        assert_eq!(dag.stats().eq_nodes, dag.classes().len());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! DAG expansion: apply equivalence rules to a fixpoint (Section 5.6.1,
 //! Figure 1(c)) under a node budget.
 
-use crate::dag::{Dag, DagStats, OpId};
+use crate::dag::{Dag, DagStats};
 use crate::rules;
 
 /// Expansion controls.
@@ -30,40 +30,50 @@ impl Default for ExpandOptions {
 
 /// Expands the DAG to a fixpoint (or until budget). Returns final stats.
 pub fn expand(dag: &mut Dag, opts: &ExpandOptions) -> DagStats {
-    for _pass in 0..opts.max_passes {
-        let mut changed = 0;
-        let op_count_before = dag.stats().op_nodes;
+    expand_counting_passes(dag, opts).0
+}
+
+/// [`expand`], also returning how many passes it ran. The last pass is
+/// the first that left the DAG unchanged, unless `max_passes` or
+/// `max_ops` stopped expansion before the fixpoint.
+pub fn expand_counting_passes(dag: &mut Dag, opts: &ExpandOptions) -> (DagStats, usize) {
+    let mut passes = 0;
+    while passes < opts.max_passes {
+        passes += 1;
+        let before = dag.stats();
 
         // Structural rules over a snapshot of current ops.
-        let ops: Vec<OpId> = dag.all_ops().collect();
-        for op in ops {
+        for op in dag.all_ops() {
             if dag.stats().op_nodes >= opts.max_ops {
-                return dag.stats();
+                return (dag.stats(), passes);
             }
-            changed += rules::apply_structural(dag, op);
+            rules::apply_structural(dag, op);
         }
 
         // Class-level derivations.
         if opts.subsumption {
-            let classes = dag.classes();
-            for class in classes {
+            for class in dag.classes() {
                 if dag.stats().op_nodes >= opts.max_ops {
-                    return dag.stats();
+                    return (dag.stats(), passes);
                 }
                 // The class may have been merged away during this loop.
                 if dag.find(class) != class {
                     continue;
                 }
-                changed += rules::selection_subsumption(dag, class);
-                changed += rules::aggregate_rollup(dag, class);
+                rules::selection_subsumption(dag, class);
+                rules::aggregate_rollup(dag, class);
             }
         }
 
-        if changed == 0 && dag.stats().op_nodes == op_count_before {
+        // A pass changes the DAG only by adding op nodes (a new class
+        // comes with its first op) and by merging classes, which lowers
+        // `eq_nodes`. Equal stats therefore mean an unchanged DAG, and
+        // the next pass would repeat this one exactly.
+        if dag.stats() == before {
             break;
         }
     }
-    dag.stats()
+    (dag.stats(), passes)
 }
 
 #[cfg(test)]

@@ -31,6 +31,6 @@ mod viewmatch;
 
 pub use cost::{CostModel, TableStats};
 pub use dag::{Dag, DagStats, EqId, OpId, OpNode, Operator};
-pub use expand::{expand, ExpandOptions};
+pub use expand::{expand, expand_counting_passes, ExpandOptions};
 pub use extract::{extract_any, extract_best};
 pub use viewmatch::{mark_valid, Marking};

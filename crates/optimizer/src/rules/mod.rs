@@ -27,17 +27,20 @@ pub use subsume::{aggregate_rollup, selection_subsumption};
 use crate::dag::{Dag, OpId};
 
 /// Applies every structural (per-operation) rule to `op`. Returns how
-/// many rule applications were attempted that changed the DAG.
+/// many rule applications were attempted, whether or not they changed
+/// the DAG: a rewrite whose result hash-consing finds already present
+/// still counts (`join_commute` counts every join). Compare
+/// [`Dag::stats`] before and after to learn whether the DAG changed.
 pub fn apply_structural(dag: &mut Dag, op: OpId) -> usize {
-    let mut changed = 0;
-    changed += join_commute(dag, op) as usize;
-    changed += join_associate(dag, op);
-    changed += select_push_into_join(dag, op);
-    changed += project_select_transpose(dag, op);
-    changed += select_project_transpose(dag, op);
-    changed += agg_select_commute(dag, op);
-    changed += global_agg_to_grouped(dag, op);
-    changed
+    let mut attempts = 0;
+    attempts += join_commute(dag, op) as usize;
+    attempts += join_associate(dag, op);
+    attempts += select_push_into_join(dag, op);
+    attempts += project_select_transpose(dag, op);
+    attempts += select_project_transpose(dag, op);
+    attempts += agg_select_commute(dag, op);
+    attempts += global_agg_to_grouped(dag, op);
+    attempts
 }
 
 /// Shared helper: the lowest and highest column offsets a conjunct
