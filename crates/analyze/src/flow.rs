@@ -109,67 +109,6 @@ impl ViewFlowSummary {
     }
 }
 
-/// Collects every column offset an expression references.
-fn collect_cols(e: &ScalarExpr, out: &mut dyn FnMut(usize)) {
-    match e {
-        ScalarExpr::Col(i) => out(*i),
-        ScalarExpr::Lit(_) | ScalarExpr::AccessParam(_) => {}
-        ScalarExpr::Cmp { left, right, .. } | ScalarExpr::Arith { left, right, .. } => {
-            collect_cols(left, out);
-            collect_cols(right, out);
-        }
-        ScalarExpr::And(v) | ScalarExpr::Or(v) => {
-            for x in v {
-                collect_cols(x, out);
-            }
-        }
-        ScalarExpr::Not(b) | ScalarExpr::Neg(b) => collect_cols(b, out),
-        ScalarExpr::IsNull { expr, .. } => collect_cols(expr, out),
-    }
-}
-
-/// Rewrites an expression's column offsets from the flat row to
-/// relation-local offsets; `None` when it references anything outside
-/// `[start, end)`.
-fn remap_to_local(e: &ScalarExpr, start: usize, end: usize) -> Option<ScalarExpr> {
-    Some(match e {
-        ScalarExpr::Col(i) => {
-            if *i < start || *i >= end {
-                return None;
-            }
-            ScalarExpr::Col(*i - start)
-        }
-        ScalarExpr::Lit(v) => ScalarExpr::Lit(v.clone()),
-        ScalarExpr::AccessParam(p) => ScalarExpr::AccessParam(p.clone()),
-        ScalarExpr::Cmp { op, left, right } => ScalarExpr::Cmp {
-            op: *op,
-            left: Box::new(remap_to_local(left, start, end)?),
-            right: Box::new(remap_to_local(right, start, end)?),
-        },
-        ScalarExpr::Arith { op, left, right } => ScalarExpr::Arith {
-            op: *op,
-            left: Box::new(remap_to_local(left, start, end)?),
-            right: Box::new(remap_to_local(right, start, end)?),
-        },
-        ScalarExpr::And(v) => ScalarExpr::And(
-            v.iter()
-                .map(|x| remap_to_local(x, start, end))
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        ScalarExpr::Or(v) => ScalarExpr::Or(
-            v.iter()
-                .map(|x| remap_to_local(x, start, end))
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        ScalarExpr::Not(b) => ScalarExpr::Not(Box::new(remap_to_local(b, start, end)?)),
-        ScalarExpr::Neg(b) => ScalarExpr::Neg(Box::new(remap_to_local(b, start, end)?)),
-        ScalarExpr::IsNull { expr, negated } => ScalarExpr::IsNull {
-            expr: Box::new(remap_to_local(expr, start, end)?),
-            negated: *negated,
-        },
-    })
-}
-
 /// Mask of a relation's primary-key columns; `None` when the table has
 /// no declared key (rows cannot be re-identified for a join).
 fn pk_mask(catalog: &Catalog, rel: &Ident) -> Option<u128> {
@@ -210,11 +149,15 @@ fn summarize_block(catalog: &Catalog, block: &SpjBlock) -> Vec<RelDisclosure> {
                 }
             }
         };
-        for e in &block.projection {
-            collect_cols(e, &mut |c| touch(&mut projected, c));
-        }
-        for e in &block.conjuncts {
-            collect_cols(e, &mut |c| touch(&mut predicate, c));
+        let sides = [(&block.projection, &mut projected), (&block.conjuncts, &mut predicate)];
+        for (exprs, mask) in sides {
+            for e in exprs {
+                e.walk(&mut |x| {
+                    if let ScalarExpr::Col(c) = x {
+                        touch(mask, *c);
+                    }
+                });
+            }
         }
         let local_conjuncts = if scan_count[t] > 1 {
             Vec::new()
@@ -222,7 +165,8 @@ fn summarize_block(catalog: &Catalog, block: &SpjBlock) -> Vec<RelDisclosure> {
             block
                 .conjuncts
                 .iter()
-                .filter_map(|c| remap_to_local(c, start, end))
+                .filter(|c| c.referenced_cols().iter().all(|&i| i >= start && i < end))
+                .map(|c| c.map_cols(&|i| i - start))
                 .collect()
         };
         let pk_exposed = match pk_mask(catalog, t) {

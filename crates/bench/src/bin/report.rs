@@ -9,7 +9,7 @@ use fgac_bench::{
 };
 use fgac_core::truman::{scan_count_delta, TrumanPolicy};
 use fgac_core::{CheckOptions, Engine, Session, Validator, Verdict};
-use fgac_optimizer::{expand, extract_any, Dag, ExpandOptions, Operator};
+use fgac_optimizer::{expand, expand_counting_passes, extract_any, Dag, ExpandOptions, Operator};
 use fgac_types::{Column, DataType, Schema};
 use fgac_workload::querygen::{synthetic_view_family, university_mix};
 use fgac_workload::university::{build, UniversityConfig};
@@ -83,7 +83,7 @@ fn chain_join(n: usize) -> Plan {
 /// E1 — Figure 1: AND-OR DAG for chain joins.
 fn e1() {
     banner("E1", "Figure 1 — AND-OR DAG for A ⋈ B ⋈ C and growth with n");
-    let widths = [3, 12, 12, 14, 14, 12, 10, 17];
+    let widths = [3, 12, 12, 14, 14, 12, 12, 10, 17];
     println!(
         "{}",
         row(
@@ -93,6 +93,7 @@ fn e1() {
                 "init op",
                 "expanded eq",
                 "expanded op",
+                "passes",
                 "join sets",
                 "insert µs",
                 "insert+expand µs",
@@ -111,8 +112,13 @@ fn e1() {
         let mut dag = Dag::new();
         dag.insert_plan(&plan);
         let init = dag.stats();
-        expand(&mut dag, &ExpandOptions::default());
-        let expanded = dag.stats();
+        let opts = ExpandOptions::default();
+        let (expanded, passes) = expand_counting_passes(&mut dag, &opts);
+        // At the fixpoint one more pass leaves the DAG as it is; a DAG
+        // it still changes was cut off by `max_passes`.
+        let mut next = dag.clone();
+        let capped = expand(&mut next, &ExpandOptions { max_passes: 1, ..opts }) != expanded;
+        let passes = if capped { format!("{passes} (cap)") } else { passes.to_string() };
 
         // Distinct table-sets joined anywhere in the DAG — the "ways of
         // grouping" Figure 1(c) illustrates.
@@ -140,6 +146,7 @@ fn e1() {
                     &init.op_nodes.to_string(),
                     &expanded.eq_nodes.to_string(),
                     &expanded.op_nodes.to_string(),
+                    &passes,
                     &join_sets.len().to_string(),
                     &us(insert),
                     &us(insert_expand),
@@ -151,7 +158,9 @@ fn e1() {
     println!(
         "\nshape check: Figure 1(b) initial DAG for n=3 has 5 eq / 5 op nodes;\n\
          expansion adds the alternative join orders (A(BC), (AC)B reachable\n\
-         through commute+associate), growing super-linearly with n."
+         through commute+associate), growing super-linearly with n. A\n\
+         passes entry marked (cap) stopped at `max_passes` before its\n\
+         fixpoint, so that row's DAG is truncated, not complete."
     );
 }
 

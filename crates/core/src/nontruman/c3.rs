@@ -16,7 +16,14 @@
 //! current database state. Checking those two conditions needs the
 //! marking and the executor, so this module only *constructs* the
 //! candidate; `nontruman::Validator` verifies it.
+//!
+//! The split of `V` is U3's `RemainderSplit` (join pairs kept in
+//! conjunct order, which `Pic`, `Pir` and `v_r`'s projection follow),
+//! and `Q` is aligned onto the core by the matcher's
+//! `align_scans` search, taking its first alignment.
 
+use super::matcher::align_scans;
+use super::u3::RemainderSplit;
 use fgac_algebra::implication::implies_metered;
 use fgac_algebra::{CmpOp, ScalarExpr, SpjBlock};
 use fgac_analyze::Obligation;
@@ -66,67 +73,31 @@ pub fn candidates_metered(
     if valid.scans.len() < 2 || query.scans.len() != valid.scans.len() - 1 {
         return Ok(out);
     }
-    let flat = valid.flat_arity();
 
+    // The alignment search is not charged against the real budget.
+    let uncharged = BudgetMeter::unlimited();
     'rem: for r_idx in 0..valid.scans.len() {
         meter.charge(PHASE, 1)?;
-        let (rs, re) = valid.scan_range(r_idx);
-        let in_rem = |c: usize| c >= rs && c < re;
-
-        // Partition V's conjuncts.
-        let mut pc = Vec::new();
-        let mut pr = Vec::new();
-        let mut pj_pairs: Vec<(usize, usize)> = Vec::new();
-        for c in &valid.conjuncts {
-            let cols = c.referenced_cols();
-            let rem_cols = cols.iter().filter(|&&i| in_rem(i)).count();
-            if rem_cols == 0 {
-                pc.push(c.clone());
-            } else if rem_cols == cols.len() {
-                pr.push(c.clone());
-            } else {
-                match c {
-                    ScalarExpr::Cmp {
-                        op: CmpOp::Eq,
-                        left,
-                        right,
-                    } => match (&**left, &**right) {
-                        (ScalarExpr::Col(a), ScalarExpr::Col(b)) => {
-                            let (core, rem) = if in_rem(*a) { (*b, *a) } else { (*a, *b) };
-                            if in_rem(core) || !in_rem(rem) {
-                                continue 'rem;
-                            }
-                            pj_pairs.push((core, rem));
-                        }
-                        _ => continue 'rem,
-                    },
-                    _ => continue 'rem,
-                }
-            }
-        }
-        if pj_pairs.is_empty() {
+        let Some(split) = RemainderSplit::new(valid, r_idx) else {
             continue;
-        }
+        };
 
         // C3a condition 1(d): every core-side join attribute must be in
         // the valid block's projection (as a plain column) — otherwise
         // the user cannot select on it.
-        if !pj_pairs
+        if !split
+            .pj
             .iter()
             .all(|&(c, _)| valid.projection.contains(&ScalarExpr::Col(c)))
         {
             continue;
         }
 
-        // Core frame: V's flat row with the remainder removed.
-        let rem_width = re - rs;
-        let shift = |i: usize| if i >= re { i - rem_width } else { i };
-        let mut core_scans = valid.scans.clone();
-        core_scans.remove(r_idx);
-
-        // Align the query onto the core (same table multiset, try the
-        // identity-ish alignment first via simple permutation search).
-        let Some(q_to_core) = align_scans(query, &core_scans) else {
+        // Align the query onto the core (V's frame with the remainder
+        // removed): the first same-table alignment, never a later one.
+        let first = |map: &[usize]| Ok(Some(map.to_vec()));
+        let Some(q_to_core) = align_scans(&query.scans, &split.core_scans(), &uncharged, first)?
+        else {
             continue;
         };
         let qc_in_core: Vec<ScalarExpr> = query
@@ -137,27 +108,26 @@ pub fn candidates_metered(
 
         // Extract the instantiation Pic: every core join attribute must
         // be pinned to a literal by the query's predicate.
-        let core_arity = flat - rem_width;
+        let core_arity = valid.flat_arity() - (split.re - split.rs);
         let mut pic = Vec::new();
         let mut pir = Vec::new();
         let mut pins: Vec<(usize, Value)> = Vec::new();
-        for &(core_col, rem_col) in &pj_pairs {
-            let cc = shift(core_col);
+        for &(core_col, rem_col) in &split.pj {
+            let cc = split.core_col(core_col);
             let Some(v) = pinned_value(&qc_in_core, cc, core_arity, meter)? else {
                 continue 'rem;
             };
             pic.push(ScalarExpr::eq(ScalarExpr::Col(cc), ScalarExpr::Lit(v.clone())));
             pir.push(ScalarExpr::eq(
-                ScalarExpr::Col(rem_col - rs),
+                ScalarExpr::Col(rem_col - split.rs),
                 ScalarExpr::Lit(v.clone()),
             ));
             pins.push((cc, v));
         }
 
         // The query predicate must be equivalent to Pc ∧ Pic.
-        let pc_core: Vec<ScalarExpr> = pc.iter().map(|c| c.map_cols(&shift)).collect();
-        let mut pc_pic = pc_core.clone();
-        pc_pic.extend(pic.iter().cloned());
+        let mut pc_pic = split.core_conjuncts();
+        pc_pic.extend(pic);
         if !implies_metered(&qc_in_core, &pc_pic, core_arity, meter)?
             || !implies_metered(&pc_pic, &qc_in_core, core_arity, meter)?
         {
@@ -167,19 +137,11 @@ pub fn candidates_metered(
         // The query's projection must use only core columns that V
         // projects (A_c): each referenced column must appear (shifted)
         // in V's projection.
-        let available = |core_col: usize| -> bool {
-            // Invert the shift: core_col < rs stays, >= rs maps to +rem.
-            let flat_col = if core_col >= rs {
-                core_col + rem_width
-            } else {
-                core_col
-            };
-            valid.projection.contains(&ScalarExpr::Col(flat_col))
-        };
         let proj_ok = query.projection.iter().all(|e| {
-            e.referenced_cols()
-                .iter()
-                .all(|&i| available(q_to_core[i]))
+            e.referenced_cols().iter().all(|&i| {
+                let col = ScalarExpr::Col(split.valid_col(q_to_core[i]));
+                valid.projection.contains(&col)
+            })
         });
         if !proj_ok {
             continue;
@@ -190,25 +152,20 @@ pub fn candidates_metered(
         let requires_c3b =
             !query.distinct && !super::matcher::is_duplicate_free(catalog, query);
 
-        let rem_table = valid.scans[r_idx].0.clone();
-        let rem_schema = valid.scans[r_idx].1.clone();
-        let mut vr_conj: Vec<ScalarExpr> =
-            pr.iter().map(|c| c.map_cols(&|i| i - rs)).collect();
-        vr_conj.extend(pir.iter().cloned());
-        let vr_proj: Vec<ScalarExpr> = pj_pairs
-            .iter()
-            .map(|&(_, r)| ScalarExpr::Col(r - rs))
-            .collect();
-        let v_r = SpjBlock {
-            scans: vec![(rem_table.clone(), rem_schema.clone())],
-            conjuncts: vr_conj.clone(),
-            projection: vr_proj.clone(),
-            distinct: true,
-        };
+        let v_r = split.remainder(pir, true);
         let v_r_count = SpjBlock {
             distinct: false,
             ..v_r.clone()
         };
+        let description = format!(
+            "C3{} with remainder {} instantiated at {}",
+            if requires_c3b { "b" } else { "a" },
+            split.remainder_scan().0,
+            pins.iter()
+                .map(|(c, v)| format!("#{c}={v}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
         out.push(C3Candidate {
             v_r,
             v_r_count,
@@ -220,82 +177,15 @@ pub fn candidates_metered(
                     arity: core_arity,
                 },
                 Obligation {
-                    premise: pc_pic.clone(),
-                    conclusion: qc_in_core.clone(),
+                    premise: pc_pic,
+                    conclusion: qc_in_core,
                     arity: core_arity,
                 },
             ],
-            description: format!(
-                "C3{} with remainder {} instantiated at {}",
-                if requires_c3b { "b" } else { "a" },
-                rem_table,
-                pins.iter()
-                    .map(|(c, v)| format!("#{c}={v}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
+            description,
         });
     }
     Ok(out)
-}
-
-/// Finds an alignment (flat-offset map) from `q`'s frame onto the frame
-/// of `core_scans`, trying same-table permutations.
-fn align_scans(
-    q: &SpjBlock,
-    core_scans: &[(fgac_types::Ident, fgac_types::Schema)],
-) -> Option<Vec<usize>> {
-    if q.scans.len() != core_scans.len() {
-        return None;
-    }
-    let core_start: Vec<usize> = {
-        let mut acc = 0;
-        core_scans
-            .iter()
-            .map(|(_, s)| {
-                let v = acc;
-                acc += s.len();
-                v
-            })
-            .collect()
-    };
-    fn rec(
-        q: &SpjBlock,
-        core_scans: &[(fgac_types::Ident, fgac_types::Schema)],
-        core_start: &[usize],
-        idx: usize,
-        used: &mut Vec<bool>,
-        map: &mut Vec<usize>,
-    ) -> bool {
-        if idx == q.scans.len() {
-            return true;
-        }
-        for ci in 0..core_scans.len() {
-            if used[ci]
-                || core_scans[ci].0 != q.scans[idx].0
-                || core_scans[ci].1.len() != q.scans[idx].1.len()
-            {
-                continue;
-            }
-            used[ci] = true;
-            let (qs, qe) = q.scan_range(idx);
-            for (k, col) in (qs..qe).enumerate() {
-                map[col] = core_start[ci] + k;
-            }
-            if rec(q, core_scans, core_start, idx + 1, used, map) {
-                return true;
-            }
-            used[ci] = false;
-        }
-        false
-    }
-    let mut used = vec![false; core_scans.len()];
-    let mut map = vec![0usize; q.flat_arity()];
-    if rec(q, core_scans, &core_start, 0, &mut used, &mut map) {
-        Some(map)
-    } else {
-        None
-    }
 }
 
 /// The literal `col` is pinned to by the conjuncts, if any.

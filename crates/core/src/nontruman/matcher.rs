@@ -8,7 +8,8 @@
 //! SPJ block, with multiset semantics handled precisely:
 //!
 //! * `Q` and `V` must scan the same multiset of base tables (instances
-//!   are aligned by backtracking over same-table permutations);
+//!   are aligned by `align_scans`, a backtracking search over same-table
+//!   permutations that C3 also uses to align a query onto its core);
 //! * `Q`'s predicate must *imply* `V`'s (so `σ_extra(V)` reproduces
 //!   exactly `Q`'s base rows — the subsumption direction), where `extra`
 //!   is `Q`'s own predicate re-expressed over `V`'s output columns;
@@ -22,7 +23,7 @@
 use fgac_algebra::implication::implies_metered;
 use fgac_algebra::{ScalarExpr, SpjBlock};
 use fgac_storage::Catalog;
-use fgac_types::{BudgetMeter, Ident, Result};
+use fgac_types::{BudgetMeter, Ident, Result, Schema};
 
 /// Phase label the matcher charges its budget under.
 const PHASE: &str = "view matcher";
@@ -70,66 +71,93 @@ pub fn match_block_metered(
         return Ok(None);
     }
     // Try alignments of Q scan instances onto V scan instances.
-    let mut assignment: Vec<Option<usize>> = vec![None; q.scans.len()];
-    let mut used = vec![false; v.scans.len()];
-    align(catalog, q, v, 0, &mut assignment, &mut used, meter)
+    align_scans(&q.scans, &v.scans, meter, |q_to_v| {
+        check_aligned(catalog, q, v, q_to_v, meter)
+    })
 }
 
-#[allow(
-    clippy::too_many_arguments,
-    reason = "the recursive alignment search threads its whole state explicitly"
-)]
-fn align(
-    catalog: &Catalog,
-    q: &SpjBlock,
-    v: &SpjBlock,
-    idx: usize,
-    assignment: &mut Vec<Option<usize>>,
-    used: &mut Vec<bool>,
+/// The one alignment search over two scan lists: maps each of `q`'s
+/// scan instances onto a distinct instance of `v` with the same table
+/// and width, trying `v`'s instances in order and backtracking. `visit`
+/// sees each complete alignment as a flat-column map from `q`'s frame
+/// into `v`'s; the search stops at the first `Some` it returns. Each
+/// candidate instance charges the matcher's phase once to `meter`.
+pub(crate) fn align_scans<T>(
+    q: &[(Ident, Schema)],
+    v: &[(Ident, Schema)],
     meter: &BudgetMeter,
-) -> Result<Option<MatchWitness>> {
-    if idx == q.scans.len() {
-        return check_aligned(catalog, q, v, assignment, meter);
+    mut visit: impl FnMut(&[usize]) -> Result<Option<T>>,
+) -> Result<Option<T>> {
+    if q.len() != v.len() {
+        return Ok(None);
     }
-    for vi in 0..v.scans.len() {
-        if used[vi] || v.scans[vi].0 != q.scans[idx].0 {
-            continue;
+    let v_start = v
+        .iter()
+        .scan(0, |at, (_, s)| {
+            *at += s.len();
+            Some(*at - s.len())
+        })
+        .collect();
+    let mut search = Alignment {
+        q,
+        v,
+        v_start,
+        meter,
+        used: vec![false; v.len()],
+        map: vec![0; q.iter().map(|(_, s)| s.len()).sum()],
+    };
+    search.extend(0, 0, &mut visit)
+}
+
+/// The state of one [`align_scans`] search.
+struct Alignment<'a> {
+    q: &'a [(Ident, Schema)],
+    v: &'a [(Ident, Schema)],
+    /// First flat column of each of `v`'s instances.
+    v_start: Vec<usize>,
+    meter: &'a BudgetMeter,
+    used: Vec<bool>,
+    /// The flat-column map built so far.
+    map: Vec<usize>,
+}
+
+impl Alignment<'_> {
+    /// Aligns `q`'s instances from `idx` on, whose first flat column is
+    /// `q_at`.
+    fn extend<T>(
+        &mut self,
+        idx: usize,
+        q_at: usize,
+        visit: &mut impl FnMut(&[usize]) -> Result<Option<T>>,
+    ) -> Result<Option<T>> {
+        let Some((table, schema)) = self.q.get(idx) else {
+            return visit(&self.map);
+        };
+        for vi in 0..self.v.len() {
+            if self.used[vi] || &self.v[vi].0 != table || self.v[vi].1.len() != schema.len() {
+                continue;
+            }
+            self.meter.charge(PHASE, 1)?;
+            self.used[vi] = true;
+            for k in 0..schema.len() {
+                self.map[q_at + k] = self.v_start[vi] + k;
+            }
+            if let Some(found) = self.extend(idx + 1, q_at + schema.len(), visit)? {
+                return Ok(Some(found));
+            }
+            self.used[vi] = false;
         }
-        meter.charge(PHASE, 1)?;
-        assignment[idx] = Some(vi);
-        used[vi] = true;
-        if let Some(w) = align(catalog, q, v, idx + 1, assignment, used, meter)? {
-            return Ok(Some(w));
-        }
-        assignment[idx] = None;
-        used[vi] = false;
+        Ok(None)
     }
-    Ok(None)
 }
 
 fn check_aligned(
     catalog: &Catalog,
     q: &SpjBlock,
     v: &SpjBlock,
-    assignment: &[Option<usize>],
+    q_to_v: &[usize],
     meter: &BudgetMeter,
 ) -> Result<Option<MatchWitness>> {
-    // Flat-offset mapping from Q's frame into V's frame.
-    let flat = q.flat_arity();
-    let mut q_to_v = vec![0usize; flat];
-    for (qi, vi) in assignment.iter().enumerate() {
-        // `align` only recurses here once every Q scan is assigned; an
-        // incomplete assignment can never witness a match, so degrade to
-        // "no match" rather than panic.
-        let Some(vi) = *vi else {
-            return Ok(None);
-        };
-        let (qs, qe) = q.scan_range(qi);
-        let (vs, _) = v.scan_range(vi);
-        for (k, slot) in q_to_v.iter_mut().enumerate().take(qe).skip(qs) {
-            *slot = vs + (k - qs);
-        }
-    }
     let qc_in_v: Vec<ScalarExpr> = q
         .conjuncts
         .iter()
@@ -179,37 +207,20 @@ fn check_aligned(
         }
     }
 
-    // Multiplicity reasoning.
-    if q.distinct {
-        // Final Distinct absorbs everything.
-        return Ok(Some(MatchWitness {
-            extra_conjuncts: extra,
-            projection,
-            distinct: true,
-            q_to_v,
-        }));
+    // Multiplicity reasoning. A final Distinct absorbs everything; a
+    // duplicate-preserving V reproduces Q's base-row multiset exactly
+    // under σ_extra, and π preserves it. A set V serves a Q that wants
+    // multiplicities only if Q is provably duplicate-free (then sets =
+    // multisets).
+    if !q.distinct && v.distinct && !is_duplicate_free(catalog, q) {
+        return Ok(None);
     }
-    if !v.distinct {
-        // Duplicate-preserving all the way: σ_extra(V) reproduces Q's
-        // base-row multiset exactly, π preserves it.
-        return Ok(Some(MatchWitness {
-            extra_conjuncts: extra,
-            projection,
-            distinct: false,
-            q_to_v,
-        }));
-    }
-    // V is a set; Q wants multiplicities. Sound only if Q is provably
-    // duplicate-free (then sets = multisets).
-    if is_duplicate_free(catalog, q) {
-        return Ok(Some(MatchWitness {
-            extra_conjuncts: extra,
-            projection,
-            distinct: false,
-            q_to_v,
-        }));
-    }
-    Ok(None)
+    Ok(Some(MatchWitness {
+        extra_conjuncts: extra,
+        projection,
+        distinct: q.distinct,
+        q_to_v: q_to_v.to_vec(),
+    }))
 }
 
 /// A block is duplicate-free if it ends in DISTINCT, or if its projection

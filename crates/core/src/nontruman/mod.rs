@@ -257,25 +257,55 @@ impl ValidSet {
     }
 
     /// Adds `block` unless an identical one is present (the duplicate
-    /// scan is confined to the same-signature bucket). Returns whether
-    /// the set grew.
-    fn push(&mut self, block: SpjBlock, origin: String, step: usize) -> bool {
-        if self.contains(&block) {
-            return false;
+    /// scan is confined to the same-signature bucket).
+    fn push(&mut self, block: SpjBlock, origin: String, step: usize) {
+        if !self.contains(&block) {
+            self.insert(block, origin, step);
         }
+    }
+
+    fn insert(&mut self, block: SpjBlock, origin: String, step: usize) {
         let signature = matcher::CandidateIndex::signature(&block);
         self.index.insert(signature, self.blocks.len());
         self.blocks.push(ValidBlock { block, origin, step });
-        true
     }
 
-    /// Only the blocks whose scan-table multiset equals `block`'s — the
-    /// ones [`matcher::match_block_metered`] could possibly accept.
-    fn candidates(&self, block: &SpjBlock) -> impl Iterator<Item = &ValidBlock> {
-        self.index
-            .candidates(block)
-            .iter()
-            .map(move |&i| &self.blocks[i])
+    /// Records `block` as newly derived, unless an identical block is
+    /// present: `derive` yields the step proving it and its origin, the
+    /// step (noted with the origin) goes to the certificate and the block
+    /// joins the set. Returns the new step, `None` if the block was known.
+    fn record(
+        &mut self,
+        builder: &mut CertBuilder,
+        block: &SpjBlock,
+        derive: impl FnOnce() -> (Step, String),
+    ) -> Option<usize> {
+        if self.contains(block) {
+            return None;
+        }
+        let (mut step, origin) = derive();
+        step.block = Some(block.clone());
+        step.note = origin.clone();
+        let step = builder.push(step);
+        self.insert(block.clone(), origin, step);
+        Some(step)
+    }
+
+    /// The first block `block` matches ([`matcher::match_block_metered`]),
+    /// with the witness. Only the blocks sharing its scan-table multiset
+    /// can match, so only they are tried.
+    fn match_any(
+        &self,
+        catalog: &fgac_storage::Catalog,
+        block: &SpjBlock,
+        meter: &BudgetMeter,
+    ) -> Result<Option<(&ValidBlock, matcher::MatchWitness)>> {
+        for vb in self.index.candidates(block).iter().map(|&i| &self.blocks[i]) {
+            if let Some(w) = matcher::match_block_metered(catalog, block, &vb.block, meter)? {
+                return Ok(Some((vb, w)));
+            }
+        }
+        Ok(None)
     }
 
     /// Only the blocks whose scan-table multiset equals `block`'s plus
@@ -355,6 +385,16 @@ impl<'a> Validator<'a> {
         let meter = self.options.budget.start();
         let query_tables: BTreeSet<Ident> = qplan.scanned_tables().into_iter().collect();
         let qblock = SpjBlock::decompose(&qplan);
+        // An accept's report, with the certificate of `builder`'s steps.
+        // Taking a `CertVerdict` keeps a denial from minting one.
+        let accept = |verdict: CertVerdict, rules, dag_stats, views_considered, builder| {
+            let cert = self.certificate(session, verdict, &query_tables, &qblock, builder);
+            let verdict = match verdict {
+                CertVerdict::Unconditional => Verdict::Unconditional,
+                CertVerdict::Conditional => Verdict::Conditional,
+            };
+            Ok(self.report(verdict, rules, dag_stats, views_considered, cert))
+        };
 
         // --- Compiled fast path (FP1/FP2). ----------------------------
         // Admit via the principal's compiled capability snapshot when it
@@ -382,20 +422,13 @@ impl<'a> Validator<'a> {
                 goal.note = fp.note.clone();
                 builder.push(goal);
                 rules.push(fp.note.clone());
-                let cert = self.certificate(
-                    session,
+                return accept(
                     CertVerdict::Unconditional,
-                    &query_tables,
-                    &qblock,
-                    builder,
-                );
-                return Ok(self.report(
-                    Verdict::Unconditional,
                     rules,
                     DagStats::default(),
                     fp.views.len(),
-                    cert,
-                ));
+                    builder,
+                );
             }
             compiled::note_fastpath_miss();
         }
@@ -575,8 +608,7 @@ impl<'a> Validator<'a> {
             &mut builder,
             "U1/U2: DAG unification + subsumption",
         ) {
-            let cert = self.certificate(session, CertVerdict::Unconditional, &query_tables, &qblock, builder);
-            return Ok(self.report(Verdict::Unconditional, rules, dag_stats, views_considered, cert));
+            return accept(CertVerdict::Unconditional, rules, dag_stats, views_considered, builder);
         }
 
         // --- Valid blocks for the matcher + U3 derivations. -----------
@@ -603,16 +635,12 @@ impl<'a> Validator<'a> {
                     for vb in &snapshot {
                         meter.charge(PHASE, 1)?;
                         if let Some(restricted) = strengthen::restrict_by_query(qb, &vb.block) {
-                            if !valid_blocks.contains(&restricted) {
-                                let origin = format!("σ-restriction of {}", vb.origin);
-                                let mut s = Step::new(RuleId::U2Restrict);
-                                s.block = Some(restricted.clone());
-                                s.premises = vec![vb.step];
-                                s.note = origin.clone();
-                                let step = builder.push(s);
-                                valid_blocks.push(restricted, origin, step);
-                                changed = true;
-                            }
+                            changed |= valid_blocks
+                                .record(&mut builder, &restricted, || {
+                                    let origin = format!("σ-restriction of {}", vb.origin);
+                                    (step(RuleId::U2Restrict, vec![vb.step]), origin)
+                                })
+                                .is_some();
                         }
                     }
                     // Pairwise composition, bounded to small blocks. A
@@ -663,43 +691,29 @@ impl<'a> Validator<'a> {
                                 if !useful {
                                     continue;
                                 }
-                                if let Some(composed) = strengthen::compose(&x.block, &y.block) {
-                                    let origin =
-                                        format!("U2 join of {} and {}", x.origin, y.origin);
-                                    let mut compose_step = None;
-                                    if !valid_blocks.contains(&composed) {
-                                        let mut s = Step::new(RuleId::U2Compose);
-                                        s.block = Some(composed.clone());
-                                        s.premises = vec![x.step, y.step];
-                                        s.note = origin.clone();
-                                        let step = builder.push(s);
-                                        compose_step = Some(step);
-                                        valid_blocks.push(composed.clone(), origin.clone(), step);
-                                        changed = true;
-                                    }
-                                    if let Some(restricted) =
-                                        strengthen::restrict_by_query(qb, &composed)
-                                    {
-                                        if !valid_blocks.contains(&restricted) {
-                                            // Premise: the composition we just
-                                            // recorded, or the identical block
-                                            // already in the set.
-                                            let premise = match compose_step {
-                                                Some(s) => s,
-                                                None => valid_blocks
-                                                    .step_of(&composed)
-                                                    .unwrap_or(x.step),
-                                            };
+                                let Some(composed) = strengthen::compose(&x.block, &y.block)
+                                else {
+                                    continue;
+                                };
+                                let origin = format!("U2 join of {} and {}", x.origin, y.origin);
+                                changed |= valid_blocks
+                                    .record(&mut builder, &composed, || {
+                                        let s = step(RuleId::U2Compose, vec![x.step, y.step]);
+                                        (s, origin.clone())
+                                    })
+                                    .is_some();
+                                if let Some(restricted) =
+                                    strengthen::restrict_by_query(qb, &composed)
+                                {
+                                    // Premise: the composition just recorded, or
+                                    // the identical block already in the set.
+                                    let premise = valid_blocks.step_of(&composed).unwrap_or(x.step);
+                                    changed |= valid_blocks
+                                        .record(&mut builder, &restricted, || {
                                             let origin = format!("σ-restriction of {origin}");
-                                            let mut s = Step::new(RuleId::U2Restrict);
-                                            s.block = Some(restricted.clone());
-                                            s.premises = vec![premise];
-                                            s.note = origin.clone();
-                                            let step = builder.push(s);
-                                            valid_blocks.push(restricted, origin, step);
-                                            changed = true;
-                                        }
-                                    }
+                                            (step(RuleId::U2Restrict, vec![premise]), origin)
+                                        })
+                                        .is_some();
                                 }
                             }
                         }
@@ -712,22 +726,20 @@ impl<'a> Validator<'a> {
                 let snapshot: Vec<ValidBlock> = valid_blocks.blocks.clone();
                 for vb in &snapshot {
                     for d in u3::derive_metered(self.db.catalog(), &visible, &vb.block, &meter)? {
-                        if !valid_blocks.contains(&d.core) {
+                        let derived = |rule, premises| {
+                            let mut s = step(rule, premises);
+                            s.constraint = Some(d.constraint.clone());
+                            s.obligations = d.obligations.clone();
+                            s
+                        };
+                        if let Some(step) = valid_blocks.record(&mut builder, &d.core, || {
                             let origin = format!(
                                 "U3a/U3b on {} with constraint {} (remainder {})",
                                 vb.origin, d.constraint, d.remainder_table
                             );
-                            let mut s = Step::new(RuleId::U3a);
-                            s.block = Some(d.core.clone());
-                            s.premises = vec![vb.step];
-                            s.constraint = Some(d.constraint.clone());
-                            s.obligations = d.obligations.clone();
-                            s.note = origin.clone();
-                            let step = builder.push(s);
-                            valid_blocks.push(d.core.clone(), origin, step);
-                            let class = dag.insert_plan(&d.core.to_plan());
-                            marking.mark(&dag, class);
-                            builder.note_class(&dag, class, step);
+                            (derived(RuleId::U3a, vec![vb.step]), origin)
+                        }) {
+                            mark_block(&mut dag, &mut marking, &mut builder, &d.core, step);
                             rules.push(format!(
                                 "U3a: SELECT DISTINCT core of {} valid via constraint {}",
                                 vb.origin, d.constraint
@@ -735,38 +747,35 @@ impl<'a> Validator<'a> {
                             changed = true;
                         }
                         // U3c: multiplicity witness must itself be valid.
-                        if let Some(w) = &d.multiplicity_witness {
-                            if let Some(wstep) = self.block_validity(
-                                &dag,
-                                &marking,
-                                &valid_blocks,
-                                w,
-                                &meter,
-                                &mut builder,
-                            )? {
-                                let mut non_distinct = d.core.clone();
-                                non_distinct.distinct = false;
-                                if !valid_blocks.contains(&non_distinct) {
-                                    let origin = format!("U3c on {}", vb.origin);
-                                    let mut s = Step::new(RuleId::U3c);
-                                    s.block = Some(non_distinct.clone());
-                                    s.premises = vec![vb.step, wstep];
-                                    s.constraint = Some(d.constraint.clone());
-                                    s.obligations = d.obligations.clone();
-                                    s.note = origin.clone();
-                                    let step = builder.push(s);
-                                    valid_blocks.push(non_distinct.clone(), origin, step);
-                                    let class = dag.insert_plan(&non_distinct.to_plan());
-                                    marking.mark(&dag, class);
-                                    builder.note_class(&dag, class, step);
-                                    rules.push(format!(
-                                        "U3c: multiplicity of core of {} reconstructible \
-                                         (q_rj valid); DISTINCT dropped",
-                                        vb.origin
-                                    ));
-                                    changed = true;
-                                }
-                            }
+                        let Some(w) = &d.multiplicity_witness else {
+                            continue;
+                        };
+                        let Some(wstep) = self.block_validity(
+                            &dag,
+                            &marking,
+                            &valid_blocks,
+                            w,
+                            &meter,
+                            &mut builder,
+                        )?
+                        else {
+                            continue;
+                        };
+                        let non_distinct = SpjBlock {
+                            distinct: false,
+                            ..d.core.clone()
+                        };
+                        if let Some(step) = valid_blocks.record(&mut builder, &non_distinct, || {
+                            let origin = format!("U3c on {}", vb.origin);
+                            (derived(RuleId::U3c, vec![vb.step, wstep]), origin)
+                        }) {
+                            mark_block(&mut dag, &mut marking, &mut builder, &non_distinct, step);
+                            rules.push(format!(
+                                "U3c: multiplicity of core of {} reconstructible \
+                                 (q_rj valid); DISTINCT dropped",
+                                vb.origin
+                            ));
+                            changed = true;
                         }
                     }
                 }
@@ -785,19 +794,10 @@ impl<'a> Validator<'a> {
                 let Some(block) = SpjBlock::decompose(&plan) else {
                     continue;
                 };
-                let mut hit = None;
-                for vb in valid_blocks.candidates(&block) {
-                    if let Some(w) =
-                        matcher::match_block_metered(self.db.catalog(), &block, &vb.block, &meter)?
-                    {
-                        hit = Some((vb.step, vb.origin.clone(), w));
-                        break;
-                    }
-                }
-                if let Some((premise, origin, w)) = hit {
-                    let mut s = Step::new(RuleId::U2Match);
-                    s.block = Some(block.clone());
-                    s.premises = vec![premise];
+                if let Some((vb, w)) = valid_blocks.match_any(self.db.catalog(), &block, &meter)? {
+                    let origin = &vb.origin;
+                    let mut s = step(RuleId::U2Match, vec![vb.step]);
+                    s.block = Some(block);
                     s.substitution = w.q_to_v;
                     s.note = format!("subexpression matched against {origin}");
                     let step = builder.push(s);
@@ -818,14 +818,13 @@ impl<'a> Validator<'a> {
                 &mut builder,
                 "U2: composition over valid subexpressions",
             ) {
-                let cert = self.certificate(
-                    session,
+                return accept(
                     CertVerdict::Unconditional,
-                    &query_tables,
-                    &qblock,
+                    rules,
+                    dag_stats,
+                    views_considered,
                     builder,
                 );
-                return Ok(self.report(Verdict::Unconditional, rules, dag_stats, views_considered, cert));
             }
             if !changed {
                 break;
@@ -876,20 +875,13 @@ impl<'a> Validator<'a> {
                     goal.premises = premises;
                     goal.note = "Section 6 dependent join".into();
                     builder.push(goal);
-                    let cert = self.certificate(
-                        session,
+                    return accept(
                         CertVerdict::Unconditional,
-                        &query_tables,
-                        &qblock,
-                        builder,
-                    );
-                    return Ok(self.report(
-                        Verdict::Unconditional,
                         rules,
                         dag_stats,
                         views_considered,
-                        cert,
-                    ));
+                        builder,
+                    );
                 }
             }
         }
@@ -966,20 +958,13 @@ impl<'a> Validator<'a> {
                         goal.probe_rows = Some(vr_rows.len() as u64);
                         goal.note = cand.description.clone();
                         builder.push(goal);
-                        let cert = self.certificate(
-                            session,
+                        return accept(
                             CertVerdict::Conditional,
-                            &query_tables,
-                            &qblock,
-                            builder,
-                        );
-                        return Ok(self.report(
-                            Verdict::Conditional,
                             rules,
                             dag_stats,
                             views_considered,
-                            cert,
-                        ));
+                            builder,
+                        );
                     }
                 }
             }
@@ -1006,19 +991,13 @@ impl<'a> Validator<'a> {
         meter: &BudgetMeter,
         builder: &mut CertBuilder,
     ) -> Result<Option<usize>> {
-        // Matcher first: it is semantic and cheap, and only the blocks
-        // sharing the query block's scan multiset can match.
-        for vb in valid_blocks.candidates(block) {
-            if let Some(w) =
-                matcher::match_block_metered(self.db.catalog(), block, &vb.block, meter)?
-            {
-                let mut s = Step::new(RuleId::U2Match);
-                s.block = Some(block.clone());
-                s.premises = vec![vb.step];
-                s.substitution = w.q_to_v;
-                s.note = format!("matched against {}", vb.origin);
-                return Ok(Some(builder.push(s)));
-            }
+        // Matcher first: it is semantic and cheap.
+        if let Some((vb, w)) = valid_blocks.match_any(self.db.catalog(), block, meter)? {
+            let mut s = step(RuleId::U2Match, vec![vb.step]);
+            s.block = Some(block.clone());
+            s.substitution = w.q_to_v;
+            s.note = format!("matched against {}", vb.origin);
+            return Ok(Some(builder.push(s)));
         }
         // DAG: the block's plan may already have a valid class. Inserting
         // requires mutation, so only probe via a cloned DAG when small.
@@ -1083,6 +1062,27 @@ impl<'a> Validator<'a> {
             ..ValidityReport::new(verdict, rules)
         }
     }
+}
+
+/// A certificate step of `rule` resting on `premises`.
+fn step(rule: RuleId, premises: Vec<usize>) -> Step {
+    let mut s = Step::new(rule);
+    s.premises = premises;
+    s
+}
+
+/// Marks `block`, just derived valid by certificate step `step`, in the
+/// DAG.
+fn mark_block(
+    dag: &mut Dag,
+    marking: &mut Marking,
+    builder: &mut CertBuilder,
+    block: &SpjBlock,
+    step: usize,
+) {
+    let class = dag.insert_plan(&block.to_plan());
+    marking.mark(dag, class);
+    builder.note_class(dag, class, step);
 }
 
 /// The single-instance restriction of a query block: the scan of

@@ -15,16 +15,128 @@
 //! remainder's join attributes are visible in `A_r` and
 //! `SELECT A_rj FROM R_r WHERE P_r` is itself valid), the multiplicity
 //! of the core can be reconstructed and the `DISTINCT` dropped.
+//!
+//! The core/remainder decomposition itself is `RemainderSplit`, which
+//! the conditional rules C3a/C3b ([`super::c3`]) split their valid
+//! block with too.
 
 use fgac_algebra::implication::implies_metered;
 use fgac_algebra::{CmpOp, ScalarExpr, SpjBlock};
 use fgac_analyze::Obligation;
 use fgac_storage::{Catalog, InclusionDependency};
-use fgac_types::{BudgetMeter, Ident, Result};
+use fgac_types::{BudgetMeter, Ident, Result, Schema};
 use std::collections::BTreeSet;
 
 /// Phase label U3 derivations charge their budget under.
 const PHASE: &str = "U3 derivations";
+
+/// A valid block `V = select A from R where Pc ∧ Pr ∧ Pj` split at one
+/// remainder scan instance `Rr` (Sections 5.3 and 5.4): `Pc` touches
+/// only the other instances (the core), `Pr` only `Rr`, and every
+/// conjunct spanning both is a plain equi-join `Pj`.
+#[derive(Debug, Clone)]
+pub(crate) struct RemainderSplit<'v> {
+    valid: &'v SpjBlock,
+    r: usize,
+    /// The remainder's flat columns in `V`'s frame: `rs..re`.
+    pub rs: usize,
+    pub re: usize,
+    pub pc: Vec<ScalarExpr>,
+    pub pr: Vec<ScalarExpr>,
+    /// `Pj` as (core column, remainder column) pairs in `V`'s frame, in
+    /// conjunct order.
+    pub pj: Vec<(usize, usize)>,
+}
+
+impl<'v> RemainderSplit<'v> {
+    /// Splits `valid` at scan instance `r`; `None` when a conjunct
+    /// spanning core and remainder is not a plain equi-join, or when
+    /// none joins them.
+    pub fn new(valid: &'v SpjBlock, r: usize) -> Option<Self> {
+        let (rs, re) = valid.scan_range(r);
+        let in_rem = |c: usize| c >= rs && c < re;
+        let (mut pc, mut pr, mut pj) = (Vec::new(), Vec::new(), Vec::new());
+        for c in &valid.conjuncts {
+            let cols = c.referenced_cols();
+            let rem_cols = cols.iter().filter(|&&i| in_rem(i)).count();
+            if rem_cols == 0 {
+                pc.push(c.clone());
+            } else if rem_cols == cols.len() {
+                pr.push(c.clone());
+            } else {
+                let ScalarExpr::Cmp { op: CmpOp::Eq, left, right } = c else {
+                    return None;
+                };
+                let (ScalarExpr::Col(a), ScalarExpr::Col(b)) = (&**left, &**right) else {
+                    return None;
+                };
+                let (core, rem) = if in_rem(*a) { (*b, *a) } else { (*a, *b) };
+                if in_rem(core) || !in_rem(rem) {
+                    return None;
+                }
+                pj.push((core, rem));
+            }
+        }
+        (!pj.is_empty()).then_some(RemainderSplit { valid, r, rs, re, pc, pr, pj })
+    }
+
+    /// Whether `V`'s flat column `c` belongs to the remainder.
+    pub fn in_rem(&self, c: usize) -> bool {
+        c >= self.rs && c < self.re
+    }
+
+    /// `V`'s core column `c` in the core frame (`V`'s row without the
+    /// remainder's columns).
+    pub fn core_col(&self, c: usize) -> usize {
+        if c >= self.re {
+            c - (self.re - self.rs)
+        } else {
+            c
+        }
+    }
+
+    /// The inverse of [`Self::core_col`]: core-frame column `c` in `V`'s
+    /// frame.
+    pub fn valid_col(&self, c: usize) -> usize {
+        if c >= self.rs {
+            c + (self.re - self.rs)
+        } else {
+            c
+        }
+    }
+
+    /// The core's scan instances: `V`'s without the remainder.
+    pub fn core_scans(&self) -> Vec<(Ident, Schema)> {
+        let mut scans = self.valid.scans.clone();
+        scans.remove(self.r);
+        scans
+    }
+
+    /// `Pc` over the core frame.
+    pub fn core_conjuncts(&self) -> Vec<ScalarExpr> {
+        self.pc.iter().map(|c| c.map_cols(&|i| self.core_col(i))).collect()
+    }
+
+    /// The remainder's scan instance.
+    pub fn remainder_scan(&self) -> &'v (Ident, Schema) {
+        &self.valid.scans[self.r]
+    }
+
+    /// `select [distinct] A_rj from Rr where Pr ∧ extra`: the remainder
+    /// projected on its join attributes (in `pj`'s order), over its own
+    /// frame; `extra` is already in that frame.
+    pub fn remainder(&self, extra: Vec<ScalarExpr>, distinct: bool) -> SpjBlock {
+        let mut conjuncts: Vec<ScalarExpr> =
+            self.pr.iter().map(|c| c.map_cols(&|i| i - self.rs)).collect();
+        conjuncts.extend(extra);
+        SpjBlock {
+            scans: vec![self.remainder_scan().clone()],
+            conjuncts,
+            projection: self.pj.iter().map(|&(_, r)| ScalarExpr::Col(r - self.rs)).collect(),
+            distinct,
+        }
+    }
+}
 
 /// A U3 derivation: the core block that became valid, and whether the
 /// duplicate-preserving version is also valid (U3c).
@@ -55,7 +167,7 @@ pub fn derive(
         .unwrap_or_default()
 }
 
-/// [`derive`] under a resource budget. Charges per candidate
+/// [`derive()`] under a resource budget. Charges per candidate
 /// (remainder, constraint) pair and inside the implication prover;
 /// propagates exhaustion so the caller fails closed.
 pub fn derive_metered(
@@ -76,54 +188,12 @@ pub fn derive_metered(
         .collect();
 
     for r_idx in 0..valid.scans.len() {
-        let (rs, re) = valid.scan_range(r_idx);
-        let in_rem = |c: usize| c >= rs && c < re;
-
-        // Partition conjuncts into Pc / Pr / Pj.
-        let mut pc = Vec::new();
-        let mut pr = Vec::new();
-        let mut pj_pairs: Vec<(usize, usize)> = Vec::new(); // (core, rem)
-        let mut ok = true;
-        for c in &valid.conjuncts {
-            let cols = c.referenced_cols();
-            let rem_cols: Vec<usize> = cols.iter().copied().filter(|&i| in_rem(i)).collect();
-            if rem_cols.is_empty() {
-                pc.push(c.clone());
-            } else if rem_cols.len() == cols.len() {
-                pr.push(c.clone());
-            } else {
-                // Cross conjunct: must be a plain equi-join.
-                match c {
-                    ScalarExpr::Cmp {
-                        op: CmpOp::Eq,
-                        left,
-                        right,
-                    } => match (&**left, &**right) {
-                        (ScalarExpr::Col(a), ScalarExpr::Col(b)) => {
-                            let (core, rem) = if in_rem(*a) { (*b, *a) } else { (*a, *b) };
-                            if in_rem(core) || !in_rem(rem) {
-                                ok = false;
-                                break;
-                            }
-                            pj_pairs.push((core, rem));
-                        }
-                        _ => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if !ok || pj_pairs.is_empty() {
+        let Some(mut split) = RemainderSplit::new(valid, r_idx) else {
             continue;
-        }
-        pj_pairs.sort_unstable();
-        pj_pairs.dedup();
+        };
+        split.pj.sort_unstable();
+        split.pj.dedup();
+        let rs = split.rs;
 
         // A_c: projection expressions that only touch core columns.
         // Condition 1(a)/(b) of U3a is satisfied by construction of the
@@ -131,14 +201,13 @@ pub fn derive_metered(
         let core_projection: Vec<&ScalarExpr> = valid
             .projection
             .iter()
-            .filter(|e| e.referenced_cols().iter().all(|&i| !in_rem(i)))
+            .filter(|e| e.referenced_cols().iter().all(|&i| !split.in_rem(i)))
             .collect();
         if core_projection.is_empty() {
             continue;
         }
 
-        let rem_table = &valid.scans[r_idx].0;
-        let rem_schema = &valid.scans[r_idx].1;
+        let (rem_table, rem_schema) = split.remainder_scan();
 
         for dep in &inclusions {
             meter.charge(PHASE, 1)?;
@@ -156,7 +225,7 @@ pub fn derive_metered(
                 Some(v) => v,
                 None => continue,
             };
-            let rem_join_cols: BTreeSet<usize> = pj_pairs.iter().map(|&(_, r)| r).collect();
+            let rem_join_cols: BTreeSet<usize> = split.pj.iter().map(|&(_, r)| r).collect();
             if rem_join_cols != dep_dst_flat.iter().copied().collect() {
                 continue;
             }
@@ -186,7 +255,7 @@ pub fn derive_metered(
                 let mut eq_needed = Vec::new();
                 let mut align_ok = true;
                 for (k, &dst) in dep_dst_flat.iter().enumerate() {
-                    let Some(&(core_col, _)) = pj_pairs.iter().find(|&&(_, r)| r == dst) else {
+                    let Some(&(core_col, _)) = split.pj.iter().find(|&&(_, r)| r == dst) else {
                         align_ok = false;
                         break;
                     };
@@ -200,9 +269,10 @@ pub fn derive_metered(
                 if !align_ok {
                     continue;
                 }
+                let pc = &split.pc;
                 let mut obligations: Vec<Obligation> = Vec::new();
                 if !eq_needed.is_empty() {
-                    if !implies_metered(&pc, &eq_needed, flat, meter)? {
+                    if !implies_metered(pc, &eq_needed, flat, meter)? {
                         continue;
                     }
                     obligations.push(Obligation {
@@ -222,7 +292,7 @@ pub fn derive_metered(
                         continue;
                     };
                     let shifted = bound.map_cols(&|i| cs + i);
-                    if !implies_metered(&pc, std::slice::from_ref(&shifted), flat, meter)? {
+                    if !implies_metered(pc, std::slice::from_ref(&shifted), flat, meter)? {
                         continue;
                     }
                     obligations.push(Obligation {
@@ -246,12 +316,12 @@ pub fn derive_metered(
                         }
                         None => Vec::new(),
                     };
-                    if !implies_metered(&dst_conjuncts, &pr, flat, meter)? {
+                    if !implies_metered(&dst_conjuncts, &split.pr, flat, meter)? {
                         continue;
                     }
                     obligations.push(Obligation {
                         premise: dst_conjuncts,
-                        conclusion: pr.clone(),
+                        conclusion: split.pr.clone(),
                         arity: flat,
                     });
                 }
@@ -265,14 +335,13 @@ pub fn derive_metered(
 
             // Build the core block (U3a/U3b): remove the remainder scan,
             // shift offsets, project A_c, DISTINCT.
-            let rem_width = re - rs;
-            let shift = |i: usize| if i >= re { i - rem_width } else { i };
-            let mut core_scans = valid.scans.clone();
-            core_scans.remove(r_idx);
             let core = SpjBlock {
-                scans: core_scans,
-                conjuncts: pc.iter().map(|c| c.map_cols(&shift)).collect(),
-                projection: core_projection.iter().map(|e| e.map_cols(&shift)).collect(),
+                scans: split.core_scans(),
+                conjuncts: split.core_conjuncts(),
+                projection: core_projection
+                    .iter()
+                    .map(|e| e.map_cols(&|i| split.core_col(i)))
+                    .collect(),
                 distinct: true,
             };
 
@@ -280,22 +349,12 @@ pub fn derive_metered(
             // block's projection (condition 1d), and q_rj =
             // `select A_rj from Rr where Pr` must itself be valid
             // (condition 3) — returned as a witness for the caller.
-            let rem_join_visible = pj_pairs
+            let rem_join_visible = split
+                .pj
                 .iter()
                 .all(|&(_, r)| valid.projection.contains(&ScalarExpr::Col(r)));
-            let multiplicity_witness = if rem_join_visible && !valid.distinct {
-                Some(SpjBlock {
-                    scans: vec![(rem_table.clone(), rem_schema.clone())],
-                    conjuncts: pr.iter().map(|c| c.map_cols(&|i| i - rs)).collect(),
-                    projection: pj_pairs
-                        .iter()
-                        .map(|&(_, r)| ScalarExpr::Col(r - rs))
-                        .collect(),
-                    distinct: false,
-                })
-            } else {
-                None
-            };
+            let multiplicity_witness =
+                (rem_join_visible && !valid.distinct).then(|| split.remainder(Vec::new(), false));
 
             out.push(U3Derivation {
                 core,

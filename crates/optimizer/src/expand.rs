@@ -11,9 +11,6 @@ pub struct ExpandOptions {
     /// (the paper notes the DAG is "at worst exponential in the number of
     /// relations" — the budget keeps worst cases bounded).
     pub max_ops: usize,
-    /// Apply selection-subsumption / aggregate-rollup derivations
-    /// (Section 5.6.1's "subsumption derivations").
-    pub subsumption: bool,
     /// Maximum full passes over the DAG.
     pub max_passes: usize,
 }
@@ -22,7 +19,6 @@ impl Default for ExpandOptions {
     fn default() -> Self {
         ExpandOptions {
             max_ops: 20_000,
-            subsumption: true,
             max_passes: 12,
         }
     }
@@ -50,19 +46,18 @@ pub fn expand_counting_passes(dag: &mut Dag, opts: &ExpandOptions) -> (DagStats,
             rules::apply_structural(dag, op);
         }
 
-        // Class-level derivations.
-        if opts.subsumption {
-            for class in dag.classes() {
-                if dag.stats().op_nodes >= opts.max_ops {
-                    return (dag.stats(), passes);
-                }
-                // The class may have been merged away during this loop.
-                if dag.find(class) != class {
-                    continue;
-                }
-                rules::selection_subsumption(dag, class);
-                rules::aggregate_rollup(dag, class);
+        // Class-level derivations: selection subsumption and aggregate
+        // rollup (Section 5.6.1's "subsumption derivations").
+        for class in dag.classes() {
+            if dag.stats().op_nodes >= opts.max_ops {
+                return (dag.stats(), passes);
             }
+            // The class may have been merged away during this loop.
+            if dag.find(class) != class {
+                continue;
+            }
+            rules::selection_subsumption(dag, class);
+            rules::aggregate_rollup(dag, class);
         }
 
         // A pass changes the DAG only by adding op nodes (a new class

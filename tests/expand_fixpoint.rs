@@ -18,17 +18,15 @@ fn expand_every_pass(dag: &mut Dag, opts: &ExpandOptions) -> DagStats {
             }
             rules::apply_structural(dag, op);
         }
-        if opts.subsumption {
-            for class in dag.classes() {
-                if dag.stats().op_nodes >= opts.max_ops {
-                    return dag.stats();
-                }
-                if dag.find(class) != class {
-                    continue;
-                }
-                rules::selection_subsumption(dag, class);
-                rules::aggregate_rollup(dag, class);
+        for class in dag.classes() {
+            if dag.stats().op_nodes >= opts.max_ops {
+                return dag.stats();
             }
+            if dag.find(class) != class {
+                continue;
+            }
+            rules::selection_subsumption(dag, class);
+            rules::aggregate_rollup(dag, class);
         }
     }
     dag.stats()
