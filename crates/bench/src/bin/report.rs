@@ -159,7 +159,7 @@ fn e1() {
         "\nshape check: Figure 1(b) initial DAG for n=3 has 5 eq / 5 op nodes;\n\
          expansion adds the alternative join orders (A(BC), (AC)B reachable\n\
          through commute+associate), growing super-linearly with n. A\n\
-         passes entry marked (cap) stopped at `max_passes` before its\n\
+         passes entry suffixed \"cap\" stopped at `max_passes` before its\n\
          fixpoint, so that row's DAG is truncated, not complete."
     );
 }

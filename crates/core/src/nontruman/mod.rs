@@ -41,7 +41,7 @@ use fgac_analyze::{CertVerdict, Certificate, RuleId, Step};
 use fgac_optimizer::{expand, mark_valid, Dag, DagStats, EqId, ExpandOptions, Marking, Operator};
 use fgac_storage::Database;
 use fgac_types::{Budget, BudgetMeter, Counter, Ident, Result, Value};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Phase label the validator's own pipeline steps charge under.
 const PHASE: &str = "inference rounds";
@@ -271,19 +271,20 @@ impl ValidSet {
     }
 
     /// Records `block` as newly derived, unless an identical block is
-    /// present: `derive` yields the step proving it and its origin, the
-    /// step (noted with the origin) goes to the certificate and the block
-    /// joins the set. Returns the new step, `None` if the block was known.
+    /// present: `derive`, given the blocks so far, yields the step proving
+    /// it and its origin, the step (noted with the origin) goes to the
+    /// certificate and the block joins the set. Returns the new step,
+    /// `None` if the block was known.
     fn record(
         &mut self,
         builder: &mut CertBuilder,
         block: &SpjBlock,
-        derive: impl FnOnce() -> (Step, String),
+        derive: impl FnOnce(&[ValidBlock]) -> (Step, String),
     ) -> Option<usize> {
         if self.contains(block) {
             return None;
         }
-        let (mut step, origin) = derive();
+        let (mut step, origin) = derive(&self.blocks);
         step.block = Some(block.clone());
         step.note = origin.clone();
         let step = builder.push(step);
@@ -291,16 +292,21 @@ impl ValidSet {
         Some(step)
     }
 
-    /// The first block `block` matches ([`matcher::match_block_metered`]),
-    /// with the witness. Only the blocks sharing its scan-table multiset
-    /// can match, so only they are tried.
+    /// The first block from position `from` on that `block` matches
+    /// ([`matcher::match_block_metered`]), with the witness. Only the
+    /// blocks sharing its scan-table multiset can match, so only they are
+    /// tried.
     fn match_any(
         &self,
         catalog: &fgac_storage::Catalog,
         block: &SpjBlock,
+        from: usize,
         meter: &BudgetMeter,
     ) -> Result<Option<(&ValidBlock, matcher::MatchWitness)>> {
-        for vb in self.index.candidates(block).iter().map(|&i| &self.blocks[i]) {
+        let bucket = self.index.candidates(block);
+        // A bucket lists its blocks in insertion order.
+        let newer = &bucket[bucket.partition_point(|&i| i < from)..];
+        for vb in newer.iter().map(|&i| &self.blocks[i]) {
             if let Some(w) = matcher::match_block_metered(catalog, block, &vb.block, meter)? {
                 return Ok(Some((vb, w)));
             }
@@ -621,6 +627,51 @@ impl<'a> Validator<'a> {
 
         let visible: BTreeSet<Ident> =
             self.grants.constraints_for(session.user()).into_iter().collect();
+        // Pairwise composition is bounded to small blocks, and useful only
+        // when its scan multiset fits inside the query's tables plus at
+        // most one instance of each potential U3/C3 remainder table (a
+        // destination of a visible inclusion dependency). This keeps e.g.
+        // hundreds of single-table views from composing with each other
+        // quadratically. The allowance depends only on the query and the
+        // policy, so it is counted once per check.
+        let remainder_tables: BTreeSet<Ident> = self
+            .db
+            .catalog()
+            .all_inclusions()
+            .into_iter()
+            .filter(|d| visible.contains(&d.name))
+            .map(|d| d.dst_table)
+            .collect();
+        let mut allowance: BTreeMap<&Ident, usize> = BTreeMap::new();
+        if let Some(qb) = &qblock {
+            for t in qb.scans.iter().map(|(t, _)| t).chain(&remainder_tables) {
+                *allowance.entry(t).or_insert(0) += 1;
+            }
+        }
+        // A composition scans `a.scans ++ b.scans` in either order, so
+        // both tests read the pair before composing.
+        let useful = |qb: &SpjBlock, a: &SpjBlock, b: &SpjBlock| -> bool {
+            let scans = || a.scans.iter().chain(&b.scans).map(|(t, _)| t);
+            qb.scans.iter().all(|(t, _)| scans().any(|ct| ct == t))
+                && scans().all(|t| {
+                    scans().filter(|&u| u == t).count() <= allowance.get(t).copied().unwrap_or(0)
+                })
+        };
+
+        // The rounds are semi-naive. The valid set only grows at its end,
+        // so each rule keeps a high-water mark of the blocks it has seen
+        // and a round feeds it only the blocks past its mark: a rule re-run
+        // on what it saw derives nothing new.
+        let mut restrict_mark = 0;
+        let mut compose_mark = 0;
+        let mut u3_mark = 0;
+        // Derivations whose U3c multiplicity witness is not yet valid, by
+        // the block they split: these are retried every round.
+        let mut u3c_pending: Vec<(usize, Vec<u3::U3Derivation>)> = Vec::new();
+        // Each class's decomposed block. A class with an entry was tried
+        // against the first `match_mark` blocks and matched none of them.
+        let mut class_blocks: Vec<Option<SpjBlock>> = Vec::new();
+        let mut match_mark = 0;
         for _round in 0..self.options.max_rounds {
             meter.charge(PHASE, 1)?;
             let mut changed = false;
@@ -631,75 +682,52 @@ impl<'a> Validator<'a> {
             // tables than any single one (Examples 5.3 and 5.4).
             if self.options.enable_u3 || self.options.enable_c3 {
                 if let Some(qb) = &qblock {
-                    let snapshot: Vec<ValidBlock> = valid_blocks.blocks.clone();
-                    for vb in &snapshot {
+                    let end = valid_blocks.len();
+                    for i in restrict_mark..end {
                         meter.charge(PHASE, 1)?;
-                        if let Some(restricted) = strengthen::restrict_by_query(qb, &vb.block) {
-                            changed |= valid_blocks
-                                .record(&mut builder, &restricted, || {
-                                    let origin = format!("σ-restriction of {}", vb.origin);
-                                    (step(RuleId::U2Restrict, vec![vb.step]), origin)
-                                })
-                                .is_some();
-                        }
-                    }
-                    // Pairwise composition, bounded to small blocks. A
-                    // composition is useful only when its scan multiset
-                    // fits inside the query's tables plus at most one
-                    // instance of each potential U3/C3 remainder table
-                    // (a destination of a visible inclusion dependency).
-                    // This keeps e.g. hundreds of single-table views
-                    // from composing with each other quadratically.
-                    let remainder_tables: BTreeSet<Ident> = self
-                        .db
-                        .catalog()
-                        .all_inclusions()
-                        .into_iter()
-                        .filter(|d| visible.contains(&d.name))
-                        .map(|d| d.dst_table)
-                        .collect();
-                    // A composition scans `a.scans ++ b.scans` in either
-                    // order, so both tests read the pair before composing.
-                    let useful = |a: &SpjBlock, b: &SpjBlock| -> bool {
-                        let scans = || a.scans.iter().chain(&b.scans).map(|(t, _)| t);
-                        let covers = qb.scans.iter().all(|(t, _)| scans().any(|ct| ct == t));
-                        let mut budget: std::collections::BTreeMap<&Ident, isize> =
-                            std::collections::BTreeMap::new();
-                        for t in qb.scans.iter().map(|(t, _)| t).chain(&remainder_tables) {
-                            *budget.entry(t).or_insert(0) += 1;
-                        }
-                        covers
-                            && scans().all(|t| {
-                                let slot = budget.entry(t).or_insert(0);
-                                *slot -= 1;
-                                *slot >= 0
+                        let block = &valid_blocks.blocks[i].block;
+                        let Some(restricted) = strengthen::restrict_by_query(qb, block) else {
+                            continue;
+                        };
+                        changed |= valid_blocks
+                            .record(&mut builder, &restricted, |blocks| {
+                                let vb = &blocks[i];
+                                let origin = format!("σ-restriction of {}", vb.origin);
+                                (step(RuleId::U2Restrict, vec![vb.step]), origin)
                             })
-                    };
-                    let snapshot: Vec<ValidBlock> = valid_blocks.blocks.clone();
-                    for (i, a) in snapshot.iter().enumerate() {
-                        for b in snapshot.iter().skip(i + 1) {
-                            if a.block.scans.len() + b.block.scans.len() > 4
-                                || valid_blocks.len() > 512
-                            {
+                            .is_some();
+                    }
+                    restrict_mark = end;
+
+                    // The pairs (i, j), i < j, whose later block is past
+                    // the mark, in the order a pass over every pair takes.
+                    let end = valid_blocks.len();
+                    for i in 0..end {
+                        for j in (i + 1).max(compose_mark)..end {
+                            let a = &valid_blocks.blocks[i].block;
+                            let b = &valid_blocks.blocks[j].block;
+                            if a.scans.len() + b.scans.len() > 4 || valid_blocks.len() > 512 {
                                 continue;
                             }
                             // Must cover the query's tables and stay
-                            // within the multiset budget.
-                            let useful = useful(&a.block, &b.block);
-                            for (x, y) in [(a, b), (b, a)] {
+                            // within the multiset allowance.
+                            let useful = useful(qb, a, b);
+                            for (x, y) in [(i, j), (j, i)] {
                                 meter.charge(PHASE, 1)?;
                                 if !useful {
                                     continue;
                                 }
+                                let (x, y) = (&valid_blocks.blocks[x], &valid_blocks.blocks[y]);
                                 let Some(composed) = strengthen::compose(&x.block, &y.block)
                                 else {
                                     continue;
                                 };
                                 let origin = format!("U2 join of {} and {}", x.origin, y.origin);
+                                let premises = vec![x.step, y.step];
+                                let x_step = x.step;
                                 changed |= valid_blocks
-                                    .record(&mut builder, &composed, || {
-                                        let s = step(RuleId::U2Compose, vec![x.step, y.step]);
-                                        (s, origin.clone())
+                                    .record(&mut builder, &composed, |_| {
+                                        (step(RuleId::U2Compose, premises), origin.clone())
                                     })
                                     .is_some();
                                 if let Some(restricted) =
@@ -707,9 +735,9 @@ impl<'a> Validator<'a> {
                                 {
                                     // Premise: the composition just recorded, or
                                     // the identical block already in the set.
-                                    let premise = valid_blocks.step_of(&composed).unwrap_or(x.step);
+                                    let premise = valid_blocks.step_of(&composed).unwrap_or(x_step);
                                     changed |= valid_blocks
-                                        .record(&mut builder, &restricted, || {
+                                        .record(&mut builder, &restricted, |_| {
                                             let origin = format!("σ-restriction of {origin}");
                                             (step(RuleId::U2Restrict, vec![premise]), origin)
                                         })
@@ -718,38 +746,67 @@ impl<'a> Validator<'a> {
                             }
                         }
                     }
+                    compose_mark = end;
                 }
             }
 
-            // U3 derivations from every known-valid block.
+            // U3 derivations: every block past the mark is split; an older
+            // block retries only the derivations whose witness was not yet
+            // valid. Block order is the order of a pass over every block.
             if self.options.enable_u3 {
-                let snapshot: Vec<ValidBlock> = valid_blocks.blocks.clone();
-                for vb in &snapshot {
-                    for d in u3::derive_metered(self.db.catalog(), &visible, &vb.block, &meter)? {
+                let retry = std::mem::take(&mut u3c_pending)
+                    .into_iter()
+                    .map(|(i, ds)| (i, Some(ds)));
+                let fresh = (u3_mark..valid_blocks.len()).map(|i| (i, None));
+                u3_mark = valid_blocks.len();
+                for (i, pending) in retry.chain(fresh) {
+                    let is_fresh = pending.is_none();
+                    let derivations = match pending {
+                        Some(ds) => ds,
+                        None => u3::derive_metered(
+                            self.db.catalog(),
+                            &visible,
+                            &valid_blocks.blocks[i].block,
+                            &meter,
+                        )?,
+                    };
+                    let mut unproved = Vec::new();
+                    for d in derivations {
                         let derived = |rule, premises| {
                             let mut s = step(rule, premises);
                             s.constraint = Some(d.constraint.clone());
                             s.obligations = d.obligations.clone();
                             s
                         };
-                        if let Some(step) = valid_blocks.record(&mut builder, &d.core, || {
-                            let origin = format!(
-                                "U3a/U3b on {} with constraint {} (remainder {})",
-                                vb.origin, d.constraint, d.remainder_table
-                            );
-                            (derived(RuleId::U3a, vec![vb.step]), origin)
-                        }) {
-                            mark_block(&mut dag, &mut marking, &mut builder, &d.core, step);
-                            rules.push(format!(
-                                "U3a: SELECT DISTINCT core of {} valid via constraint {}",
-                                vb.origin, d.constraint
-                            ));
-                            changed = true;
+                        if is_fresh {
+                            let core = valid_blocks.record(&mut builder, &d.core, |blocks| {
+                                let vb = &blocks[i];
+                                let origin = format!(
+                                    "U3a/U3b on {} with constraint {} (remainder {})",
+                                    vb.origin, d.constraint, d.remainder_table
+                                );
+                                (derived(RuleId::U3a, vec![vb.step]), origin)
+                            });
+                            if let Some(step) = core {
+                                mark_block(&mut dag, &mut marking, &mut builder, &d.core, step);
+                                rules.push(format!(
+                                    "U3a: SELECT DISTINCT core of {} valid via constraint {}",
+                                    valid_blocks.blocks[i].origin, d.constraint
+                                ));
+                                changed = true;
+                            }
                         }
                         // U3c: multiplicity witness must itself be valid.
                         let Some(w) = &d.multiplicity_witness else {
                             continue;
                         };
+                        let non_distinct = SpjBlock {
+                            distinct: false,
+                            ..d.core.clone()
+                        };
+                        if valid_blocks.contains(&non_distinct) {
+                            continue;
+                        }
                         let Some(wstep) = self.block_validity(
                             &dag,
                             &marking,
@@ -759,56 +816,75 @@ impl<'a> Validator<'a> {
                             &mut builder,
                         )?
                         else {
+                            unproved.push(d);
                             continue;
                         };
-                        let non_distinct = SpjBlock {
-                            distinct: false,
-                            ..d.core.clone()
-                        };
-                        if let Some(step) = valid_blocks.record(&mut builder, &non_distinct, || {
+                        let u3c = valid_blocks.record(&mut builder, &non_distinct, |blocks| {
+                            let vb = &blocks[i];
                             let origin = format!("U3c on {}", vb.origin);
                             (derived(RuleId::U3c, vec![vb.step, wstep]), origin)
-                        }) {
+                        });
+                        if let Some(step) = u3c {
                             mark_block(&mut dag, &mut marking, &mut builder, &non_distinct, step);
                             rules.push(format!(
                                 "U3c: multiplicity of core of {} reconstructible \
                                  (q_rj valid); DISTINCT dropped",
-                                vb.origin
+                                valid_blocks.blocks[i].origin
                             ));
                             changed = true;
                         }
                     }
+                    if !unproved.is_empty() {
+                        u3c_pending.push((i, unproved));
+                    }
                 }
             }
 
-            // Matcher pass over every class in the DAG.
+            // Matcher pass over every class in the DAG. After expansion the
+            // DAG only gains classes, so a class's block never changes: a
+            // class already tried is tried only against the blocks past
+            // the mark, and the first match among them is the first match
+            // overall. A class new since the last round is tried against
+            // every block.
             marking.propagate(&dag);
             let classes = dag.classes();
+            let tried = class_blocks.len();
+            if let Some(last) = classes.last() {
+                class_blocks.resize(tried.max(last.0 as usize + 1), None);
+            }
             for class in classes {
                 if marking.is_valid(&dag, class) {
                     continue;
                 }
-                let Some(plan) = fgac_optimizer::extract_any(&dag, class) else {
+                let c = class.0 as usize;
+                let from = if c < tried {
+                    match_mark
+                } else {
+                    class_blocks[c] = fgac_optimizer::extract_any(&dag, class)
+                        .and_then(|plan| SpjBlock::decompose(&plan));
+                    0
+                };
+                let Some(block) = &class_blocks[c] else {
                     continue;
                 };
-                let Some(block) = SpjBlock::decompose(&plan) else {
-                    continue;
-                };
-                if let Some((vb, w)) = valid_blocks.match_any(self.db.catalog(), &block, &meter)? {
+                if let Some((vb, w)) =
+                    valid_blocks.match_any(self.db.catalog(), block, from, &meter)?
+                {
                     let origin = &vb.origin;
                     let mut s = step(RuleId::U2Match, vec![vb.step]);
-                    s.block = Some(block);
                     s.substitution = w.q_to_v;
                     s.note = format!("subexpression matched against {origin}");
+                    let rule = format!("U2 (view matching): subexpression computed from {origin}");
+                    // A matched class stays valid: its block is not needed again.
+                    s.block = class_blocks[c].take();
                     let step = builder.push(s);
                     marking.mark(&dag, class);
                     builder.note_class(&dag, class, step);
-                    rules.push(format!(
-                        "U2 (view matching): subexpression computed from {origin}"
-                    ));
+                    rules.push(rule);
                     changed = true;
                 }
             }
+            match_mark = valid_blocks.len();
             marking.propagate(&dag);
 
             if accept_dag(
@@ -992,7 +1068,7 @@ impl<'a> Validator<'a> {
         builder: &mut CertBuilder,
     ) -> Result<Option<usize>> {
         // Matcher first: it is semantic and cheap.
-        if let Some((vb, w)) = valid_blocks.match_any(self.db.catalog(), block, meter)? {
+        if let Some((vb, w)) = valid_blocks.match_any(self.db.catalog(), block, 0, meter)? {
             let mut s = step(RuleId::U2Match, vec![vb.step]);
             s.block = Some(block.clone());
             s.substitution = w.q_to_v;

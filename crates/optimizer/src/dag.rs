@@ -96,6 +96,11 @@ pub struct Dag {
     dirty: Vec<EqId>,
     /// Number of canonical classes: +1 per new class, −1 per union.
     live: usize,
+    /// Per op: its rules' inputs changed since they last ran on it.
+    op_dirty: Vec<bool>,
+    /// Per class: its subsumption/rollup inputs changed since they last
+    /// ran on it.
+    class_dirty: Vec<bool>,
 }
 
 impl Dag {
@@ -150,6 +155,31 @@ impl Dag {
         &self.ops[id.0 as usize]
     }
 
+    /// Clears and returns `op`'s dirty flag. A structural rule on an op
+    /// reads only the op and the members of its child classes, so the op
+    /// is dirty from its creation, and again whenever its children are
+    /// re-canonicalized or a child class gains a member or takes part in
+    /// a merge. A rule run on an op that is not dirty adds nothing.
+    pub(crate) fn take_op_dirty(&mut self, id: OpId) -> bool {
+        std::mem::take(&mut self.op_dirty[id.0 as usize])
+    }
+
+    /// Clears and returns `class`'s dirty flag. Subsumption and rollup
+    /// on a class read only its parent ops and their classes, so the
+    /// class is dirty from its creation, and again whenever it gains a
+    /// parent or one of its parents changes class.
+    pub(crate) fn take_class_dirty(&mut self, id: EqId) -> bool {
+        std::mem::take(&mut self.class_dirty[id.0 as usize])
+    }
+
+    /// Marks every consumer of canonical `class` dirty: its members
+    /// changed.
+    fn dirty_parents(&mut self, class: EqId) {
+        for &p in &self.eqs[class.0 as usize].parents {
+            self.op_dirty[p.0 as usize] = true;
+        }
+    }
+
     /// The canonical class an operation belongs to.
     pub fn class_of(&self, id: OpId) -> EqId {
         self.find(self.ops[id.0 as usize].class)
@@ -176,6 +206,7 @@ impl Dag {
             parents: Vec::new(),
             arity,
         });
+        self.class_dirty.push(true);
         self.live += 1;
         id
     }
@@ -228,14 +259,17 @@ impl Dag {
                     children: children.clone(),
                     class,
                 });
+                self.op_dirty.push(true);
                 // `op_id` is the newest op, so these lists stay sorted; a
                 // join of a class with itself lists its parent once.
                 self.eqs[class.0 as usize].ops.push(op_id);
+                self.dirty_parents(class);
                 for &c in &children {
                     let parents = &mut self.eqs[c.0 as usize].parents;
                     if parents.last() != Some(&op_id) {
                         parents.push(op_id);
                     }
+                    self.class_dirty[c.0 as usize] = true;
                 }
                 class
             }
@@ -259,16 +293,26 @@ impl Dag {
     }
 
     /// Makes canonical `b` a member of canonical `a`, moving its op and
-    /// parent lists, and queues `a` for re-canonicalization.
+    /// parent lists, and queues `a` for re-canonicalization. The consumers
+    /// of both classes see new members, `a` gains `b`'s parents, and the
+    /// children of `b`'s ops see a parent change class: all go dirty. (A
+    /// child id not yet re-canonicalized is stale only because of an
+    /// earlier union in this rebuild, which already dirtied its class.)
     fn union(&mut self, a: EqId, b: EqId) {
         self.uf[b.0 as usize] = a.0;
         self.live -= 1;
         let b_data = std::mem::take(&mut self.eqs[b.0 as usize]);
         for &op in &b_data.ops {
-            self.ops[op.0 as usize].class = a;
+            let node = &mut self.ops[op.0 as usize];
+            node.class = a;
+            for &c in &node.children {
+                self.class_dirty[c.0 as usize] = true;
+            }
         }
         self.eqs[a.0 as usize].ops.extend(b_data.ops);
         self.eqs[a.0 as usize].parents.extend(b_data.parents);
+        self.dirty_parents(a);
+        self.class_dirty[a.0 as usize] = true;
         self.dirty.push(a);
     }
 
@@ -292,6 +336,7 @@ impl Dag {
                     continue;
                 }
                 self.ops[op_id.0 as usize].children = new_children.clone();
+                self.op_dirty[op_id.0 as usize] = true;
                 let key = (op, new_children);
                 match self.index.entry(key) {
                     Entry::Occupied(o) => {

@@ -32,18 +32,30 @@ pub fn expand(dag: &mut Dag, opts: &ExpandOptions) -> DagStats {
 /// [`expand`], also returning how many passes it ran. The last pass is
 /// the first that left the DAG unchanged, unless `max_passes` or
 /// `max_ops` stopped expansion before the fixpoint.
+///
+/// Evaluation is semi-naive: a pass runs the rules only on the ops and
+/// classes whose inputs changed since the rules last ran on them (the
+/// DAG's dirty flags), since a rule re-run on unchanged inputs adds
+/// nothing. Each pass still walks ids in
+/// ascending order and tests the flag on reaching an id, so an op
+/// dirtied earlier in the same pass is rewritten in it, exactly when a
+/// pass over every op would have produced something from it: op
+/// creation order, and so every id and `ops_of` list, is that of the
+/// every-pass loop.
 pub fn expand_counting_passes(dag: &mut Dag, opts: &ExpandOptions) -> (DagStats, usize) {
     let mut passes = 0;
     while passes < opts.max_passes {
         passes += 1;
         let before = dag.stats();
 
-        // Structural rules over a snapshot of current ops.
+        // Structural rules over the ops that exist when the pass starts.
         for op in dag.all_ops() {
             if dag.stats().op_nodes >= opts.max_ops {
                 return (dag.stats(), passes);
             }
-            rules::apply_structural(dag, op);
+            if dag.take_op_dirty(op) {
+                rules::apply_structural(dag, op);
+            }
         }
 
         // Class-level derivations: selection subsumption and aggregate
@@ -53,7 +65,7 @@ pub fn expand_counting_passes(dag: &mut Dag, opts: &ExpandOptions) -> (DagStats,
                 return (dag.stats(), passes);
             }
             // The class may have been merged away during this loop.
-            if dag.find(class) != class {
+            if dag.find(class) != class || !dag.take_class_dirty(class) {
                 continue;
             }
             rules::selection_subsumption(dag, class);

@@ -7,18 +7,20 @@ use fgac_algebra::{normalize_conjuncts, CmpOp, ScalarExpr};
 /// group-by output columns that are plain input columns. Selections on
 /// group keys commute with grouping.
 pub fn agg_select_commute(dag: &mut Dag, op_id: OpId) -> usize {
-    let node = dag.op(op_id).clone();
-    let Operator::Select { conjuncts } = &node.op else {
+    let node = dag.op(op_id);
+    let Operator::Select { .. } = node.op else {
         return 0;
     };
-    let class = dag.class_of(op_id);
     let child = node.children[0];
+    let class = dag.class_of(op_id);
 
     let mut added = 0;
     let members: Vec<OpId> = dag.ops_of(child).to_vec();
     for member in members {
-        let inner = dag.op(member).clone();
-        let Operator::Aggregate { group_by, aggs } = &inner.op else {
+        let inner = dag.op(member);
+        let (Operator::Select { conjuncts }, Operator::Aggregate { group_by, aggs }) =
+            (&dag.op(op_id).op, &inner.op)
+        else {
             continue;
         };
         let below = inner.children[0];
@@ -40,6 +42,10 @@ pub fn agg_select_commute(dag: &mut Dag, op_id: OpId) -> usize {
                 })
             })
             .collect();
+        let aggregate = Operator::Aggregate {
+            group_by: group_by.clone(),
+            aggs: aggs.clone(),
+        };
         let selected = dag.add_op(
             Operator::Select {
                 conjuncts: normalize_conjuncts(&pushed),
@@ -47,14 +53,7 @@ pub fn agg_select_commute(dag: &mut Dag, op_id: OpId) -> usize {
             vec![below],
             None,
         );
-        dag.add_op(
-            Operator::Aggregate {
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-            },
-            vec![selected],
-            Some(class),
-        );
+        dag.add_op(aggregate, vec![selected], Some(class));
         added += 1;
     }
     added
@@ -75,21 +74,23 @@ pub fn agg_select_commute(dag: &mut Dag, op_id: OpId) -> usize {
 /// Example 4.1 (and the cited aggregate-rewriting literature, which
 /// resolves the mismatch with outer joins), we treat them as equivalent.
 pub fn global_agg_to_grouped(dag: &mut Dag, op_id: OpId) -> usize {
-    let node = dag.op(op_id).clone();
-    let Operator::Aggregate { group_by, aggs } = &node.op else {
+    let node = dag.op(op_id);
+    let Operator::Aggregate { group_by, .. } = &node.op else {
         return 0;
     };
     if !group_by.is_empty() {
         return 0;
     }
-    let class = dag.class_of(op_id);
     let child = node.children[0];
+    let class = dag.class_of(op_id);
 
     let mut added = 0;
     let members: Vec<OpId> = dag.ops_of(child).to_vec();
     for member in members {
-        let inner = dag.op(member).clone();
-        let Operator::Select { conjuncts } = &inner.op else {
+        let inner = dag.op(member);
+        let (Operator::Aggregate { aggs, .. }, Operator::Select { conjuncts }) =
+            (&dag.op(op_id).op, &inner.op)
+        else {
             continue;
         };
         let below = inner.children[0];
@@ -122,12 +123,14 @@ pub fn global_agg_to_grouped(dag: &mut Dag, op_id: OpId) -> usize {
         }
         keys.sort_by_key(|(i, _)| *i);
         keys.dedup_by_key(|(i, _)| *i);
+        let aggs = aggs.clone();
+        let n_aggs = aggs.len();
 
         // Grouped aggregate keyed on the instantiated columns.
         let grouped = dag.add_op(
             Operator::Aggregate {
                 group_by: keys.iter().map(|(i, _)| ScalarExpr::Col(*i)).collect(),
-                aggs: aggs.clone(),
+                aggs,
             },
             vec![below],
             None,
@@ -146,7 +149,7 @@ pub fn global_agg_to_grouped(dag: &mut Dag, op_id: OpId) -> usize {
             None,
         );
         // Project away the keys, keeping only the aggregates.
-        let proj: Vec<ScalarExpr> = (0..aggs.len())
+        let proj: Vec<ScalarExpr> = (0..n_aggs)
             .map(|j| ScalarExpr::Col(keys.len() + j))
             .collect();
         dag.add_op(Operator::Project { exprs: proj }, vec![selected], Some(class));

@@ -9,11 +9,10 @@ use fgac_algebra::{normalize_conjuncts, ScalarExpr};
 /// Column references are positional, so the swapped join is wrapped in a
 /// permutation projection restoring the original column order.
 pub fn join_commute(dag: &mut Dag, op_id: OpId) -> bool {
-    let node = dag.op(op_id).clone();
+    let node = dag.op(op_id);
     let Operator::Join { conjuncts } = &node.op else {
         return false;
     };
-    let class = dag.class_of(op_id);
     let (l, r) = (node.children[0], node.children[1]);
     let (la, ra) = (dag.arity(l), dag.arity(r));
 
@@ -22,6 +21,7 @@ pub fn join_commute(dag: &mut Dag, op_id: OpId) -> bool {
         .iter()
         .map(|c| c.map_cols(&|i| if i < la { i + ra } else { i - la }))
         .collect();
+    let class = dag.class_of(op_id);
     let swapped = dag.add_op(
         Operator::Join {
             conjuncts: normalize_conjuncts(&remapped),
@@ -47,20 +47,22 @@ pub fn join_commute(dag: &mut Dag, op_id: OpId) -> bool {
 ///
 /// Returns the number of alternatives added.
 pub fn join_associate(dag: &mut Dag, op_id: OpId) -> usize {
-    let node = dag.op(op_id).clone();
-    let Operator::Join { conjuncts: top } = &node.op else {
+    let node = dag.op(op_id);
+    let Operator::Join { .. } = node.op else {
         return 0;
     };
-    let class = dag.class_of(op_id);
     let (left_class, c_class) = (node.children[0], node.children[1]);
+    let class = dag.class_of(op_id);
     let c_arity = dag.arity(c_class);
 
     let mut added = 0;
     // For every join-shaped member of the left child: ((A ⋈ B) ⋈ C).
     let members: Vec<OpId> = dag.ops_of(left_class).to_vec();
     for member in members {
-        let inner = dag.op(member).clone();
-        let Operator::Join { conjuncts: bot } = &inner.op else {
+        let inner = dag.op(member);
+        let (Operator::Join { conjuncts: top }, Operator::Join { conjuncts: bot }) =
+            (&dag.op(op_id).op, &inner.op)
+        else {
             continue;
         };
         let (a_class, b_class) = (inner.children[0], inner.children[1]);

@@ -24,23 +24,26 @@ pub use project::{project_select_transpose, select_project_transpose};
 pub use select::select_push_into_join;
 pub use subsume::{aggregate_rollup, selection_subsumption};
 
-use crate::dag::{Dag, OpId};
+use crate::dag::{Dag, OpId, Operator};
 
-/// Applies every structural (per-operation) rule to `op`. Returns how
-/// many rule applications were attempted, whether or not they changed
-/// the DAG: a rewrite whose result hash-consing finds already present
-/// still counts (`join_commute` counts every join). Compare
-/// [`Dag::stats`] before and after to learn whether the DAG changed.
+/// Applies to `op` the structural (per-operation) rules whose root
+/// pattern is `op`'s operator. Returns how many rule applications were
+/// attempted, whether or not they changed the DAG: a rewrite whose
+/// result hash-consing finds already present still counts
+/// (`join_commute` counts every join). Compare [`Dag::stats`] before and
+/// after to learn whether the DAG changed.
 pub fn apply_structural(dag: &mut Dag, op: OpId) -> usize {
-    let mut attempts = 0;
-    attempts += join_commute(dag, op) as usize;
-    attempts += join_associate(dag, op);
-    attempts += select_push_into_join(dag, op);
-    attempts += project_select_transpose(dag, op);
-    attempts += select_project_transpose(dag, op);
-    attempts += agg_select_commute(dag, op);
-    attempts += global_agg_to_grouped(dag, op);
-    attempts
+    match dag.op(op).op {
+        Operator::Join { .. } => join_commute(dag, op) as usize + join_associate(dag, op),
+        Operator::Select { .. } => {
+            select_push_into_join(dag, op)
+                + select_project_transpose(dag, op)
+                + agg_select_commute(dag, op)
+        }
+        Operator::Project { .. } => project_select_transpose(dag, op),
+        Operator::Aggregate { .. } => global_agg_to_grouped(dag, op),
+        Operator::Scan { .. } | Operator::Distinct => 0,
+    }
 }
 
 /// Shared helper: the lowest and highest column offsets a conjunct

@@ -10,18 +10,20 @@ use fgac_algebra::{normalize_conjuncts, substitute_cols, ScalarExpr};
 /// This lets selections climb above projections so they can match
 /// selections over (projected) authorization views.
 pub fn project_select_transpose(dag: &mut Dag, op_id: OpId) -> usize {
-    let node = dag.op(op_id).clone();
-    let Operator::Project { exprs } = &node.op else {
+    let node = dag.op(op_id);
+    let Operator::Project { .. } = node.op else {
         return 0;
     };
-    let class = dag.class_of(op_id);
     let child = node.children[0];
+    let class = dag.class_of(op_id);
 
     let mut added = 0;
     let members: Vec<OpId> = dag.ops_of(child).to_vec();
     for member in members {
-        let inner = dag.op(member).clone();
-        let Operator::Select { conjuncts } = &inner.op else {
+        let inner = dag.op(member);
+        let (Operator::Project { exprs }, Operator::Select { conjuncts }) =
+            (&dag.op(op_id).op, &inner.op)
+        else {
             continue;
         };
         let below = inner.children[0];
@@ -47,13 +49,8 @@ pub fn project_select_transpose(dag: &mut Dag, op_id: OpId) -> usize {
         if !ok {
             continue;
         }
-        let projected = dag.add_op(
-            Operator::Project {
-                exprs: exprs.clone(),
-            },
-            vec![below],
-            None,
-        );
+        let exprs = exprs.clone();
+        let projected = dag.add_op(Operator::Project { exprs }, vec![below], None);
         dag.add_op(
             Operator::Select {
                 conjuncts: normalize_conjuncts(&remapped),
@@ -69,23 +66,26 @@ pub fn project_select_transpose(dag: &mut Dag, op_id: OpId) -> usize {
 /// `σ_p(π_e(X))  ≡  π_e(σ_{p∘e}(X))` — always valid: substitute the
 /// projection expressions into the predicate.
 pub fn select_project_transpose(dag: &mut Dag, op_id: OpId) -> usize {
-    let node = dag.op(op_id).clone();
-    let Operator::Select { conjuncts } = &node.op else {
+    let node = dag.op(op_id);
+    let Operator::Select { .. } = node.op else {
         return 0;
     };
-    let class = dag.class_of(op_id);
     let child = node.children[0];
+    let class = dag.class_of(op_id);
 
     let mut added = 0;
     let members: Vec<OpId> = dag.ops_of(child).to_vec();
     for member in members {
-        let inner = dag.op(member).clone();
-        let Operator::Project { exprs } = &inner.op else {
+        let inner = dag.op(member);
+        let (Operator::Select { conjuncts }, Operator::Project { exprs }) =
+            (&dag.op(op_id).op, &inner.op)
+        else {
             continue;
         };
         let below = inner.children[0];
         let pushed: Vec<ScalarExpr> =
             conjuncts.iter().map(|c| substitute_cols(c, exprs)).collect();
+        let exprs = exprs.clone();
         let selected = dag.add_op(
             Operator::Select {
                 conjuncts: normalize_conjuncts(&pushed),
@@ -93,13 +93,7 @@ pub fn select_project_transpose(dag: &mut Dag, op_id: OpId) -> usize {
             vec![below],
             None,
         );
-        dag.add_op(
-            Operator::Project {
-                exprs: exprs.clone(),
-            },
-            vec![selected],
-            Some(class),
-        );
+        dag.add_op(Operator::Project { exprs }, vec![selected], Some(class));
         added += 1;
     }
     added

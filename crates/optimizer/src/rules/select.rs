@@ -10,20 +10,23 @@ use fgac_algebra::normalize_conjuncts;
 ///
 /// Returns the number of alternatives added.
 pub fn select_push_into_join(dag: &mut Dag, op_id: OpId) -> usize {
-    let node = dag.op(op_id).clone();
-    let Operator::Select { conjuncts } = &node.op else {
+    let node = dag.op(op_id);
+    let Operator::Select { .. } = node.op else {
         return 0;
     };
-    let class = dag.class_of(op_id);
     let child = node.children[0];
+    let class = dag.class_of(op_id);
 
     let mut added = 0;
     let members: Vec<OpId> = dag.ops_of(child).to_vec();
     for member in members {
-        let inner = dag.op(member).clone();
-        let Operator::Join {
-            conjuncts: join_conj,
-        } = &inner.op
+        let inner = dag.op(member);
+        let (
+            Operator::Select { conjuncts },
+            Operator::Join {
+                conjuncts: join_conj,
+            },
+        ) = (&dag.op(op_id).op, &inner.op)
         else {
             continue;
         };

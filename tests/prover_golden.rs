@@ -1,9 +1,10 @@
 //! Pins the prover's output. For a fixed corpus of (principal, query)
 //! cases — the E8 acceptance matrix, the university query mix and the
 //! paper's worked examples, plus a few cases that reach the rarer rules
-//! — each report's verdict, reason, rule trace, DAG size, views
-//! considered and certificate JSON must equal
-//! `tests/golden/derivations.txt` byte for byte.
+//! and a few that only a second inference round decides — each
+//! report's verdict, reason, rule trace, DAG size, views considered and
+//! certificate JSON must equal `tests/golden/derivations.txt` byte for
+//! byte.
 //!
 //! A change to any inference rule that moves a derivation fails here
 //! first. The failing run writes its full output to `derivations.txt`
@@ -88,6 +89,32 @@ const PAPER_DDL: &str = "
         ('11', 'cs101', 90), ('12', 'cs101', 70), ('12', 'cs202', 85),
         ('13', 'cs202', 60);
     insert into feespaid values ('11'), ('12');
+";
+
+/// Views whose derivations feed one another, so that a second inference
+/// round decides the cases over them: RegIdNames' U3c witness
+/// `select student_id from registered` follows from TakesCourses only
+/// after a first round, and RegIdNames' U3c core composes with FeesReg
+/// only once it is derived.
+const ROUNDS_DDL: &str = "
+    create authorization view RegIdNames as
+        select registered.student_id, registered.course_id,
+               students.student_id, students.name
+        from registered, students
+        where students.student_id = registered.student_id;
+    create authorization view TakesCourses as
+        select registered.student_id, registered.course_id, courses.name
+        from registered, courses
+        where courses.course_id = registered.course_id;
+    create authorization view AllCourses as
+        select * from courses;
+    create authorization view FeesReg as
+        select feespaid.student_id, registered.course_id
+        from feespaid, registered
+        where registered.student_id = feespaid.student_id;
+
+    create inclusion dependency reg_courses
+        on registered (course_id) references courses (course_id);
 ";
 
 /// One section of the golden: the report of `sql` checked for `user`.
@@ -278,6 +305,43 @@ fn corpus() -> (String, Vec<ValidityReport>) {
         ("Q001 uncovered relation", "11", "select * from feespaid"),
     ];
     for (label, user, sql) in paper {
+        reports.push(render(&mut out, label, &e, user, sql));
+    }
+
+    // Cases the first inference round leaves open.
+    let mut e = Engine::new();
+    e.admin_script(PAPER_DDL).unwrap();
+    e.admin_script(ROUNDS_DDL).unwrap();
+    let grants: &[(&str, &[&str], &[&str])] = &[
+        ("w2", &["regnames", "takescourses", "allcourses"], &["all_registered", "reg_courses"]),
+        ("m2", &["regidnames", "takescourses", "allcourses"], &["all_registered", "reg_courses"]),
+        ("c2", &["regidnames", "allregistered", "feesreg"], &["all_registered", "fees_registered"]),
+    ];
+    for (user, views, constraints) in grants {
+        for v in *views {
+            e.grant_view(user, v).unwrap();
+        }
+        for c in *constraints {
+            e.grant_constraint(user, c).unwrap();
+        }
+    }
+    let rounds: &[(&str, &str, &str)] = &[
+        // RegNames' U3c waits for its witness, which the matcher proves
+        // from TakesCourses' U3a core only at the end of round 1.
+        ("round 2 U3c witness", "w2", "select name from students"),
+        // RegIdNames' U3c core, derived in round 2, is the first block
+        // that the query's class (there since expansion) matches.
+        ("round 2 match of an old class", "m2", "select name from students"),
+        // RegIdNames' U3c core from round 1 composes with view FeesReg
+        // in round 2, and U3a strips the composition's Registered.
+        (
+            "round 2 composition with a view",
+            "c2",
+            "select distinct name from students, feespaid \
+             where students.student_id = feespaid.student_id",
+        ),
+    ];
+    for (label, user, sql) in rounds {
         reports.push(render(&mut out, label, &e, user, sql));
     }
     (out, reports)
