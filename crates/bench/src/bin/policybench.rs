@@ -12,7 +12,10 @@
 //! purpose: it selects more strictly than the one predicated view over
 //! `rel_p` (granted at every size, beside the N above), so only the
 //! prover's U2 selection-subsumption derivation admits it. Its latency
-//! is the cold prover's at N granted views; it is reported, not gated.
+//! is the cold prover's at N granted views. `pad_p` is the only view on
+//! `rel_p`, so the prover's relevant view set is one view at every size:
+//! once the principal's view side is built (by the column's first text),
+//! the column should read flat in N.
 //!
 //! ```text
 //! policybench [--queries N] [--out PATH] [--check BASELINE.json]
@@ -22,8 +25,10 @@
 //! fast-path set's p99 growth factor from the smallest to the largest
 //! policy set exceeds the baseline's `max_p99_growth` (sub-linearity
 //! gate: 5000x more policies must cost far less than 5000x the
-//! latency), or when its fast-path hit rate falls below
-//! `min_hit_rate`.
+//! latency), when its fast-path hit rate falls below `min_hit_rate`, or
+//! when the prover column's p50 grows by more than
+//! `max_prover_p50_growth` over the same range. The prover gate reads
+//! p50, not p99: each size's first prover text builds the view side.
 
 use fgac_bench::{emit_report, num, percentile, Cli};
 use fgac_core::{Engine, Session};
@@ -152,13 +157,18 @@ fn main() {
     let (_, p_small) = p99s[0];
     let (_, p_large) = p99s[p99s.len() - 1];
     let growth = p_large / p_small.max(1e-9);
+    let (_, prover_small, _) = provers[0];
+    let (_, prover_large, _) = provers[provers.len() - 1];
+    let prover_growth = prover_large / prover_small.max(1e-9);
 
     // --- Gates.
     let max_growth = cli.gate("max_p99_growth", f64::INFINITY);
     let min_rate = cli.gate("min_hit_rate", 0.0);
+    let max_prover_growth = cli.gate("max_prover_p50_growth", f64::INFINITY);
     let growth_ok = growth <= max_growth;
     let rate_ok = hit_rate_min >= min_rate;
-    let pass = growth_ok && rate_ok;
+    let prover_ok = prover_growth <= max_prover_growth;
+    let pass = growth_ok && rate_ok && prover_ok;
 
     let mut report = vec![
         ("schema".to_string(), Json::str("fgac-policy-v1")),
@@ -173,6 +183,7 @@ fn main() {
     }
     report.extend([
         ("growth_p99".to_string(), num(growth, 2)),
+        ("growth_prover_p50".to_string(), num(prover_growth, 2)),
         ("hit_rate".to_string(), num(hit_rate_min, 4)),
         ("prover_hit_rate".to_string(), num(prover_rate_max, 4)),
         (
@@ -184,6 +195,7 @@ fn main() {
             Json::obj([
                 ("max_p99_growth", num(max_growth, 1)),
                 ("min_hit_rate", num(min_rate, 2)),
+                ("max_prover_p50_growth", num(max_prover_growth, 1)),
                 ("pass", Json::Bool(pass)),
             ]),
         ),
@@ -193,6 +205,14 @@ fn main() {
     if !growth_ok {
         eprintln!(
             "GATE FAIL: p99 grew {growth:.2}x from {} to {} policies (max {max_growth:.1}x)",
+            SIZES[0],
+            SIZES[SIZES.len() - 1]
+        );
+    }
+    if !prover_ok {
+        eprintln!(
+            "GATE FAIL: prover p50 grew {prover_growth:.2}x from {} to {} policies \
+             (max {max_prover_growth:.1}x)",
             SIZES[0],
             SIZES[SIZES.len() - 1]
         );

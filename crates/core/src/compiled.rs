@@ -1,15 +1,15 @@
 //! Compiled authorization fast path: per-principal capability bitmasks.
 //!
-//! The Non-Truman validator is a theorem prover: on every cold check it
-//! instantiates the principal's entire granted view set, builds the
-//! AND-OR DAG, and walks inference rules U1/U2/U3/C3. That cost is
-//! linear in the number of granted views — fine at 10 policies,
-//! unacceptable at 50,000. Yet the *dominant* workload case needs none
-//! of it: a query whose every scanned relation is covered by a granted,
-//! unconditional (parameter-free, predicate-free, duplicate-preserving)
-//! authorization view is U1/U2-valid by construction. This module
-//! compiles that case into a decision structure the admission path can
-//! consult with a mask AND and a hash lookup:
+//! The Non-Truman validator is a theorem prover: a cold check builds the
+//! AND-OR DAG of the query and the principal's views and walks inference
+//! rules U1/U2/U3/C3. The view half is built once per principal (the
+//! caps below memoize it), but the proof is still far dearer than a
+//! lookup. Yet the *dominant* workload case needs none of it: a query
+//! whose every scanned relation is covered by a granted, unconditional
+//! (parameter-free, predicate-free, duplicate-preserving) authorization
+//! view is U1/U2-valid by construction. This module compiles that case
+//! into a decision structure the admission path can consult with a mask
+//! AND and a hash lookup:
 //!
 //! * every catalog relation gets a bit id;
 //! * per principal, the granted view set is folded into
@@ -48,9 +48,10 @@
 use crate::authview::AuthorizationView;
 use crate::grants::Grants;
 use crate::invalidation::Sweep;
+use crate::nontruman::viewside::{ViewSide, ViewSideKey};
 use fgac_algebra::{normalize, ParamScope, Plan, ScalarExpr, SpjBlock};
 use fgac_storage::Catalog;
-use fgac_types::{Counter, Ident};
+use fgac_types::{Counter, Ident, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -138,6 +139,10 @@ pub struct PrincipalCaps {
     /// distinct, multi-relation, access-pattern, non-SPJ) — the prover
     /// handles them on fast-path misses.
     residual: usize,
+    /// The view side of the principal's cold proofs, built by the first
+    /// check that needs it (see `nontruman::viewside`). One session key
+    /// at a time: a check under another key replaces it.
+    view_side: Mutex<Option<Arc<ViewSide>>>,
 }
 
 impl PrincipalCaps {
@@ -180,6 +185,30 @@ impl PrincipalCaps {
         // leaf is a granted view and every operator above is an
         // operation over valid subexpressions (rule U2).
         self.admit_full(&tables)
+    }
+
+    /// The view side memoized under `key`, or the one `build` makes,
+    /// which then replaces any side stored under another key. `build`
+    /// runs outside the lock; a build that fails stores nothing, and of
+    /// two racing builds under one key the first stored is kept.
+    pub(crate) fn view_side(
+        &self,
+        key: &ViewSideKey,
+        build: impl FnOnce() -> Result<ViewSide>,
+    ) -> Result<Arc<ViewSide>> {
+        let stored = |slot: &Option<Arc<ViewSide>>| {
+            slot.as_ref().filter(|side| side.key() == key).map(Arc::clone)
+        };
+        if let Some(side) = stored(&self.view_side.lock()) {
+            return Ok(side);
+        }
+        let side = Arc::new(build()?);
+        let mut slot = self.view_side.lock();
+        if let Some(first) = stored(&slot) {
+            return Ok(first);
+        }
+        *slot = Some(Arc::clone(&side));
+        Ok(side)
     }
 
     /// The mask-AND path: every scanned relation must carry full-width
@@ -320,13 +349,18 @@ impl CompiledPolicies {
     /// what a recompile would produce. A change that introduces a name
     /// resets the relation ids for future compiles; retained snapshots
     /// keep their own and simply miss (→ full prover) on a new table.
+    /// It also drops every retained view side: a granted view that
+    /// named a missing table or view binds once the name exists.
     pub fn sweep(&mut self, sweep: &Sweep) {
         let st = self.inner.get_mut();
-        if sweep.introduces_names() {
-            st.rel_ids = None;
-        }
         st.principals
             .retain(|user, (stamp, _)| sweep.keep(user, stamp, false));
+        if sweep.introduces_names() {
+            st.rel_ids = None;
+            for (_, caps) in st.principals.values() {
+                *caps.view_side.lock() = None;
+            }
+        }
     }
 
     /// Number of principals with a live compiled snapshot (gauge).
@@ -415,6 +449,7 @@ fn compile_principal(
         full_mask,
         coverage,
         residual,
+        view_side: Mutex::new(None),
     }
 }
 

@@ -10,8 +10,10 @@
 //! Pipeline (one [`Validator::check_query`] call):
 //!
 //! 1. bind the query and every granted view with the session parameters
-//!    (*instantiated authorization views*, Section 2);
-//! 2. insert everything into the Volcano AND-OR [`Dag`], expand with
+//!    (*instantiated authorization views*, Section 2), keeping the views
+//!    that can be of use — the views and their expanded DAG are built
+//!    once per principal and session (`viewside`);
+//! 2. insert the query into the views' [`Dag`], expand with
 //!    equivalence rules + subsumption derivations, and run the bottom-up
 //!    marking of Section 5.6.2 — rules **U1/U2**;
 //! 3. run the SPJ-block matcher against valid blocks (view-level
@@ -30,17 +32,18 @@ mod certbuilder;
 pub mod matcher;
 pub mod strengthen;
 pub mod u3;
+pub(crate) mod viewside;
 
-use crate::authview::AuthorizationView;
 use crate::compiled::{self, PrincipalCaps};
 use crate::grants::Grants;
 use crate::session::Session;
 use certbuilder::CertBuilder;
+use viewside::{RegView, ViewSide, ViewSideKey};
 use fgac_algebra::{normalize, Plan, SpjBlock};
 use fgac_analyze::{CertVerdict, Certificate, RuleId, Step};
 use fgac_optimizer::{expand, mark_valid, Dag, DagStats, EqId, ExpandOptions, Marking, Operator};
 use fgac_storage::Database;
-use fgac_types::{Budget, BudgetMeter, Counter, Ident, Result, Value};
+use fgac_types::{Budget, BudgetMeter, Counter, Ident, Result};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Phase label the validator's own pipeline steps charge under.
@@ -331,22 +334,6 @@ impl ValidSet {
     }
 }
 
-/// An instantiated authorization view entering the check: either a plain
-/// granted view (`pin == None`, `base == display`) or an access-pattern
-/// view instantiated at a query constant, where `pin` records the
-/// substituted parameter so the certificate checker can re-derive the
-/// instantiation from the base view's catalog definition.
-#[derive(Debug, Clone)]
-struct RegView {
-    /// Display name used in the human-readable rule trace.
-    display: Ident,
-    /// Catalog name of the granted view.
-    base: Ident,
-    /// Access-pattern parameter pinned to a query constant, if any.
-    pin: Option<(String, Value)>,
-    plan: Plan,
-}
-
 impl<'a> Validator<'a> {
     pub fn new(db: &'a Database, grants: &'a Grants) -> Self {
         Validator {
@@ -439,71 +426,30 @@ impl<'a> Validator<'a> {
             compiled::note_fastpath_miss();
         }
 
-        // --- Gather and instantiate the user's views. -----------------
-        let mut all_views: Vec<RegView> = Vec::new();
-        let mut ap_views: Vec<AuthorizationView> = Vec::new();
-        for name in self.grants.views_for(session.user()) {
-            meter.charge(PHASE, 1)?;
-            let Some(def) = self.db.catalog().view(&name) else {
-                continue;
-            };
-            if !def.authorization {
-                continue;
-            }
-            let view = AuthorizationView::new(def.name.clone(), def.query.clone());
-            if view.is_access_pattern() {
-                ap_views.push(view);
-                continue;
-            }
-            let Ok(bound) = view.instantiate(self.db.catalog(), session.params()) else {
-                rules.push(format!(
-                    "view {name} skipped: parameters missing in this session"
-                ));
-                continue;
-            };
-            all_views.push(RegView {
-                display: name.clone(),
-                base: name,
-                pin: None,
-                plan: normalize(&bound.plan),
-            });
-        }
-
-        // Section 5.6 optimization: "eliminate authorization views that
-        // cannot possibly be of use". Relevance is the *transitive*
-        // table closure: a view over {grades, registered} makes
-        // registered relevant to a grades query (its C3 remainder probe
-        // runs over registered).
-        let mut regular: Vec<RegView> = if self.options.prune_irrelevant_views {
-            let mut relevant = query_tables.clone();
-            loop {
-                let before = relevant.len();
-                for rv in &all_views {
-                    let tables = rv.plan.scanned_tables();
-                    if tables.iter().any(|t| relevant.contains(t)) {
-                        relevant.extend(tables);
-                    }
-                }
-                if relevant.len() == before {
-                    break;
-                }
-            }
-            all_views
-                .into_iter()
-                .filter(|rv| {
-                    rv.plan.scanned_tables().iter().any(|t| relevant.contains(t))
-                })
-                .collect()
-        } else {
-            all_views
+        // --- The view side: granted views, pruned (Section 5.6). -------
+        // Built once per principal, session and options when the
+        // principal's caps keep it (see `viewside`), else for this check.
+        let key = ViewSideKey::new(session.user(), session.params(), &self.options);
+        let build = |memoize| ViewSide::build(self.db, self.grants, key.clone(), &meter, memoize);
+        let side = match &self.compiled {
+            Some(caps) => caps.view_side(&key, || build(true))?,
+            None => std::sync::Arc::new(build(false)?),
         };
+        rules.extend(side.skipped.iter().cloned());
+        // "Eliminate authorization views that cannot possibly be of use":
+        // relevance is the *transitive* table closure — a view over
+        // {grades, registered} makes registered relevant to a grades
+        // query (its C3 remainder probe runs over registered) — which is
+        // the union of the view–table components the query's tables lie
+        // in.
+        let components = side.components_of(&query_tables);
 
         // Access-pattern views instantiated at the query's constants
         // (Section 6: validity against the set of all instantiations).
-        let mut capabilities = Vec::new();
+        let mut instances: Vec<RegView> = Vec::new();
         if self.options.enable_access_patterns {
             let literals = access_pattern::query_literals(&qplan);
-            for view in &ap_views {
+            for view in &side.ap_views {
                 let params = view.access_params();
                 for (val, inst) in access_pattern::instantiate_at_constants(view, &literals) {
                     if let Ok(bound) = inst.instantiate(self.db.catalog(), session.params()) {
@@ -514,38 +460,27 @@ impl<'a> Validator<'a> {
                             .any(|t| query_tables.contains(t))
                         {
                             let pin = params.first().map(|p| (p.clone(), val.clone()));
-                            regular.push(RegView {
-                                display: Ident::new(format!("{}[$$={val}]", view.name)),
-                                base: view.name.clone(),
+                            instances.push(RegView::new(
+                                Ident::new(format!("{}[$$={val}]", view.name)),
+                                view.name.clone(),
                                 pin,
-                                plan: vplan,
-                            });
+                                vplan,
+                            ));
                         }
                     }
                 }
-                if let Some(cap) =
-                    access_pattern::capability(self.db.catalog(), view, session.params())
-                {
-                    capabilities.push(cap);
-                }
             }
         }
-        let views_considered = regular.len();
+        let views_considered = side.count(&components) + instances.len();
 
         // Q001: a query relation no granted view even mentions can never
         // become valid — every inference rule derives expressions over
         // the tables of the instantiated views. Reject before building
         // the DAG.
-        let mut covered: BTreeSet<Ident> = BTreeSet::new();
-        for rv in &regular {
-            covered.extend(rv.plan.scanned_tables());
-        }
-        for view in &ap_views {
-            if let Ok(bound) = view.instantiate(self.db.catalog(), session.params()) {
-                covered.extend(bound.plan.scanned_tables());
-            }
-        }
-        if let Some(t) = query_tables.iter().find(|t| !covered.contains(*t)) {
+        let uncovered = query_tables.iter().find(|t| {
+            !side.covers(t) && !instances.iter().any(|rv| rv.plan.scanned_tables().contains(t))
+        });
+        if let Some(t) = uncovered {
             rules.push(format!(
                 "Q001: relation {t} is not covered by any granted authorization view"
             ));
@@ -562,27 +497,28 @@ impl<'a> Validator<'a> {
             return Ok(report);
         }
 
-        // --- DAG: insert, expand, mark (rules U1/U2). -----------------
-        let mut builder = CertBuilder::new(self.options.emit_certificates);
-        let mut dag = Dag::new();
+        // --- DAG: overlay, expand, mark (rules U1/U2). ----------------
+        // The relevant views' DAG comes expanded; the query and the
+        // access-pattern instances go on top, and expansion rewrites only
+        // what they touch.
+        let viewside::ViewDag {
+            views,
+            mut dag,
+            roots: mut view_roots,
+        } = side.dag(&components, self.db);
         let qroot = dag.insert_plan(&qplan);
-        let mut view_roots: Vec<EqId> = Vec::new();
-        let mut root_steps: Vec<usize> = Vec::new();
-        for rv in &regular {
-            view_roots.push(dag.insert_plan(&rv.plan));
-            let mut s = Step::new(RuleId::U1);
-            s.view = Some(rv.base.clone());
-            s.block = SpjBlock::decompose(&rv.plan);
-            s.pins = rv.pin.clone().into_iter().collect();
-            s.note = format!("instantiated authorization view {}", rv.display);
-            root_steps.push(builder.push_root(s));
-        }
+        view_roots.extend(instances.iter().map(|rv| dag.insert_plan(&rv.plan)));
+        let regular: Vec<&RegView> =
+            views.iter().map(|&i| side.view(i)).chain(&instances).collect();
+        let mut builder = CertBuilder::new(self.options.emit_certificates);
+        let root_steps: Vec<usize> =
+            regular.iter().map(|rv| builder.push_root(rv.u1.clone())).collect();
         distinct_elimination(&mut dag, self.db);
         let dag_stats = expand(&mut dag, &self.options.expand);
         distinct_elimination(&mut dag, self.db);
         // Expansion is internally bounded by `expand.max_ops`; charge
-        // its actual size so a large DAG eats into what the rounds may
-        // still spend.
+        // the whole DAG's size so a large DAG eats into what the rounds
+        // may still spend.
         meter.charge("DAG expansion", dag_stats.op_nodes as u64)?;
         let mut marking = mark_valid(&dag, &view_roots);
 
@@ -619,9 +555,9 @@ impl<'a> Validator<'a> {
 
         // --- Valid blocks for the matcher + U3 derivations. -----------
         let mut valid_blocks = ValidSet::default();
-        for (i, rv) in regular.iter().enumerate() {
-            if let Some(block) = SpjBlock::decompose(&rv.plan) {
-                valid_blocks.push(block, format!("view {}", rv.display), root_steps[i]);
+        for (rv, &step) in regular.iter().zip(&root_steps) {
+            if let Some(block) = &rv.u1.block {
+                valid_blocks.push(block.clone(), format!("view {}", rv.display), step);
             }
         }
 
@@ -908,7 +844,7 @@ impl<'a> Validator<'a> {
         }
 
         // --- Dependent joins over access-pattern views (Section 6). ---
-        if self.options.enable_access_patterns && !capabilities.is_empty() {
+        if self.options.enable_access_patterns && !side.capabilities.is_empty() {
             if let Some(qb) = &qblock {
                 let mut directly_valid: Vec<bool> = Vec::with_capacity(qb.scans.len());
                 let mut anchors: Vec<usize> = Vec::new();
@@ -932,7 +868,7 @@ impl<'a> Validator<'a> {
                 if let Some((trace, used_views)) = access_pattern::dependent_join_covers(
                     qb,
                     &directly_valid,
-                    &capabilities,
+                    &side.capabilities,
                 ) {
                     rules.extend(trace);
                     rules.push("Section 6: dependent-join evaluation over access-pattern views".into());
@@ -1185,7 +1121,7 @@ fn instance_restriction(block: &SpjBlock, i: usize) -> SpjBlock {
 
 /// Merges `Distinct(X)` classes with `X` when `X` is provably
 /// duplicate-free (primary-key reasoning — the paper's Example 5.5).
-fn distinct_elimination(dag: &mut Dag, db: &Database) {
+pub fn distinct_elimination(dag: &mut Dag, db: &Database) {
     loop {
         let mut merges: Vec<(EqId, EqId)> = Vec::new();
         for op_id in dag.all_ops() {

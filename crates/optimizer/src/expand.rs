@@ -5,7 +5,7 @@ use crate::dag::{Dag, DagStats};
 use crate::rules;
 
 /// Expansion controls.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExpandOptions {
     /// Stop expanding when the DAG reaches this many operation nodes
     /// (the paper notes the DAG is "at worst exponential in the number of
